@@ -18,7 +18,7 @@ from .dynamics import (CloneResult, QubitDensity, SectorState, clone_fidelity,
 from .hamiltonian import (DimensionLimitError, HamiltonianBlock, SectorBasis,
                           SpectralDecomposition, build_block, required_weights,
                           sector_basis, spectral)
-from .noise import (GatePulse, MixedState, NoiseSpec, circuit_baseline,
+from .noise import (GatePulse, MixedState, circuit_baseline,
                     circuit_ideal_fidelity, lindblad_evolve,
                     noisy_network_fidelity, pcc_circuit_schedule,
                     stochastic_evolve)

@@ -157,8 +157,7 @@ def clone_fidelity(rho: QubitDensity, theta: float, phi: float) -> float:
     """Overlap of a clone with cos(t/2)|0> + e^{i phi} sin(t/2)|1>."""
     psi = np.array([np.cos(theta / 2.0),
                     np.exp(1j * phi) * np.sin(theta / 2.0)])
-    value = float(np.real(psi.conj() @ rho.matrix @ psi))
-    return min(1.0, max(0.0, value))
+    return float(np.real(psi.conj() @ rho.matrix @ psi))
 
 
 def run_protocol(net: SpinNetwork, anisotropy: float, field: float,

@@ -253,15 +253,18 @@ def from_text(text: str) -> SpinNetwork:
             elif len(parts) > 1 and parts[1] == "outputs":
                 outputs = [int(p) for p in parts[2:]]
             continue
-        if parts[0] == "sites":
-            n_sites = int(parts[1])
-            anisotropy = float(parts[3])
-        elif parts[0] == "edge":
-            edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-        elif parts[0] == "field":
-            fields[int(parts[1])] = float(parts[2])
-        else:
+        if parts[0] not in ("sites", "edge", "field"):
             raise ValueError(f"unrecognized line: {line!r}")
+        try:
+            if parts[0] == "sites":
+                n_sites = int(parts[1])
+                anisotropy = float(parts[3])
+            elif parts[0] == "edge":
+                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            else:
+                fields[int(parts[1])] = float(parts[2])
+        except (IndexError, ValueError):
+            raise ValueError(f"malformed line: {line!r}") from None
     if n_sites is None:
         raise ValueError("missing 'sites' header")
     field_b = tuple(fields.get(i, 0.0) for i in range(n_sites))

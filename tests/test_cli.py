@@ -90,6 +90,14 @@ def test_fig3_command(tmp_path):
                 > by_key[("circuit", m, "0.001")])
 
 
+def test_fig3_cross_check_passes_at_seed_4(tmp_path, capsys):
+    assert run(tmp_path, "--seed", 4, "--gamma-grid", "1e-3,1e-1",
+               "fig3") == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "trajectory/master cross-check" in ln)
+    assert line.startswith("[ok]") and "bound 0.01" in line
+
+
 def test_table1_command_small_grid(tmp_path):
     # A deliberately coarse scan still emits all rows with deviation and
     # flag columns; headline tolerances are only claimed at full density.

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinclone import (GatePulse, NoiseSpec, b_opt_xy, build_block,
+from spinclone import (GatePulse, b_opt_xy, build_block,
                        circuit_baseline, circuit_ideal_fidelity, evolve,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
                        pcc_circuit_schedule, prepare_input, star,
                        stochastic_evolve, t_c_xy)
 from spinclone.noise import (MixedState, cnot_pulses, cry_pulses,
                              schedule_duration, schedule_unitary)
+from reference import full_dephasing_evolve, full_hamiltonian, full_input_state
 
 EQUATOR = math.pi / 2
 
@@ -26,16 +29,6 @@ def _star_setup(m, gamma_field=None):
     state = prepare_input(net, EQUATOR, 0.0)
     block = build_block(net, state.basis.weights)
     return net, state, block
-
-
-def test_noise_spec_validation():
-    NoiseSpec(gamma=0.1)
-    with pytest.raises(ValueError):
-        NoiseSpec(gamma=-1.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(gamma=0.1, mode="weak_measurement")
-    with pytest.raises(ValueError):
-        NoiseSpec(gamma=0.1, dt=0.0)
 
 
 def test_lindblad_gamma_zero_matches_unitary():
@@ -62,6 +55,53 @@ def test_lindblad_trace_and_positivity():
     out = lindblad_evolve(_pure(state), block, 0.01, t_c_xy(3))
     assert abs(np.trace(out.matrix).real - 1.0) <= 1e-8
     assert np.linalg.eigvalsh(out.matrix).min() >= -1e-9
+
+
+@st.composite
+def small_networks(draw):
+    """Connected graphs of 2-4 sites: a random spanning tree plus extra edges."""
+    n_sites = draw(st.integers(2, 4))
+    coupling = st.floats(0.2, 2.0)
+    edges = [(draw(st.integers(0, k - 1)), k, draw(coupling))
+             for k in range(1, n_sites)]
+    tree_pairs = {(i, j) for i, j, _ in edges}
+    edges += [(i, j, draw(coupling))
+              for i in range(n_sites) for j in range(i + 1, n_sites)
+              if (i, j) not in tree_pairs and draw(st.booleans())]
+    n_inputs = draw(st.integers(1, n_sites - 1))
+    return from_edge_list(n_sites, edges, list(range(n_inputs)),
+                          list(range(n_inputs, n_sites)),
+                          anisotropy=draw(st.floats(0.0, 1.0)),
+                          field=draw(st.floats(-1.0, 1.0)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), gamma=st.floats(0.0, 2.0), t=st.floats(0.0, 5.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi))
+def test_lindblad_matches_full_space_oracle(net, gamma, t, theta, phi):
+    state = prepare_input(net, theta, phi)
+    block = build_block(net, state.basis.weights)
+    out = lindblad_evolve(_pure(state), block, gamma, t).matrix
+    assert abs(np.trace(out) - 1.0) <= 1e-10
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+    assert np.linalg.eigvalsh(out).min() >= -1e-10
+
+    psi = full_input_state(net, theta, phi)
+    oracle = full_dephasing_evolve(full_hamiltonian(net),
+                                   np.outer(psi, psi.conj()), gamma, t)
+    lifted = np.zeros_like(oracle)
+    lifted[np.ix_(state.basis.states, state.basis.states)] = out
+    assert np.max(np.abs(lifted - oracle)) <= 1e-10
+
+
+def test_lindblad_rejects_oversized_liouvillian():
+    from spinclone import DimensionLimitError
+    net = star(6)
+    block = build_block(net, tuple(range(net.n_sites + 1)))
+    rho0 = MixedState(basis=block.basis,
+                      matrix=np.eye(len(block.basis)) / len(block.basis))
+    with pytest.raises(DimensionLimitError):
+        lindblad_evolve(rho0, block, 0.01, 1.0)
 
 
 def test_lindblad_first_order_loss():
@@ -195,5 +235,5 @@ def test_network_beats_circuit_at_low_noise(m):
 @pytest.mark.parametrize("m", [2, 3])
 def test_circuit_monotone_in_noise(m):
     grid = np.logspace(-4, -1, 10)
-    values = [circuit_baseline(m, EQUATOR, g, dt=2e-3) for g in grid]
+    values = [circuit_baseline(m, EQUATOR, g) for g in grid]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))

@@ -147,3 +147,10 @@ def test_text_header_format():
     assert lines[0] == "sites 3 lambda 0.0"
     assert sum(1 for ln in lines if ln.startswith("edge ")) == 2
     assert sum(1 for ln in lines if ln.startswith("field ")) == 3
+
+
+@pytest.mark.parametrize("line", ["sites 3", "edge 0 1", "field 2"])
+def test_from_text_rejects_malformed_line(line):
+    text = line if line.startswith("sites") else f"sites 3 lambda 0.0\n{line}"
+    with pytest.raises(ValueError, match=repr(line)):
+        from_text(text)
