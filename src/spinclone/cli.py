@@ -176,7 +176,10 @@ def cmd_table1(args) -> int:
     results = _parallel_map(scan_row, NTOM_REFERENCE, args.threads)
     rows = []
     outputs = []
+    params = {"seed": args.seed, "t_points": args.t_points}
     for ref, (net, result, at_ref) in zip(NTOM_REFERENCE, results):
+        name = f"bipartite_{ref.n_inputs}_{ref.n_outputs}"
+        params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
         deviation = result.fidelity - ref.fidelity
         flag = "TOPOLOGY_MISMATCH" if abs(deviation) > 0.03 else ""
         rows.append([
@@ -186,8 +189,7 @@ def cmd_table1(args) -> int:
             result.j_over_b, ref.jt_c, ref.j_over_b, at_ref,
             result.n_evaluations, flag,
         ])
-        outputs.append(_dump_network(
-            out_dir, f"bipartite_{ref.n_inputs}_{ref.n_outputs}", net))
+        outputs.append(_dump_network(out_dir, name, net))
 
     header = ["N", "M", "F_pcc", "F_ref", "F_found", "deviation",
               "Jt_c_found", "B_over_J_found", "J_over_B_found", "Jt_c_ref",
@@ -199,18 +201,15 @@ def cmd_table1(args) -> int:
         json_path = out_dir / "table1.json"
         _write_json(json_path, header, rows)
         outputs.insert(1, json_path)
-    _write_manifest(out_dir, "table1",
-                    {"seed": args.seed, "t_points": args.t_points},
-                    outputs, started)
+    _write_manifest(out_dir, "table1", params, outputs, started)
 
     by_pair = {(r[0], r[1]): r for r in rows}
-    checks = [
-        ("all seven rows emitted", len(rows) == 7),
-        ("2->3 within 0.03 of published value or flagged",
-         abs(by_pair[(2, 3)][5]) <= 0.03 or by_pair[(2, 3)][13] != ""),
-        ("3->4 within 0.03 of published value or flagged",
-         abs(by_pair[(3, 4)][5]) <= 0.03 or by_pair[(3, 4)][13] != ""),
-    ]
+    checks = [("all seven rows emitted", len(rows) == 7)]
+    for n, m in ((2, 3), (3, 4)):
+        deviation, flag = by_pair[(n, m)][5], by_pair[(n, m)][13]
+        checks.append((f"{n}->{m} within 0.03 of published value or flagged: "
+                       f"deviation {deviation:.3g}, bound 0.03",
+                       abs(deviation) <= 0.03 or flag != ""))
     return _report(checks)
 
 
@@ -314,15 +313,17 @@ def cmd_tree(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     outputs = []
+    params = {"seed": args.seed, "t_points": args.t_points}
     for branching, levels in TREE_CASES:
         result = optimize_exact_field(
             tree(branching, levels), 0.0, math.pi / 2,
             t_range=(0.0, 50.0), t_points=args.t_points)
+        name = f"tree_{branching}_{levels}"
+        params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
         m = branching ** (levels + 1)
         rows.append([branching, levels, m, result.fidelity, result.t_c,
                      result.b_opt, xy_star_fidelity(m, math.pi / 2)])
-        outputs.append(_dump_network(
-            out_dir, f"tree_{branching}_{levels}", tree(branching, levels)))
+        outputs.append(_dump_network(out_dir, name, tree(branching, levels)))
 
     header = ["k", "j", "M", "F", "Jt_c", "B_over_J", "F_star_formula"]
     path = out_dir / "tree.csv"
@@ -332,9 +333,7 @@ def cmd_tree(args) -> int:
         json_path = out_dir / "tree.json"
         _write_json(json_path, header, rows)
         outputs.insert(1, json_path)
-    _write_manifest(out_dir, "tree",
-                    {"seed": args.seed, "t_points": args.t_points},
-                    outputs, started)
+    _write_manifest(out_dir, "tree", params, outputs, started)
 
     by_case = {(r[0], r[1]): r[3] for r in rows}
     checks = [

@@ -96,6 +96,21 @@ def sector_basis(n_sites: int, weights: tuple[int, ...]) -> SectorBasis:
     return basis
 
 
+def orbit_isometry(basis: SectorBasis, classes: np.ndarray) -> np.ndarray:
+    """(dim, K) normalized indicators of the orbits of ``basis`` under
+    permutations within each site class (equal excitation counts per class);
+    singleton classes give the identity."""
+    sizes = np.bincount(classes)
+    if len(sizes) == basis.n_sites:
+        return np.eye(len(basis))
+    radix = np.cumprod(np.concatenate(([1], sizes[:-1] + 1)))
+    code = basis.occupancy() @ radix[classes]
+    _, orbit, counts = np.unique(code, return_inverse=True, return_counts=True)
+    isometry = np.zeros((len(basis), len(counts)))
+    isometry[np.arange(len(basis)), orbit] = counts[orbit] ** -0.5
+    return isometry
+
+
 @dataclass(frozen=True)
 class HamiltonianBlock:
     """Dense Hermitian matrix of the exchange model on a sector basis.

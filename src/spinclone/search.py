@@ -13,6 +13,13 @@ with ``c = cos(theta/2)``, ``s = sin(theta/2)`` and ``gbar`` the site-mean
 coherence sum.  The grid optimizer evaluates this expression on (t, B) grids;
 the exact-field variant replaces the B scan by the analytic maximum
 ``base + 2 c s |gbar|``.
+
+Scans run on orbit states: swapping twin sites commutes with H, fixes the
+input and permutes the outputs, so the state stays in the span of the
+normalized orbit sums ``S`` (:func:`spinclone.hamiltonian.orbit_isometry`).
+bipartite(4, 5) needs 15 amplitudes instead of 256; without twins ``S`` is
+the identity.  ``run_protocol`` stays on configurations: it is the
+independent oracle the scans are tested against.
 """
 from __future__ import annotations
 
@@ -22,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import prepare_input, site_pairs
-from .hamiltonian import build_block
-from .topology import SpinNetwork, jitter, tree
+from .hamiltonian import build_block, orbit_isometry
+from .topology import SpinNetwork, jitter, tree, twin_classes
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -73,6 +80,7 @@ class OptimizationResult:
     grid: GridSpec
     n_evaluations: int
     refinement_history: tuple[tuple[str, float, float, float], ...]
+    sector_dim: tuple[int, int]   # (configurations, orbit states)
 
     @property
     def j_over_b(self) -> float:
@@ -101,9 +109,10 @@ class DisorderSummary:
 class ProtocolScan:
     """Precomputed fast evaluator of the mean clone fidelity.
 
-    Diagonalizes the zero-field Hamiltonian once per excitation sector; any
-    (t, B) point is then a phase application plus index-mapped reductions.
-    Results agree with :func:`spinclone.dynamics.run_protocol` to round-off.
+    Diagonalizes the zero-field Hamiltonian on the ``dim`` orbit states once
+    per excitation sector; any (t, B) point is then a phase application plus
+    two weighted reductions.  Results agree with
+    :func:`spinclone.dynamics.run_protocol` to round-off.
     """
 
     def __init__(self, net: SpinNetwork, anisotropy: float, theta: float,
@@ -121,40 +130,47 @@ class ProtocolScan:
             raise ValueError("weights must match the input-state basis")
         block = build_block(configured, weights)
 
+        orbits = orbit_isometry(basis, twin_classes(configured))
+        orbit, scale = orbits.argmax(axis=1), orbits.max(axis=1)
+        k = orbits.shape[1]
+
+        def project(rows, cols, values):   # S^T X S from the entries of X
+            return np.bincount(orbit[rows] * k + orbit[cols],
+                               scale[rows] * values * scale[cols],
+                               k * k).reshape(k, k)
+
         self.basis = basis
-        self.dim = len(basis)
+        self.dim = k
         self.n_eval = 0
         self._blocks = []
-        amplitudes = state.amplitudes
+        entries = np.nonzero(block.matrix)
+        matrix = project(*entries, block.matrix[entries])
+        amplitudes = orbits.T @ state.amplitudes
+        orbit_weights = basis.state_weights[orbits.argmax(axis=0)]
         for w in basis.weights:
-            idx = np.nonzero(basis.state_weights == w)[0]
-            sub = block.matrix[np.ix_(idx, idx)]
-            vals, vecs = np.linalg.eigh(sub)
+            idx = np.nonzero(orbit_weights == w)[0]
+            vals, vecs = np.linalg.eigh(matrix[np.ix_(idx, idx)])
             coeffs = vecs.conj().T @ amplitudes[idx]
             self._blocks.append((idx, vals, vecs.astype(np.complex128), coeffs))
 
+        # Output means S^T D S (diagonal) and S^T G S (pairs): G links every
+        # configuration with an output empty to the one with it occupied.
         outputs = net.output_sites
-        mask0_rows = []
-        mask1_rows = []
-        pair0: list[np.ndarray] = []
-        pair1: list[np.ndarray] = []
-        counts = []
-        for site in outputs:
-            mask0, mask1, idx0, idx1 = site_pairs(basis, site)
-            mask0_rows.append(mask0.astype(np.float64))
-            mask1_rows.append(mask1.astype(np.float64))
-            pair0.append(idx0)
-            pair1.append(idx1)
-            counts.append(len(idx0))
-        self._mask0 = np.array(mask0_rows)
-        self._mask1 = np.array(mask1_rows)
-        self._pair0 = np.concatenate(pair0) if pair0 else np.array([], int)
-        self._pair1 = np.concatenate(pair1) if pair1 else np.array([], int)
-        self._segments = np.cumsum([0] + counts)
-        self._n_out = len(outputs)
+        n_out = max(len(outputs), 1)
+        c2 = math.cos(self.theta / 2.0) ** 2
+        s2 = math.sin(self.theta / 2.0) ** 2
+        empty = [np.zeros(0, dtype=np.int64)]
+        lower = np.concatenate([site_pairs(basis, o)[2] for o in outputs] + empty)
+        upper = np.concatenate([site_pairs(basis, o)[3] for o in outputs] + empty)
+        occupied = basis.occupancy()[:, list(outputs)].sum(axis=1)
+        self._base = np.bincount(orbit, scale ** 2 * (
+            c2 * (n_out - occupied) + s2 * occupied) / n_out, k)
+        coherence = project(lower, upper, 1.0 / n_out)
+        self._pairs = np.nonzero(coherence)
+        self._pair_weights = coherence[self._pairs]
 
     def _amplitudes(self, t_values: np.ndarray) -> np.ndarray:
-        """Zero-field amplitudes for a batch of times, (dim, T)."""
+        """Zero-field orbit amplitudes for a batch of times, (dim, T)."""
         amps = np.empty((self.dim, len(t_values)), dtype=np.complex128)
         for idx, vals, vecs, coeffs in self._blocks:
             phases = np.exp(-1j * np.outer(vals, t_values))
@@ -165,18 +181,9 @@ class ProtocolScan:
         """Field-independent pieces ``(base, gbar)`` for a batch of times."""
         t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
         amps = self._amplitudes(t_values)
-        prob = np.abs(amps) ** 2
-        c = math.cos(self.theta / 2.0)
-        s = math.sin(self.theta / 2.0)
-        occupied0 = self._mask0 @ prob
-        occupied1 = self._mask1 @ prob
-        base = (c * c * occupied0 + s * s * occupied1).mean(axis=0)
-        pair_terms = amps[self._pair0] * np.conj(amps[self._pair1])
-        gbar = np.zeros(len(t_values), dtype=np.complex128)
-        for k in range(self._n_out):
-            lo, hi = self._segments[k], self._segments[k + 1]
-            gbar += pair_terms[lo:hi].sum(axis=0)
-        gbar /= max(self._n_out, 1)
+        base = self._base @ np.abs(amps) ** 2
+        rows, cols = self._pairs
+        gbar = self._pair_weights @ (amps[rows] * np.conj(amps[cols]))
         self.n_eval += len(t_values)
         return base, gbar
 
@@ -317,7 +324,8 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
     history.append(("final", best_t, best_b, best_f))
     return OptimizationResult(
         fidelity=best_f, t_c=best_t, b_opt=best_b, grid=grid,
-        n_evaluations=scan.n_eval, refinement_history=tuple(history))
+        n_evaluations=scan.n_eval, refinement_history=tuple(history),
+        sector_dim=(len(scan.basis), scan.dim))
 
 
 def optimize_exact_field(net: SpinNetwork, anisotropy: float, theta: float,
@@ -376,7 +384,8 @@ def optimize_exact_field(net: SpinNetwork, anisotropy: float, theta: float,
                     refine_tolerance=refine_tolerance)
     return OptimizationResult(
         fidelity=best_f, t_c=best_t, b_opt=b_opt, grid=grid,
-        n_evaluations=scan.n_eval, refinement_history=tuple(history))
+        n_evaluations=scan.n_eval, refinement_history=tuple(history),
+        sector_dim=(len(scan.basis), scan.dim))
 
 
 def optimize_tree(branching: int, levels: int, anisotropy: float = 0.0,

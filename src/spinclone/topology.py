@@ -220,6 +220,23 @@ def jitter(net: SpinNetwork, epsilon: float, seed: int) -> SpinNetwork:
     return dataclasses.replace(net, edges=edges)
 
 
+def twin_classes(net: SpinNetwork) -> np.ndarray:
+    """Class id per site, numbered by smallest member: twins share role, field
+    and, exactly, every coupling to the other sites."""
+    n = net.n_sites
+    rows = np.zeros((n, n + 2))   # couplings, then role and field
+    for i, j, coupling in net.edges:
+        rows[i, j] = rows[j, i] = coupling
+    rows[list(net.input_sites), n] = 1.0
+    rows[list(net.output_sites), n] = 2.0
+    rows[:, n + 1] = net.field_b
+    same = rows[:, None, :] == rows[None, :, :]   # [i, j, k]
+    sites = np.arange(n)
+    same[sites, :, sites] = same[:, sites, sites] = True   # skip k = i, j
+    first = same.all(axis=2).argmax(axis=1)
+    return (np.cumsum(first == sites) - 1)[first]
+
+
 def to_text(net: SpinNetwork) -> str:
     """Line-based dump: ``sites N lambda L``, ``edge i j J``, ``field i B``.
 

@@ -54,6 +54,10 @@ def test_tree_command(tmp_path):
     manifest = (tmp_path / "tree.manifest").read_text()
     assert "command=tree" in manifest
     assert "sha256=" in manifest
+    lines = manifest.splitlines()
+    for case, dims in [("2_0", "4/3"), ("2_1", "8/6"), ("2_2", "16/12"),
+                       ("3_1", "14/8"), ("3_2", "41/23")]:
+        assert f"sector_dim.tree_{case}={dims}" in lines
 
 
 def test_disorder_command(tmp_path):
@@ -98,7 +102,7 @@ def test_fig3_cross_check_passes_at_seed_4(tmp_path, capsys):
     assert line.startswith("[ok]") and "bound 0.01" in line
 
 
-def test_table1_command_small_grid(tmp_path):
+def test_table1_command_small_grid(tmp_path, capsys):
     # A deliberately coarse scan still emits all rows with deviation and
     # flag columns; headline tolerances are only claimed at full density.
     assert run(tmp_path, "--t-points", 3001, "table1") == 0
@@ -108,6 +112,24 @@ def test_table1_command_small_grid(tmp_path):
     assert "F_at_ref_point" in header
     pairs = {(r["N"], r["M"]) for r in rows}
     assert ("2", "3") in pairs and ("4", "5") in pairs
+
+    # Each check line quotes its measured deviation and bound.
+    checks = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith(("[ok]", "[FAIL]"))]
+    assert len(checks) == 3
+    by_pair = {(r["N"], r["M"]): r for r in rows}
+    for k, (n, m) in enumerate([("2", "3"), ("3", "4")], start=1):
+        deviation = float(by_pair[(n, m)]["deviation"])
+        assert checks[k] == (f"[ok] {n}->{m} within 0.03 of published value "
+                             f"or flagged: deviation {deviation:.3g}, "
+                             f"bound 0.03")
+
+    lines = (tmp_path / "table1.manifest").read_text().splitlines()
+    assert "command=table1" in lines and "t_points=3001" in lines
+    dims = {f"sector_dim.bipartite_2_{m}={full}/6"
+            for m, full in [(3, 16), (4, 22), (5, 29), (6, 37), (7, 46)]}
+    dims |= {"sector_dim.bipartite_3_4=64/10", "sector_dim.bipartite_4_5=256/15"}
+    assert dims <= set(lines)
 
 
 def test_json_format(tmp_path):

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinclone import (GridSpec, ProtocolScan, b_opt_xy, bipartite,
-                       disorder_study, heis_star_fidelity, optimize,
-                       optimize_exact_field, optimize_tree, run_protocol, star,
-                       t_c_xy, xy_star_fidelity)
+                       build_block, disorder_study, from_edge_list,
+                       heis_star_fidelity, jitter, optimize,
+                       optimize_exact_field, optimize_tree, prepare_input,
+                       run_protocol, star, t_c_xy, tree, xy_star_fidelity)
+from spinclone.hamiltonian import orbit_isometry
+from spinclone.topology import twin_classes
 
 EQUATOR = math.pi / 2
 
@@ -34,6 +39,86 @@ def test_scan_matches_run_protocol():
     for t, b in [(0.0, 0.0), (1.7, 0.45), (13.2, 0.08)]:
         direct = run_protocol(net, 0.7, b, 1.1, 0.4, t).mean_fidelity
         assert abs(scan.mean_fidelity(t, b) - direct) <= 1e-12
+
+
+@st.composite
+def twinned_networks(draw):
+    """A random connected graph of 2-4 nodes, each blown up into 1-3 twins.
+
+    Copies of a node inherit its role and couplings; copies of one node are
+    either mutually uncoupled or all coupled with one common strength.
+    Returns the network and the planted classes as lists of sites.
+    """
+    n_nodes = draw(st.integers(2, 4))
+    coupling = st.floats(0.2, 2.0)
+    links = {(draw(st.integers(0, k - 1)), k): draw(coupling)
+             for k in range(1, n_nodes)}
+    links.update({(i, j): draw(coupling) for i in range(n_nodes)
+                  for j in range(i + 1, n_nodes)
+                  if (i, j) not in links and draw(st.booleans())})
+    roles = ["input", "output"] + [draw(st.sampled_from(
+        ["input", "output", "neither"])) for _ in range(n_nodes - 2)]
+    roles = draw(st.permutations(roles))
+    planted, start = [], 0
+    for _ in range(n_nodes):
+        copies = draw(st.integers(1, 3))
+        planted.append(list(range(start, start + copies)))
+        start += copies
+    edges = [(a, b, c) for (i, j), c in links.items()
+             for a in planted[i] for b in planted[j]]
+    for members in planted:
+        if len(members) > 1 and draw(st.booleans()):
+            inner = draw(coupling)
+            edges += [(a, b, inner) for a in members for b in members if a < b]
+    inputs = [s for k, r in enumerate(roles) if r == "input" for s in planted[k]]
+    outputs = [s for k, r in enumerate(roles) if r == "output"
+               for s in planted[k]]
+    assume(len(inputs) <= 3)
+    return from_edge_list(start, edges, inputs, outputs), planted
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(drawn=twinned_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       t=st.floats(0.0, 20.0), b=st.floats(-2.0, 2.0))
+def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
+    net, planted = drawn
+    classes = twin_classes(net)
+    assert all(len(set(classes[members])) == 1 for members in planted)
+    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    direct = run_protocol(net, anisotropy, b, theta, phi, t).mean_fidelity
+    assert abs(scan.mean_fidelity(t, b) - direct) <= 1e-12
+
+    configured = net.with_params(anisotropy=anisotropy, field=b)
+    psi = prepare_input(configured, theta, phi)
+    orbits = orbit_isometry(psi.basis, classes)
+    assert scan.dim == orbits.shape[1] <= len(psi.basis)
+    lifted = orbits @ (orbits.T @ psi.amplitudes)
+    assert np.max(np.abs(lifted - psi.amplitudes)) <= 1e-12
+    h = build_block(configured, psi.basis.weights).matrix
+    leak = h @ orbits - orbits @ (orbits.T @ h @ orbits)
+    assert np.max(np.abs(leak)) <= 1e-12
+
+    jittered = ProtocolScan(jitter(net, 0.1, seed=3), anisotropy, theta)
+    assert jittered.dim == len(psi.basis)
+
+
+@pytest.mark.parametrize("net,full,reduced", [
+    (bipartite(4, 5), 256, 15),
+    (bipartite(3, 4), 64, 10),
+    *[(bipartite(2, m), 1 + (m + 2) + (m + 2) * (m + 1) // 2, 6)
+      for m in range(3, 8)],
+    *[(star(m), m + 2, 3) for m in (2, 5, 7)],
+    (tree(2, 2), 16, 12),
+    (tree(3, 2), 41, 23),
+    (jitter(star(4), 0.1, seed=0), 6, 6),
+], ids=["bipartite_4_5", "bipartite_3_4",
+        *[f"bipartite_2_{m}" for m in range(3, 8)],
+        *[f"star_{m}" for m in (2, 5, 7)],
+        "tree_2_2", "tree_3_2", "jittered_star_4"])
+def test_reduced_sector_dims(net, full, reduced):
+    scan = ProtocolScan(net, 0.0, EQUATOR)
+    assert (len(scan.basis), scan.dim) == (full, reduced)
 
 
 def test_envelope_is_field_maximum():

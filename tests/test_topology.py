@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spinclone import (NetworkTooLargeError, bipartite, from_edge_list,
                        from_text, jitter, star, to_text, tree)
+from spinclone.topology import twin_classes
 
 
 def test_star_two_clones():
@@ -154,3 +157,17 @@ def test_from_text_rejects_malformed_line(line):
     text = line if line.startswith("sites") else f"sites 3 lambda 0.0\n{line}"
     with pytest.raises(ValueError, match=repr(line)):
         from_text(text)
+
+
+def test_twin_classes():
+    assert twin_classes(star(3)).tolist() == [0, 1, 1, 1]
+    assert twin_classes(bipartite(2, 3)).tolist() == [0, 0, 1, 1, 1]
+    # Leaves are twins only under a common parent.
+    assert twin_classes(tree(2, 1)).tolist() == [0, 1, 2, 3, 3, 4, 4]
+    assert twin_classes(jitter(star(3), 0.1, seed=1)).tolist() == [0, 1, 2, 3]
+    # A differing field or role breaks twinship; equality is exact.
+    net = star(3)
+    assert twin_classes(dataclasses.replace(
+        net, field_b=(0.0, 0.0, 1e-15, 0.0))).tolist() == [0, 1, 2, 1]
+    assert twin_classes(dataclasses.replace(
+        net, output_sites=(1, 2))).tolist() == [0, 1, 1, 2]
