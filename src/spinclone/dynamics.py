@@ -7,6 +7,7 @@ output site against the original single-qubit state via the overlap
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,38 @@ def site_pairs(basis: SectorBasis, site: int):
     result = (mask0, mask1, idx0, idx1)
     _PAIR_CACHE[key] = result
     return result
+
+
+class OutputReadout:
+    """Mean clone fidelity read off configuration-basis amplitudes ``a``.
+
+    ``base = diagonal . |a|^2``; ``gbar = weight * sum a[lower] conj(a[upper])``
+    over the pairs linking each configuration with an output empty to the
+    one with it occupied, merged over all outputs (``weight = 1 / n_out``).
+    """
+
+    def __init__(self, net: SpinNetwork, basis: SectorBasis, theta: float,
+                 phi: float):
+        outputs = net.output_sites
+        n_out = max(len(outputs), 1)
+        c2 = math.cos(theta / 2.0) ** 2
+        s2 = math.sin(theta / 2.0) ** 2
+        empty = [np.zeros(0, dtype=np.int64)]
+        self.lower = np.concatenate(
+            [site_pairs(basis, o)[2] for o in outputs] + empty)
+        self.upper = np.concatenate(
+            [site_pairs(basis, o)[3] for o in outputs] + empty)
+        self.weight = 1.0 / n_out
+        occupied = basis.occupancy()[:, list(outputs)].sum(axis=1)
+        self.diagonal = (c2 * (n_out - occupied) + s2 * occupied) / n_out
+        self.cs = math.cos(theta / 2.0) * math.sin(theta / 2.0)
+        self.phi = phi
+
+    def fidelity(self, base, gbar, field_phase):
+        """``base + 2cs Re[e^{i phi} gbar field_phase]``, ``field_phase =
+        e^{-iBt}``: the single harmonic in the field."""
+        return base + 2.0 * self.cs * np.real(
+            np.exp(1j * self.phi) * gbar * field_phase)
 
 
 def reduce_to_site(state: SectorState, site: int) -> QubitDensity:

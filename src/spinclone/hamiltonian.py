@@ -150,32 +150,43 @@ def required_weights(theta: float, n_inputs: int) -> tuple[int, ...]:
 def build_block(net: SpinNetwork, weights) -> HamiltonianBlock:
     """Assemble the exchange Hamiltonian restricted to the given weights.
 
+    The one-row case of :func:`assemble_blocks` with the network's own
+    couplings.
+    """
+    basis = sector_basis(net.n_sites, tuple(weights))
+    matrix = assemble_blocks(net, basis, net.coupling_array()[None, :])[0]
+    return HamiltonianBlock(basis=basis, matrix=matrix,
+                            anisotropy=net.anisotropy, field_b=net.field_b,
+                            network=net)
+
+
+def assemble_blocks(net: SpinNetwork, basis: SectorBasis,
+                    couplings: np.ndarray) -> np.ndarray:
+    """(R, dim, dim) Hamiltonians of ``net`` with its edge couplings replaced
+    by each row of the (R, n_edges) array ``couplings`` (``net.edges`` order).
+
     Hopping moves one excitation across an edge with amplitude ``J_ij / 2``;
     the diagonal carries ``lambda J_ij / 4 * z_i z_j`` per edge plus
     ``B_i / 2 * z_i`` per site, with ``z = +1`` for ``|0>``.
     """
-    basis = sector_basis(net.n_sites, tuple(weights))
     dim = len(basis)
     occ = basis.occupancy()
     z = (1 - 2 * occ).astype(np.float64)
 
     field = np.asarray(net.field_b, dtype=float)
-    diagonal = 0.5 * z @ field
+    diagonal = np.tile(0.5 * z @ field, (len(couplings), 1))
     lam = net.anisotropy
-    matrix = np.zeros((dim, dim), dtype=np.float64)
-    for i, j, coupling in net.edges:
+    matrix = np.zeros((len(couplings), dim, dim), dtype=np.float64)
+    for e, (i, j, _) in enumerate(net.edges):
+        coupling = couplings[:, e, None]
         if lam != 0.0:
             diagonal += 0.25 * lam * coupling * z[:, i] * z[:, j]
-        differ = occ[:, i] != occ[:, j]
-        if not differ.any():
-            continue
-        rows = np.nonzero(differ)[0]
+        rows = np.nonzero(occ[:, i] != occ[:, j])[0]
         partners = basis.states[rows] ^ ((1 << i) | (1 << j))
-        cols = basis.index_of(partners)
-        matrix[rows, cols] += 0.5 * coupling
-    matrix[np.diag_indices(dim)] += diagonal
-    return HamiltonianBlock(basis=basis, matrix=matrix,
-                            anisotropy=lam, field_b=net.field_b, network=net)
+        # Distinct edges link distinct (row, col) pairs: assigning adds to 0.
+        matrix[:, rows, basis.index_of(partners)] = 0.5 * coupling
+    matrix.reshape(len(couplings), -1)[:, ::dim + 1] += diagonal
+    return matrix
 
 
 def spectral(block: HamiltonianBlock, max_dim: int = MAX_DIM) -> SpectralDecomposition:

@@ -125,9 +125,9 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     z-phase kicks of variance ``gamma * dt`` (field normalization
     ``b_i / 2 sz_i``).  Trajectories come in antithetic pairs: trajectory
     ``k + ceil(n_traj / 2)`` receives the negated kicks of trajectory ``k``,
-    so each one is still an exact sample of the noise while the error of the
-    average that is odd in the kicks cancels.  Deterministic under a fixed
-    seed.
+    that is the complex conjugate phase factors, so each one is still an
+    exact sample of the noise while the error of the average that is odd in
+    the kicks cancels.  Deterministic under a fixed seed.
     """
     basis = block.basis
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -150,8 +150,9 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
             states = states @ u.T
             if scale > 0.0:
                 kicks = rng.normal(0.0, scale, size=(half, z.shape[1]))
-                kicks = np.concatenate([kicks, -kicks])[:n_traj]
-                states = states * np.exp(-0.5j * (kicks @ z.T))
+                phases = np.exp(-0.5j * (kicks @ z.T))
+                states = states * np.concatenate(
+                    [phases, phases.conj()])[:n_traj]
         return states
 
     states = run_segment(states, dt, n_full)

@@ -20,6 +20,13 @@ normalized orbit sums ``S`` (:func:`spinclone.hamiltonian.orbit_isometry`).
 bipartite(4, 5) needs 15 amplitudes instead of 256; without twins ``S`` is
 the identity.  ``run_protocol`` stays on configurations: it is the
 independent oracle the scans are tested against.
+
+A disorder study evaluates one point for many realizations that differ only
+in their couplings, so it builds no scan per realization: it assembles their
+blocks as one stack (:func:`spinclone.hamiltonian.assemble_blocks`),
+diagonalizes them with one stacked ``eigh`` per excitation weight, and reads
+every fidelity off the same readout and single-harmonic formula the scans
+use.
 """
 from __future__ import annotations
 
@@ -28,11 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import prepare_input, site_pairs
-from .hamiltonian import build_block, orbit_isometry
-from .topology import SpinNetwork, jitter, tree, twin_classes
+from .dynamics import OutputReadout, prepare_input
+from .hamiltonian import assemble_blocks, build_block, orbit_isometry
+from .topology import SpinNetwork, coupling_factors, tree, twin_classes
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Matrix entries per chunk of disorder realizations assembled at once, so a
+# study's memory does not grow with its sample count.
+STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,7 @@ class DisorderSummary:
     std_fidelity: float
     ideal_fidelity: float
     relative_drop: float
+    sector_dim: int   # configurations each realization is evaluated on
 
 
 class ProtocolScan:
@@ -153,19 +165,11 @@ class ProtocolScan:
             coeffs = vecs.conj().T @ amplitudes[idx]
             self._blocks.append((idx, vals, vecs.astype(np.complex128), coeffs))
 
-        # Output means S^T D S (diagonal) and S^T G S (pairs): G links every
-        # configuration with an output empty to the one with it occupied.
-        outputs = net.output_sites
-        n_out = max(len(outputs), 1)
-        c2 = math.cos(self.theta / 2.0) ** 2
-        s2 = math.sin(self.theta / 2.0) ** 2
-        empty = [np.zeros(0, dtype=np.int64)]
-        lower = np.concatenate([site_pairs(basis, o)[2] for o in outputs] + empty)
-        upper = np.concatenate([site_pairs(basis, o)[3] for o in outputs] + empty)
-        occupied = basis.occupancy()[:, list(outputs)].sum(axis=1)
-        self._base = np.bincount(orbit, scale ** 2 * (
-            c2 * (n_out - occupied) + s2 * occupied) / n_out, k)
-        coherence = project(lower, upper, 1.0 / n_out)
+        # Output means S^T D S (diagonal) and S^T G S (pairs).
+        self._readout = OutputReadout(net, basis, self.theta, self.phi)
+        self._base = np.bincount(orbit, scale ** 2 * self._readout.diagonal, k)
+        coherence = project(self._readout.lower, self._readout.upper,
+                            self._readout.weight)
         self._pairs = np.nonzero(coherence)
         self._pair_weights = coherence[self._pairs]
 
@@ -190,13 +194,10 @@ class ProtocolScan:
     def grid(self, t_values: np.ndarray, b_values: np.ndarray) -> np.ndarray:
         """Mean fidelity on the Cartesian (t, B) grid, shape (T, B)."""
         base, gbar = self.components(t_values)
-        c = math.cos(self.theta / 2.0)
-        s = math.sin(self.theta / 2.0)
         field_phase = np.exp(-1j * np.outer(t_values, b_values))
-        coupling = 2.0 * c * s * np.real(
-            np.exp(1j * self.phi) * gbar[:, None] * field_phase)
         self.n_eval += (len(t_values) * len(b_values)) - len(t_values)
-        return base[:, None] + coupling
+        return self._readout.fidelity(base[:, None], gbar[:, None],
+                                      field_phase)
 
     def mean_fidelity(self, t: float, b: float) -> float:
         return float(self.grid(np.array([t]), np.array([b]))[0, 0])
@@ -208,9 +209,7 @@ class ProtocolScan:
         realizing field is ``B = chi / t`` modulo ``2 pi / t``.
         """
         base, gbar = self.components(t_values)
-        c = math.cos(self.theta / 2.0)
-        s = math.sin(self.theta / 2.0)
-        best = base + 2.0 * c * s * np.abs(gbar)
+        best = base + 2.0 * self._readout.cs * np.abs(gbar)
         chi = np.angle(gbar) + self.phi
         return best, chi
 
@@ -403,33 +402,70 @@ def optimize_tree(branching: int, levels: int, anisotropy: float = 0.0,
                                 t_range=t_range, t_points=t_points)
 
 
+def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,
+                        anisotropy: float, theta: float, t: float, b: float,
+                        phi: float = 0.0) -> np.ndarray:
+    """Mean clone fidelity at ``(t, B)`` of ``jitter(net_template, epsilon,
+    s)`` for every ``s`` in ``seeds``.
+
+    The realizations share the template's configuration basis, input and
+    readout, so they are evaluated stacked: chunks of at most
+    ``STACK_ENTRIES`` matrix entries are assembled at once and diagonalized
+    with one stacked ``eigh`` per excitation weight.
+    """
+    net = net_template.with_params(anisotropy=anisotropy, field=0.0)
+    state = prepare_input(net, theta, phi)
+    basis = state.basis
+    readout = OutputReadout(net, basis, theta, phi)
+    field_phase = np.exp(-1j * (t * b))
+    template = net.coupling_array()
+    sectors = [np.nonzero(basis.state_weights == w)[0] for w in basis.weights]
+    chunk = max(1, STACK_ENTRIES // len(basis) ** 2)
+    values = np.empty(len(seeds))
+    for lo in range(0, len(seeds), chunk):
+        part = seeds[lo:lo + chunk]
+        couplings = template * np.array(
+            [coupling_factors(epsilon, int(s), len(template)) for s in part])
+        blocks = assemble_blocks(net, basis, couplings)
+        amps = np.empty((len(part), len(basis)), dtype=np.complex128)
+        for idx in sectors:
+            vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
+            coeffs = np.swapaxes(vecs, 1, 2) @ state.amplitudes[idx]
+            phases = np.exp(-1j * (vals * t))
+            amps[:, idx] = (vecs @ (coeffs * phases)[:, :, None])[:, :, 0]
+        base = np.abs(amps) ** 2 @ readout.diagonal
+        gbar = readout.weight * np.sum(
+            amps[:, readout.lower] * np.conj(amps[:, readout.upper]), axis=1)
+        values[lo:lo + len(part)] = readout.fidelity(base, gbar, field_phase)
+    return values
+
+
 def disorder_study(net_template: SpinNetwork, epsilon: float, samples: int,
                    anisotropy: float, theta: float, t_fixed: float,
                    b_fixed: float, seed: int) -> DisorderSummary:
     """Average fidelity over seeded disorder at the ideal operating point.
 
-    Each realization resamples every coupling in the template and evaluates
-    the protocol at the unperturbed ``(t, B)``; nothing is re-optimized.
+    Realization ``k`` is ``jitter(net_template, epsilon, seeds[k])`` with
+    ``seeds`` the child seeds of ``SeedSequence(seed)`` (both draw through
+    :func:`spinclone.topology.coupling_factors`), evaluated stacked by
+    :func:`disorder_fidelities` at the unperturbed ``(t, B)``; nothing is
+    re-optimized.  The ideal fidelity comes from the template's scan.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     ideal_scan = ProtocolScan(net_template, anisotropy, theta)
     ideal = ideal_scan.mean_fidelity(t_fixed, b_fixed)
-    child_seeds = np.random.SeedSequence(seed).generate_state(samples)
-    values = np.empty(samples)
-    for k in range(samples):
-        sample_net = jitter(net_template, epsilon, int(child_seeds[k]))
-        if sample_net == net_template:
-            values[k] = ideal
-            continue
-        scan = ProtocolScan(sample_net, anisotropy, theta)
-        values[k] = scan.mean_fidelity(t_fixed, b_fixed)
+    dim = len(ideal_scan.basis)
     if epsilon == 0.0:
         return DisorderSummary(samples=samples, mean_fidelity=ideal,
                                std_fidelity=0.0, ideal_fidelity=ideal,
-                               relative_drop=0.0)
+                               relative_drop=0.0, sector_dim=dim)
+    child_seeds = np.random.SeedSequence(seed).generate_state(samples)
+    values = disorder_fidelities(net_template, epsilon, child_seeds,
+                                 anisotropy, theta, t_fixed, b_fixed)
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if samples > 1 else 0.0
     return DisorderSummary(
         samples=samples, mean_fidelity=mean, std_fidelity=std,
-        ideal_fidelity=ideal, relative_drop=1.0 - mean / ideal)
+        ideal_fidelity=ideal, relative_drop=1.0 - mean / ideal,
+        sector_dim=dim)

@@ -201,18 +201,23 @@ def bipartite(n_inputs: int, n_outputs: int, coupling: float = 1.0,
     )
 
 
-def jitter(net: SpinNetwork, epsilon: float, seed: int) -> SpinNetwork:
-    """Resample every coupling uniformly in ``[(1 - eps) J, (1 + eps) J]``.
+def coupling_factors(epsilon: float, seed: int, n_edges: int) -> np.ndarray:
+    """The disorder model: one factor per edge, uniform in ``[1 - eps, 1 + eps]``.
 
-    Deterministic under a fixed seed; graph structure, roles, field and
-    anisotropy are untouched.
+    Deterministic under a fixed seed; ``eps = 0`` gives exact ones.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    if epsilon == 0.0:
-        return net
     rng = np.random.default_rng(seed)
-    factors = rng.uniform(1.0 - epsilon, 1.0 + epsilon, size=len(net.edges))
+    return rng.uniform(1.0 - epsilon, 1.0 + epsilon, size=n_edges)
+
+
+def jitter(net: SpinNetwork, epsilon: float, seed: int) -> SpinNetwork:
+    """Multiply every coupling by its :func:`coupling_factors` draw.
+
+    Graph structure, roles, field and anisotropy are untouched.
+    """
+    factors = coupling_factors(epsilon, seed, len(net.edges))
     edges = tuple(
         (i, j, float(coupling * factor))
         for (i, j, coupling), factor in zip(net.edges, factors)

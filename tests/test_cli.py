@@ -44,7 +44,12 @@ def test_fig2_deterministic(tmp_path):
                 == (tmp_path / "b" / name).read_bytes())
 
 
-def test_tree_command(tmp_path):
+def check_lines(capsys):
+    return [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith(("[ok]", "[FAIL]"))]
+
+
+def test_tree_command(tmp_path, capsys):
     assert run(tmp_path, "--t-points", 2001, "tree") == 0
     header, rows = read_rows(tmp_path / "tree.csv")
     assert [r["k"] + r["j"] for r in rows] == ["20", "21", "22", "31", "32"]
@@ -59,8 +64,14 @@ def test_tree_command(tmp_path):
                        ("3_1", "14/8"), ("3_2", "41/23")]:
         assert f"sector_dim.tree_{case}={dims}" in lines
 
+    # Each check line quotes the measured fidelity and the target band.
+    by_case = {(r["k"], r["j"]): float(r["F"]) for r in rows}
+    assert check_lines(capsys) == [
+        f"[ok] tree({k},{j}) F={by_case[(k, j)]:.6f} target {target}±0.005"
+        for k, j, target in (("2", "2", "0.676"), ("3", "2", "0.596"))]
 
-def test_disorder_command(tmp_path):
+
+def test_disorder_command(tmp_path, capsys):
     assert run(tmp_path, "disorder") == 0
     _, rows = read_rows(tmp_path / "disorder.csv")
     assert [r["M"] for r in rows] == ["2", "3", "4"]
@@ -68,6 +79,15 @@ def test_disorder_command(tmp_path):
     star2 = rows[0]
     assert float(star2["relative_drop"]) < 0.002
     assert (tmp_path / "networks" / "star_2.txt").exists()
+
+    drops = [float(r["relative_drop"]) for r in rows]
+    assert check_lines(capsys) == [
+        f"[ok] star(2) relative drop {drops[0]:.3g}, bound 0.002",
+        f"[ok] every relative drop non-negative: min {min(drops):.3g}"]
+    lines = (tmp_path / "disorder.manifest").read_text().splitlines()
+    assert "command=disorder" in lines
+    assert {"sector_dim.star_2=4", "sector_dim.star_3=5",
+            "sector_dim.star_4=6"} <= set(lines)
 
 
 def test_disorder_command_byte_deterministic(tmp_path):

@@ -10,8 +10,10 @@ from spinclone import (GridSpec, ProtocolScan, b_opt_xy, bipartite,
                        heis_star_fidelity, jitter, optimize,
                        optimize_exact_field, optimize_tree, prepare_input,
                        run_protocol, star, t_c_xy, tree, xy_star_fidelity)
-from spinclone.hamiltonian import orbit_isometry
-from spinclone.topology import twin_classes
+from spinclone import search
+from spinclone.hamiltonian import assemble_blocks, orbit_isometry
+from spinclone.search import disorder_fidelities
+from spinclone.topology import coupling_factors, twin_classes
 
 EQUATOR = math.pi / 2
 
@@ -256,3 +258,79 @@ def test_disorder_deterministic():
     b = disorder_study(star(2), 0.1, 40, 0.0, EQUATOR, t_c_xy(2),
                        b_opt_xy(2), seed=7)
     assert a == b
+
+
+@st.composite
+def small_networks(draw):
+    """A random connected graph of 2-5 sites with 1-2 inputs and 1+ outputs."""
+    n = draw(st.integers(2, 5))
+    coupling = st.floats(0.2, 2.0)
+    edges = [(draw(st.integers(0, k - 1)), k, draw(coupling))
+             for k in range(1, n)]
+    tree_pairs = {(i, j) for i, j, _ in edges}
+    edges += [(i, j, draw(coupling)) for i in range(n) for j in range(i + 1, n)
+              if (i, j) not in tree_pairs and draw(st.booleans())]
+    sites = draw(st.permutations(range(n)))
+    n_in = draw(st.integers(1, min(2, n - 1)))
+    n_out = draw(st.integers(1, n - n_in))
+    return from_edge_list(n, edges, sites[:n_in], sites[n_in:n_in + n_out])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       t=st.floats(0.0, 20.0), b=st.floats(-2.0, 2.0),
+       epsilon=st.floats(0.0, 0.5),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4))
+def test_stacked_disorder_matches_run_protocol(net, anisotropy, theta, phi, t,
+                                               b, epsilon, seeds):
+    values = disorder_fidelities(net, epsilon, np.array(seeds), anisotropy,
+                                 theta, t, b, phi=phi)
+    assert values.shape == (len(seeds),)
+    for value, s in zip(values, seeds):
+        direct = run_protocol(jitter(net, epsilon, s), anisotropy, b, theta,
+                              phi, t).mean_fidelity
+        assert abs(value - direct) <= 1e-12
+
+    # Each stacked row is bit-identical to the block of its jittered network.
+    configured = net.with_params(anisotropy=anisotropy, field=b)
+    basis = prepare_input(configured, theta, phi).basis
+    couplings = configured.coupling_array() * np.array(
+        [coupling_factors(epsilon, s, len(net.edges)) for s in seeds])
+    stacked = assemble_blocks(configured, basis, couplings)
+    for row, s in zip(stacked, seeds):
+        single = build_block(jitter(configured, epsilon, s), basis.weights)
+        assert np.array_equal(row, single.matrix)
+
+
+def test_stacked_disorder_across_chunks(monkeypatch):
+    # star(2) has 4 configurations: a budget of 48 entries makes chunks of
+    # 3 realizations, so 7 samples take chunks of 3, 3 and 1.
+    seeds = np.arange(7)
+    args = (star(2), 0.1, seeds, 0.0, EQUATOR, t_c_xy(2), b_opt_xy(2))
+    whole = disorder_fidelities(*args)
+    monkeypatch.setattr(search, "STACK_ENTRIES", 48)
+    chunked = disorder_fidelities(*args)
+    assert np.max(np.abs(chunked - whole)) <= 1e-15
+    for value, s in zip(chunked, seeds):
+        direct = run_protocol(jitter(star(2), 0.1, int(s)), 0.0, b_opt_xy(2),
+                              EQUATOR, 0.0, t_c_xy(2)).mean_fidelity
+        assert abs(value - direct) <= 1e-12
+
+
+def test_disorder_summary_is_average_of_jittered_runs():
+    summary = disorder_study(star(3), 0.2, 9, 0.0, EQUATOR, t_c_xy(3),
+                             b_opt_xy(3), seed=11)
+    seeds = np.random.SeedSequence(11).generate_state(9)
+    direct = np.array([
+        run_protocol(jitter(star(3), 0.2, int(s)), 0.0, b_opt_xy(3), EQUATOR,
+                     0.0, t_c_xy(3)).mean_fidelity for s in seeds])
+    assert abs(summary.mean_fidelity - direct.mean()) <= 1e-12
+    assert abs(summary.std_fidelity - direct.std(ddof=1)) <= 1e-12
+    assert summary.sector_dim == 5
+
+
+def test_disorder_rejects_bad_epsilon():
+    with pytest.raises(ValueError):
+        disorder_study(star(2), 1.0, 5, 0.0, EQUATOR, t_c_xy(2), b_opt_xy(2),
+                       seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 from spinclone import (NetworkTooLargeError, bipartite, from_edge_list,
                        from_text, jitter, star, to_text, tree)
-from spinclone.topology import twin_classes
+from spinclone.topology import coupling_factors, twin_classes
 
 
 def test_star_two_clones():
@@ -122,6 +122,17 @@ def test_jitter_deterministic():
 def test_jitter_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         jitter(star(2), 1.0, 0)
+
+
+def test_jitter_draws_coupling_factors():
+    net = tree(2, 1, coupling=1.5)
+    factors = coupling_factors(0.2, 31, len(net.edges))
+    assert np.array_equal(jitter(net, 0.2, 31).coupling_array(),
+                          net.coupling_array() * factors)
+    assert np.all(np.abs(factors - 1.0) <= 0.2)
+    assert np.array_equal(coupling_factors(0.0, 31, 4), np.ones(4))
+    with pytest.raises(ValueError):
+        coupling_factors(-0.1, 31, 4)
 
 
 def test_with_params():
