@@ -13,8 +13,8 @@ from .analytic import (NoPccReference, NtomReference, NTOM_REFERENCE,
                        t_c_xy, xy_star_fidelity, xy_star_fidelity_equatorial,
                        xy_star_spectrum)
 from .dynamics import (CloneResult, QubitDensity, SectorState, clone_fidelity,
-                       evolve, prepare_input, reduce_density_to_site,
-                       reduce_to_site, run_protocol)
+                       evolve, prepare_input, protocol_fidelities,
+                       reduce_density_to_site, reduce_to_site, run_protocol)
 from .hamiltonian import (DimensionLimitError, HamiltonianBlock, SectorBasis,
                           SpectralDecomposition, build_block, required_weights,
                           sector_basis, spectral)

@@ -22,7 +22,7 @@ from . import __version__
 from .analytic import (NTOM_REFERENCE, NoPccReference, b_opt_xy,
                        heis_star_fidelity, pcc_reference, t_c_heis, t_c_xy,
                        xy_star_fidelity)
-from .dynamics import run_protocol
+from .dynamics import protocol_fidelities, run_protocol
 from .noise import circuit_baseline, circuit_ideal_fidelity, noisy_network_fidelity
 from .search import disorder_study, optimize_exact_field
 from .topology import SpinNetwork, bipartite, star, to_text, tree
@@ -100,17 +100,17 @@ def cmd_fig2(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     net2 = star(2)
-    theta_rows = []
-    for k in range(181):
-        theta = math.pi * k / 180.0
-        xy_num = run_protocol(net2, 0.0, b_opt_xy(2), theta, 0.0,
-                              t_c_xy(2)).mean_fidelity
-        heis_num = run_protocol(net2, 1.0, 0.0, theta, 0.0,
-                                t_c_heis(2)).mean_fidelity
-        # For two clones the optimal PCC curve coincides with the XY model.
-        theta_rows.append([theta, xy_star_fidelity(2, theta), xy_num,
-                           heis_star_fidelity(2, theta), heis_num,
-                           xy_star_fidelity(2, theta)])
+    thetas = [math.pi * k / 180.0 for k in range(181)]
+    xy_sweep = protocol_fidelities(net2, 0.0, b_opt_xy(2), thetas, 0.0,
+                                   t_c_xy(2)).mean(axis=1).tolist()
+    heis_sweep = protocol_fidelities(net2, 1.0, 0.0, thetas, 0.0,
+                                     t_c_heis(2)).mean(axis=1).tolist()
+    # For two clones the optimal PCC curve coincides with the XY model.
+    theta_rows = [[theta, xy_star_fidelity(2, theta), xy_num,
+                   heis_star_fidelity(2, theta), heis_num,
+                   xy_star_fidelity(2, theta)]
+                  for theta, xy_num, heis_num in zip(thetas, xy_sweep,
+                                                     heis_sweep)]
     inset_rows = []
     for m in range(2, 8):
         xy_num = run_protocol(star(m), 0.0, b_opt_xy(m), math.pi / 2, 0.0,
@@ -141,13 +141,17 @@ def cmd_fig2(args) -> int:
     _write_manifest(out_dir, "fig2", {"seed": args.seed}, outputs, started)
 
     mid = theta_rows[90]
+    polar = max(abs(theta_rows[0][2] - 1.0), abs(theta_rows[0][4] - 1.0))
+    gap = max(max(abs(r[1] - r[2]), abs(r[3] - r[4])) for r in theta_rows)
     checks = [
-        ("theta=pi/2 XY fidelity", abs(mid[2] - 0.853553391) < 1e-6),
-        ("theta=pi/2 Heisenberg fidelity", abs(mid[4] - 5.0 / 6.0) < 1e-6),
-        ("theta=0 fidelities are 1",
-         abs(theta_rows[0][2] - 1.0) < 1e-9 and abs(theta_rows[0][4] - 1.0) < 1e-9),
-        ("analytic-numeric agreement",
-         max(max(abs(r[1] - r[2]), abs(r[3] - r[4])) for r in theta_rows) < 1e-8),
+        (f"theta=pi/2 XY fidelity {mid[2]:.9f}, target 0.853553391±1e-6",
+         abs(mid[2] - 0.853553391) < 1e-6),
+        (f"theta=pi/2 Heisenberg fidelity {mid[4]:.9f}, "
+         f"target 0.833333333±1e-6", abs(mid[4] - 5.0 / 6.0) < 1e-6),
+        (f"theta=0 fidelities are 1: max deviation {polar:.3g}, bound 1e-9",
+         polar < 1e-9),
+        (f"analytic-numeric agreement: max {gap:.3g}, bound 1e-8",
+         gap < 1e-8),
     ]
     return _report(checks)
 

@@ -4,6 +4,13 @@ The cloning protocol is: load the input state on the input sites (blanks in
 ``|0>``), let the network evolve freely for a time ``t``, then score every
 output site against the original single-qubit state via the overlap
 ``<psi| rho |psi>``.
+
+One evaluation, :func:`protocol_fidelities`, runs the protocol for a whole
+array of input angles: the block does not depend on ``theta``, so it is
+assembled and diagonalized once, and every input is a polynomial in
+``cos(theta/2)`` and ``sin(theta/2)`` over ``n_inputs + 1`` fixed
+configuration patterns, which one matrix product evolves together.
+:func:`run_protocol` is its one-angle case.
 """
 from __future__ import annotations
 
@@ -27,9 +34,28 @@ class SectorState:
     def __post_init__(self):
         if len(self.amplitudes) != len(self.basis):
             raise ValueError("amplitude count does not match basis dimension")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state norm {norm} too far from 1")
+        _check_norms(self.amplitudes)
+
+
+def _check_norms(amplitudes: np.ndarray) -> None:
+    """Raise unless every amplitude vector (last axis) has norm 1 to 1e-9."""
+    gap = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0),
+                 initial=0.0)
+    if gap > 1e-9:
+        raise ValueError(f"state norm differs from 1 by {gap:.3g}")
+
+
+def _check_densities(matrices: np.ndarray) -> None:
+    """Raise unless every 2x2 matrix (last two axes) is a density matrix:
+    Hermitian, unit trace and positive semidefinite, each to 1e-10."""
+    m = matrices
+    if np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0) > 1e-10:
+        raise ValueError("density matrix not Hermitian")
+    trace = np.trace(m, axis1=-2, axis2=-1).real
+    if np.max(np.abs(trace - 1.0), initial=0.0) > 1e-10:
+        raise ValueError("density matrix trace differs from 1")
+    if np.min(np.linalg.eigvalsh(m), initial=0.0) < -1e-10:
+        raise ValueError("density matrix not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -42,12 +68,7 @@ class QubitDensity:
         m = self.matrix
         if m.shape != (2, 2):
             raise ValueError("density matrix must be 2x2")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -1e-10:
-            raise ValueError("density matrix not positive semidefinite")
+        _check_densities(m)
 
 
 @dataclass(frozen=True)
@@ -63,12 +84,10 @@ class CloneResult:
     field: float
 
 
-def prepare_input(net: SpinNetwork, theta: float, phi: float) -> SectorState:
-    """Product input: each input site in cos(t/2)|0> + e^{i phi} sin(t/2)|1>.
-
-    All other sites start blank (``|0>``); amplitudes are expanded in the
-    union basis of excitation numbers ``0 .. n_inputs``.
-    """
+def _input_patterns(net: SpinNetwork):
+    """Union basis of excitation numbers ``0 .. n_inputs`` and the
+    (dim, n_inputs + 1) indicators of the configurations with ``k`` excited
+    inputs and every other site blank, one column per ``k``."""
     if not net.input_sites:
         raise ValueError("network has no input sites")
     n_in = len(net.input_sites)
@@ -79,10 +98,39 @@ def prepare_input(net: SpinNetwork, theta: float, phi: float) -> SectorState:
     outside = basis.states & ~np.int64(input_mask)
     k = ((basis.states & np.int64(input_mask))[:, None]
          >> np.arange(net.n_sites, dtype=np.int64)[None, :] & 1).sum(axis=1)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0) * np.exp(1j * phi)
-    amplitudes = np.where(outside == 0, c ** (n_in - k) * s ** k, 0.0)
-    return SectorState(basis=basis, amplitudes=amplitudes.astype(np.complex128))
+    counts = np.where(outside == 0, k, -1)
+    return basis, (counts[:, None] == np.arange(n_in + 1)).astype(float)
+
+
+def _input_coefficients(thetas: np.ndarray, phi: float,
+                        n_in: int) -> np.ndarray:
+    """(n_theta, n_in + 1) amplitude ``c^(n_in-k) s^k`` of an input
+    configuration with ``k`` excited inputs, ``c = cos(theta/2)`` and
+    ``s = e^{i phi} sin(theta/2)``."""
+    k = np.arange(n_in + 1)
+    c = np.cos(thetas / 2.0)[:, None]
+    s = (np.sin(thetas / 2.0) * np.exp(1j * phi))[:, None]
+    return c ** (n_in - k) * s ** k
+
+
+def prepare_input(net: SpinNetwork, theta: float, phi: float) -> SectorState:
+    """Product input: each input site in cos(t/2)|0> + e^{i phi} sin(t/2)|1>.
+
+    All other sites start blank (``|0>``); amplitudes are expanded in the
+    union basis of excitation numbers ``0 .. n_inputs``.
+    """
+    basis, patterns = _input_patterns(net)
+    coefficients = _input_coefficients(np.array([float(theta)]), phi,
+                                       len(net.input_sites))[0]
+    return SectorState(basis=basis, amplitudes=patterns @ coefficients)
+
+
+def _propagate(decomposition: SpectralDecomposition, amplitudes: np.ndarray,
+               t: float) -> np.ndarray:
+    """``V exp(-i L t) V^dag`` applied to a vector or to matrix columns."""
+    v = decomposition.eigenvectors
+    phases = np.exp(-1j * decomposition.eigenvalues * t)
+    return v @ (phases * (v.conj().T @ amplitudes).T).T
 
 
 def evolve(state: SectorState, decomposition: SpectralDecomposition,
@@ -90,10 +138,8 @@ def evolve(state: SectorState, decomposition: SpectralDecomposition,
     """Exact evolution ``V exp(-i L t) V^dag`` of the amplitude vector."""
     if state.basis != decomposition.basis:
         raise ValueError("state and spectral decomposition use different bases")
-    v = decomposition.eigenvectors
-    phases = np.exp(-1j * decomposition.eigenvalues * t)
-    amplitudes = v @ (phases * (v.conj().T @ state.amplitudes))
-    return SectorState(basis=state.basis, amplitudes=amplitudes)
+    return SectorState(basis=state.basis,
+                       amplitudes=_propagate(decomposition, state.amplitudes, t))
 
 
 _PAIR_CACHE: dict[tuple, tuple] = {}
@@ -102,27 +148,26 @@ _PAIR_CACHE: dict[tuple, tuple] = {}
 def site_pairs(basis: SectorBasis, site: int):
     """Index machinery for reducing a sector state to one site.
 
-    Returns ``(mask0, mask1, idx0, idx1)``: boolean masks selecting
+    Returns ``(empty, occupied, idx0, idx1)``: ascending positions of the
     configurations with the site empty/occupied, and index pairs coupling a
     configuration with the site empty to its partner with the site occupied
     (all other sites equal).  Pairs exist only when the partner weight is
     present in the basis.
     """
+    if not 0 <= site < basis.n_sites:
+        raise ValueError("site index out of range")
     key = (basis.n_sites, basis.weights, site)
     cached = _PAIR_CACHE.get(key)
     if cached is not None:
         return cached
     bit = np.int64(1 << site)
     mask1 = (basis.states & bit) != 0
-    mask0 = ~mask1
-    lower = basis.states[mask0]
-    partners = lower | bit
+    empty = np.nonzero(~mask1)[0]
+    partners = basis.states[empty] | bit
     positions = np.searchsorted(basis.states, partners)
     valid = (positions < len(basis)) & (
         basis.states[np.minimum(positions, len(basis) - 1)] == partners)
-    idx0 = np.nonzero(mask0)[0][valid]
-    idx1 = positions[valid]
-    result = (mask0, mask1, idx0, idx1)
+    result = (empty, np.nonzero(mask1)[0], empty[valid], positions[valid])
     _PAIR_CACHE[key] = result
     return result
 
@@ -159,53 +204,98 @@ class OutputReadout:
             np.exp(1j * self.phi) * gbar * field_phase)
 
 
+def _site_densities(basis: SectorBasis, amplitudes: np.ndarray,
+                    sites) -> np.ndarray:
+    """(n_states, n_sites, 2, 2) reduced states of ``sites`` for every row of
+    the (n_states, dim) ``amplitudes``, each checked as a density matrix."""
+    empty, occupied, idx0, idx1 = (
+        np.stack(part) for part in zip(*(site_pairs(basis, s) for s in sites)))
+    # take() keeps each row's entries contiguous, so every row is summed in
+    # the same order whatever the number of rows.
+    def pick(index):
+        return np.take(amplitudes, index, axis=-1)
+
+    p0 = np.sum(np.abs(pick(empty)) ** 2, axis=-1)
+    p1 = np.sum(np.abs(pick(occupied)) ** 2, axis=-1)
+    coherence = np.sum(pick(idx0) * np.conj(pick(idx1)), axis=-1)
+    matrices = np.empty(p0.shape + (2, 2), dtype=np.complex128)
+    matrices[..., 0, 0] = p0
+    matrices[..., 0, 1] = coherence
+    matrices[..., 1, 0] = np.conj(coherence)
+    matrices[..., 1, 1] = p1
+    _check_densities(matrices)
+    return matrices
+
+
 def reduce_to_site(state: SectorState, site: int) -> QubitDensity:
     """Exact partial trace onto one site, done on the sector representation."""
-    if not 0 <= site < state.basis.n_sites:
-        raise ValueError("site index out of range")
-    mask0, mask1, idx0, idx1 = site_pairs(state.basis, site)
-    a = state.amplitudes
-    p0 = float(np.sum(np.abs(a[mask0]) ** 2))
-    p1 = float(np.sum(np.abs(a[mask1]) ** 2))
-    coherence = np.sum(a[idx0] * np.conj(a[idx1]))
-    matrix = np.array([[p0, coherence], [np.conj(coherence), p1]],
-                      dtype=np.complex128)
-    return QubitDensity(matrix=matrix)
+    matrices = _site_densities(state.basis, state.amplitudes[None], [site])
+    return QubitDensity(matrix=matrices[0, 0])
 
 
 def reduce_density_to_site(matrix: np.ndarray, basis: SectorBasis,
                            site: int) -> QubitDensity:
     """Partial trace of a density matrix given on a sector basis."""
-    mask0, mask1, idx0, idx1 = site_pairs(basis, site)
+    empty, occupied, idx0, idx1 = site_pairs(basis, site)
     diag = np.real(np.diag(matrix))
-    p0 = float(diag[mask0].sum())
-    p1 = float(diag[mask1].sum())
+    p0 = float(diag[empty].sum())
+    p1 = float(diag[occupied].sum())
     coherence = matrix[idx0, idx1].sum()
     reduced = np.array([[p0, coherence], [np.conj(coherence), p1]],
                        dtype=np.complex128)
     return QubitDensity(matrix=reduced)
 
 
+def _overlaps(matrices: np.ndarray, thetas, phi: float) -> np.ndarray:
+    """``<psi|rho|psi>`` for ``psi = cos(t/2)|0> + e^{i phi} sin(t/2)|1>``
+    over stacked 2x2 matrices; ``thetas`` broadcasts against their leading
+    axes."""
+    thetas = np.asarray(thetas)
+    psi = np.stack([np.cos(thetas / 2.0) + 0j,
+                    np.exp(1j * phi) * np.sin(thetas / 2.0)], axis=-1)
+    psi = psi[..., None, :]
+    return np.real(psi.conj() @ matrices @ np.swapaxes(psi, -1, -2))[..., 0, 0]
+
+
 def clone_fidelity(rho: QubitDensity, theta: float, phi: float) -> float:
     """Overlap of a clone with cos(t/2)|0> + e^{i phi} sin(t/2)|1>."""
-    psi = np.array([np.cos(theta / 2.0),
-                    np.exp(1j * phi) * np.sin(theta / 2.0)])
-    return float(np.real(psi.conj() @ rho.matrix @ psi))
+    return float(_overlaps(rho.matrix, theta, phi))
+
+
+def protocol_fidelities(net: SpinNetwork, anisotropy: float, field: float,
+                        thetas, phi: float, t: float) -> np.ndarray:
+    """(n_theta, n_outputs) clone fidelities of the free-evolution protocol,
+    one row per input angle in ``thetas`` and one column per output site in
+    ``net.output_sites`` order.
+
+    The block is built and diagonalized once for all angles.  Every row's
+    evolved state passes the norm check and every reduced state the density
+    checks.
+    """
+    if not net.output_sites:
+        raise ValueError("network has no output sites")
+    configured = net.with_params(anisotropy=anisotropy, field=field)
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    basis, patterns = _input_patterns(configured)
+    n_in = len(net.input_sites)
+    decomposition = spectral(build_block(configured, basis.weights))
+    evolved = _propagate(decomposition, patterns, t).T
+    coefficients = _input_coefficients(thetas, phi, n_in)
+    # Elementwise, so a row does not depend on how many angles share the call.
+    amplitudes = sum(coefficients[:, k, None] * evolved[k]
+                     for k in range(n_in + 1))
+    _check_norms(amplitudes)
+    densities = _site_densities(basis, amplitudes, net.output_sites)
+    return _overlaps(densities, thetas[:, None], phi)
 
 
 def run_protocol(net: SpinNetwork, anisotropy: float, field: float,
                  theta: float, phi: float, t: float) -> CloneResult:
-    """Free-evolution cloning run; returns per-site and mean fidelities."""
-    configured = net.with_params(anisotropy=anisotropy, field=field)
-    state = prepare_input(configured, theta, phi)
-    block = build_block(configured, state.basis.weights)
-    decomposition = spectral(block)
-    evolved = evolve(state, decomposition, t)
-    per_site = {
-        site: clone_fidelity(reduce_to_site(evolved, site), theta, phi)
-        for site in net.output_sites
-    }
-    mean = float(np.mean(list(per_site.values())))
-    return CloneResult(per_site_fidelity=per_site, mean_fidelity=mean,
+    """Free-evolution cloning run at one input angle; the one-row case of
+    :func:`protocol_fidelities`."""
+    fidelities = protocol_fidelities(net, anisotropy, field, [theta], phi, t)[0]
+    return CloneResult(per_site_fidelity=dict(zip(net.output_sites,
+                                                  fidelities.tolist())),
+                       mean_fidelity=float(np.mean(fidelities)),
                        time=t, theta=theta, phi=phi,
                        anisotropy=anisotropy, field=field)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -16,7 +17,7 @@ def read_rows(path):
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
-def test_fig2_outputs(tmp_path):
+def test_fig2_outputs(tmp_path, capsys):
     assert run(tmp_path, "fig2") == 0
     header, rows = read_rows(tmp_path / "fig2_theta.csv")
     assert header[0] == "theta"
@@ -32,6 +33,22 @@ def test_fig2_outputs(tmp_path):
     assert abs(float(four["F_heis_analytic"]) - 0.7) < 1e-9
     assert four["F_pcc"] == ""   # no stored reference, never extrapolated
     assert (tmp_path / "fig2.manifest").exists()
+
+    # Each check line quotes its measured value and its bound.
+    lines = check_lines(capsys)
+    assert lines[:2] == [
+        f"[ok] theta=pi/2 XY fidelity {float(mid['F_xy_numeric']):.9f}, "
+        f"target 0.853553391±1e-6",
+        f"[ok] theta=pi/2 Heisenberg fidelity "
+        f"{float(mid['F_heis_numeric']):.9f}, target 0.833333333±1e-6"]
+    for line, pattern, bound in [
+            (lines[2], r"theta=0 fidelities are 1: max deviation (\S+), "
+                       r"bound 1e-9", 1e-9),
+            (lines[3], r"analytic-numeric agreement: max (\S+), bound 1e-8",
+             1e-8)]:
+        match = re.fullmatch(r"\[ok\] " + pattern, line)
+        assert match and float(match.group(1)) < bound
+    assert len(lines) == 4
 
 
 def test_fig2_deterministic(tmp_path):

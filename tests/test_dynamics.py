@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclone import (QubitDensity, b_opt_xy, bipartite, build_block,
                        clone_fidelity, evolve, from_edge_list, prepare_input,
+                       protocol_fidelities, reduce_density_to_site,
                        reduce_to_site, run_protocol, sector_basis, spectral,
                        star, t_c_xy, tree)
+from spinclone.dynamics import _check_densities, _check_norms
 from reference import (embed_full, full_evolve, full_hamiltonian,
                        full_input_state, full_reduce)
+from strategies import small_networks
 
 EQUATOR = math.pi / 2
 
@@ -150,6 +155,17 @@ def test_reduce_matches_full_space():
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-10)
 
 
+@pytest.mark.parametrize("site", [3, 7, -1])
+def test_reduce_density_rejects_site_out_of_range(site):
+    # star(2) has 3 sites; no site outside 0..2 may read as a blank |0><0|.
+    state = prepare_input(star(2), EQUATOR, 0.0)
+    matrix = np.outer(state.amplitudes, state.amplitudes.conj())
+    with pytest.raises(ValueError, match="site index out of range"):
+        reduce_density_to_site(matrix, state.basis, site)
+    with pytest.raises(ValueError, match="site index out of range"):
+        reduce_to_site(state, site)
+
+
 def test_star_clone_value_at_optimum():
     net = star(2)
     state = prepare_input(net.with_params(field=b_opt_xy(2)), EQUATOR, 0.0)
@@ -174,12 +190,62 @@ def test_clone_fidelity_basics():
 
 
 def test_density_validation():
-    with pytest.raises(ValueError):
-        QubitDensity(matrix=np.array([[0.5, 0.4], [0.2, 0.5]], dtype=complex))
-    with pytest.raises(ValueError):
-        QubitDensity(matrix=np.diag([0.8, 0.8]).astype(complex))
-    with pytest.raises(ValueError):
-        QubitDensity(matrix=np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex))
+    good = np.stack([np.eye(2) / 2] * 5).astype(complex).reshape(5, 1, 2, 2)
+    _check_densities(good)
+    for bad in (np.array([[0.5, 0.4], [0.2, 0.5]]),    # not Hermitian
+                np.diag([0.8, 0.8]),                   # trace 1.6
+                np.array([[1.2, 0.0], [0.0, -0.2]])):  # negative eigenvalue
+        with pytest.raises(ValueError):
+            QubitDensity(matrix=bad.astype(complex))
+        # The batched check rejects a stack with one bad matrix anywhere.
+        stack = good.copy()
+        stack[3, 0] = bad
+        with pytest.raises(ValueError):
+            _check_densities(stack)
+
+
+def test_norm_check_covers_every_row():
+    rows = np.zeros((4, 3), dtype=complex)
+    rows[:, 0] = 1.0
+    _check_norms(rows)
+    rows[2, 1] = 1e-4
+    with pytest.raises(ValueError, match="state norm differs from 1"):
+        _check_norms(rows)
+
+
+def test_protocol_fidelities_shape_and_no_outputs():
+    thetas = np.linspace(0.0, math.pi, 7)
+    rows = protocol_fidelities(star(3), 0.0, b_opt_xy(3), thetas, 0.0,
+                               t_c_xy(3))
+    assert rows.shape == (7, 3)
+    with pytest.raises(ValueError, match="no output sites"):
+        protocol_fidelities(from_edge_list(2, [(0, 1, 1.0)], [0], []), 0.0,
+                            0.0, [EQUATOR], 0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(max_sites=7), anisotropy=st.floats(0.0, 1.0),
+       field=st.floats(-2.0, 2.0), phi=st.floats(0.0, 2 * math.pi),
+       t=st.floats(0.0, 20.0),
+       thetas=st.lists(st.floats(0.0, math.pi), max_size=5))
+def test_protocol_fidelities_match_full_space(net, anisotropy, field, phi, t,
+                                              thetas):
+    thetas = [0.0] + thetas + [math.pi]
+    rows = protocol_fidelities(net, anisotropy, field, thetas, phi, t)
+    assert rows.shape == (len(thetas), len(net.output_sites))
+    h = full_hamiltonian(net, anisotropy=anisotropy, field=field)
+    for theta, row in zip(thetas, rows):
+        full = full_evolve(h, full_input_state(net, theta, phi), t)
+        psi = np.array([math.cos(theta / 2),
+                        np.exp(1j * phi) * math.sin(theta / 2)])
+        for site, value in zip(net.output_sites, row):
+            rho = full_reduce(full, site, net.n_sites)
+            assert abs(value - (psi.conj() @ rho @ psi).real) <= 1e-12
+        # The one-angle run is the same evaluation: equal to the last bit.
+        single = run_protocol(net, anisotropy, field, theta, phi, t)
+        assert single.per_site_fidelity == dict(zip(net.output_sites,
+                                                    row.tolist()))
+        assert single.mean_fidelity == float(np.mean(row))
 
 
 def test_run_protocol_heisenberg_value():

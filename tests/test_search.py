@@ -14,6 +14,7 @@ from spinclone import search
 from spinclone.hamiltonian import assemble_blocks, orbit_isometry
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
+from strategies import small_networks
 
 EQUATOR = math.pi / 2
 
@@ -258,22 +259,6 @@ def test_disorder_deterministic():
     b = disorder_study(star(2), 0.1, 40, 0.0, EQUATOR, t_c_xy(2),
                        b_opt_xy(2), seed=7)
     assert a == b
-
-
-@st.composite
-def small_networks(draw):
-    """A random connected graph of 2-5 sites with 1-2 inputs and 1+ outputs."""
-    n = draw(st.integers(2, 5))
-    coupling = st.floats(0.2, 2.0)
-    edges = [(draw(st.integers(0, k - 1)), k, draw(coupling))
-             for k in range(1, n)]
-    tree_pairs = {(i, j) for i, j, _ in edges}
-    edges += [(i, j, draw(coupling)) for i in range(n) for j in range(i + 1, n)
-              if (i, j) not in tree_pairs and draw(st.booleans())]
-    sites = draw(st.permutations(range(n)))
-    n_in = draw(st.integers(1, min(2, n - 1)))
-    n_out = draw(st.integers(1, n - n_in))
-    return from_edge_list(n, edges, sites[:n_in], sites[n_in:n_in + n_out])
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
