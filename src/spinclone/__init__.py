@@ -7,10 +7,10 @@ cloning circuits.
 """
 
 from .analytic import (NoPccReference, NtomReference, NTOM_REFERENCE,
-                       PccReference, StarAnalytics, StarEigenstate, b_opt_xy,
+                       PccReference, StarEigenstate, b_opt_xy,
                        heis_star_fidelity, heis_star_fidelity_equatorial,
-                       pcc_pairs, pcc_reference, star_analytics, t_c_heis,
-                       t_c_xy, xy_star_fidelity, xy_star_fidelity_equatorial,
+                       pcc_pairs, pcc_reference, t_c_heis, t_c_xy,
+                       xy_star_fidelity, xy_star_fidelity_equatorial,
                        xy_star_spectrum)
 from .dynamics import (CloneResult, QubitDensity, SectorState, clone_fidelity,
                        evolve, prepare_input, protocol_fidelities,
@@ -22,9 +22,8 @@ from .noise import (GatePulse, MixedState, circuit_baseline,
                     circuit_ideal_fidelity, lindblad_evolve,
                     noisy_network_fidelity, pcc_circuit_schedule,
                     stochastic_evolve)
-from .search import (DisorderSummary, GridSpec, OptimizationResult,
-                     ProtocolScan, disorder_study, optimize,
-                     optimize_exact_field, optimize_tree)
+from .search import (DisorderSummary, OptimizationResult, ProtocolScan,
+                     disorder_study, optimize)
 from .topology import (MAX_SITES, NetworkTooLargeError, SpinNetwork, bipartite,
                        from_edge_list, from_text, jitter, star, to_text, tree)
 

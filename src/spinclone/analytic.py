@@ -60,30 +60,6 @@ def xy_star_fidelity_equatorial(n_clones: int) -> float:
 
 
 @dataclass(frozen=True)
-class StarAnalytics:
-    """Bundle of closed-form data for one star protocol."""
-
-    n_clones: int
-    model: str           # "xy" or "heisenberg"
-    t_c: float           # J t units
-    b_opt: float         # B / J units; 0 for the Heisenberg model
-
-    def fidelity(self, theta: float) -> float:
-        if self.model == "xy":
-            return xy_star_fidelity(self.n_clones, theta)
-        return heis_star_fidelity(self.n_clones, theta)
-
-
-def star_analytics(n_clones: int, model: str) -> StarAnalytics:
-    if model == "xy":
-        return StarAnalytics(n_clones, "xy", t_c_xy(n_clones),
-                             b_opt_xy(n_clones))
-    if model == "heisenberg":
-        return StarAnalytics(n_clones, "heisenberg", t_c_heis(n_clones), 0.0)
-    raise ValueError(f"unknown model {model!r}")
-
-
-@dataclass(frozen=True)
 class StarEigenstate:
     """One analytic eigenvalue of the XY star, with a readable label."""
 

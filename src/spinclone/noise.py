@@ -133,6 +133,8 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     psi0 = np.asarray(psi0, dtype=np.complex128)
     if psi0.shape != (len(basis),):
         raise ValueError("state dimension does not match block basis")
+    if n_traj < 1:
+        raise ValueError("need at least one trajectory")
     z = _z_table(basis)
     rng = np.random.default_rng(seed)
 

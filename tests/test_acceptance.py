@@ -6,13 +6,13 @@ Each test prints one `ACCEPTANCE <n> PASS|FAIL <name>` line (visible under
 import math
 
 import numpy as np
-from spinclone import (GridSpec, b_opt_xy, bipartite,
-                       build_block, circuit_baseline, circuit_ideal_fidelity,
-                       disorder_study, evolve, heis_star_fidelity,
-                       lindblad_evolve, noisy_network_fidelity, optimize,
-                       optimize_tree, prepare_input, reduce_to_site,
-                       run_protocol, spectral, star, stochastic_evolve,
-                       t_c_heis, t_c_xy, xy_star_fidelity)
+from spinclone import (b_opt_xy, bipartite, build_block, circuit_baseline,
+                       circuit_ideal_fidelity, disorder_study, evolve,
+                       heis_star_fidelity, lindblad_evolve,
+                       noisy_network_fidelity, optimize, prepare_input,
+                       reduce_to_site, run_protocol, spectral, star,
+                       stochastic_evolve, t_c_heis, t_c_xy, tree,
+                       xy_star_fidelity)
 from spinclone.cli import main as cli_main
 from spinclone.noise import MixedState
 from reference import (embed_full, full_evolve, full_hamiltonian,
@@ -43,12 +43,10 @@ def test_criterion_1_closed_form_agreement():
 
 
 def test_criterion_2_optimal_point_recovery():
-    grid = GridSpec(t_range=(0.0, 10.0), t_points=600,
-                    b_range=(0.0, 2.0), b_points=60)
-    xy = optimize(star(2), 0.0, EQUATOR, grid)
-    heis = optimize(star(2), 1.0, EQUATOR,
-                    GridSpec(t_range=(0.0, 10.0), t_points=600,
-                             b_range=(0.0, 0.0), b_points=1))
+    xy = optimize(star(2), 0.0, EQUATOR, t_range=(0.0, 10.0), t_points=600,
+                  field=(0.0, 2.0))
+    heis = optimize(star(2), 1.0, EQUATOR, t_range=(0.0, 10.0), t_points=600,
+                    field=(0.0, 0.0))
     ok = (abs(xy.fidelity - (2 + math.sqrt(2)) / 4) <= 1e-6
           and abs(xy.t_c - math.pi / math.sqrt(2)) <= 1e-3
           and abs(heis.fidelity - 5.0 / 6.0) <= 1e-6
@@ -71,8 +69,8 @@ def test_criterion_3_scaling_laws():
 
 
 def test_criterion_4_tree_graphs():
-    eight = optimize_tree(2, 2)
-    twenty_seven = optimize_tree(3, 2)
+    eight = optimize(tree(2, 2), 0.0, EQUATOR, (0.0, 50.0), 5001)
+    twenty_seven = optimize(tree(3, 2), 0.0, EQUATOR, (0.0, 50.0), 5001)
     ok = (abs(eight.fidelity - 0.676) <= 0.005
           and abs(twenty_seven.fidelity - 0.596) <= 0.005)
     report(4, f"tree fidelities {eight.fidelity:.4f} / "

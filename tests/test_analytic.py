@@ -6,7 +6,7 @@ import pytest
 from spinclone import (NoPccReference, b_opt_xy, build_block,
                        heis_star_fidelity, heis_star_fidelity_equatorial,
                        pcc_pairs, pcc_reference, run_protocol, spectral, star,
-                       star_analytics, t_c_heis, t_c_xy, xy_star_fidelity,
+                       t_c_heis, t_c_xy, xy_star_fidelity,
                        xy_star_fidelity_equatorial, xy_star_spectrum)
 
 EQUATOR = math.pi / 2
@@ -73,17 +73,6 @@ def test_fidelity_bounds():
         assert abs(heis_star_fidelity(m, math.pi) - 4.0 / (m + 1) ** 2) < 1e-12
 
 
-def test_star_analytics_bundle():
-    xy = star_analytics(3, "xy")
-    assert xy.b_opt == b_opt_xy(3)
-    assert xy.t_c == t_c_xy(3)
-    assert xy.fidelity(EQUATOR) == xy_star_fidelity(3, EQUATOR)
-    heis = star_analytics(3, "heisenberg")
-    assert heis.b_opt == 0.0
-    with pytest.raises(ValueError):
-        star_analytics(3, "ising")
-
-
 def test_xy_spectrum_small_cases():
     lines = xy_star_spectrum(1, 0.0)
     np.testing.assert_allclose(sorted(e.energy for e in lines),
@@ -135,10 +124,10 @@ def test_optimal_time_is_global_on_window():
     # Jt in [0, 20], not merely the first local peak.
     from spinclone.search import ProtocolScan
     for m in (2, 3):
+        times = np.linspace(0.0, 20.0, 4001)
         scan = ProtocolScan(star(m), 0.0, EQUATOR)
-        sweep, _ = scan.envelope(np.linspace(0.0, 20.0, 4001))
+        sweep = scan.field_maximum(times, 0.0, math.inf)
         assert sweep.max() <= xy_star_fidelity(m, EQUATOR) + 1e-9
         heis = ProtocolScan(star(m), 1.0, EQUATOR)
-        base, gbar = heis.components(np.linspace(0.0, 20.0, 4001))
-        values = base + 2 * 0.5 * np.real(gbar)
+        values = heis.field_maximum(times, 0.0, 0.0)
         assert values.max() <= heis_star_fidelity(m, EQUATOR) + 1e-9

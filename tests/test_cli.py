@@ -116,7 +116,7 @@ def test_disorder_command_byte_deterministic(tmp_path):
             == (tmp_path / "b" / "disorder.csv").read_bytes())
 
 
-def test_fig3_command(tmp_path):
+def test_fig3_command(tmp_path, capsys):
     assert run(tmp_path, "--gamma-grid", "1e-3,1e-2", "--n-traj", 400,
                "fig3") == 0
     _, rows = read_rows(tmp_path / "fig3.csv")
@@ -129,6 +129,38 @@ def test_fig3_command(tmp_path):
     for m in ("2", "3"):
         assert (by_key[("network", m, "0.001")]
                 > by_key[("circuit", m, "0.001")])
+
+    # Each check line quotes its measured value (3 significant digits) and
+    # its bound; margin and rise are recomputed here from the CSV.
+    lines = check_lines(capsys)
+    assert len(lines) == 4
+    patterns = [
+        r"circuit gamma=0 at ideal value: max deviation (\S+), bound 1e-9",
+        r"network above circuit at gamma=0\.001: min margin (\S+), bound 0",
+        r"curves monotone nonincreasing: max rise (\S+), bound 1e-12",
+        r"trajectory/master cross-check \(400 trajectories\): "
+        r"trace distance (\S+), bound 0\.01"]
+    values = []
+    for line, pattern in zip(lines, patterns):
+        match = re.fullmatch(r"\[ok\] " + pattern, line)
+        assert match, line
+        values.append(float(match.group(1)))
+    deviation, margin, rise, distance = values
+    assert 0.0 <= deviation < 1e-9 and margin > 0.0 and rise <= 1e-12
+    assert 0.0 <= distance <= 0.01
+    assert margin == pytest.approx(
+        min(by_key[("network", m, "0.001")] - by_key[("circuit", m, "0.001")]
+            for m in ("2", "3")), rel=5e-3)
+    curves = [[by_key[(p, m, g)] for g in ("0", "0.001", "0.01")]
+              for p in ("network", "circuit") for m in ("2", "3")]
+    assert rise == pytest.approx(
+        max(c[i + 1] - c[i] for c in curves for i in range(2)), rel=5e-3)
+
+
+@pytest.mark.parametrize("t_points", [0, 1])
+def test_too_few_time_points_rejected(tmp_path, t_points):
+    with pytest.raises(ValueError, match="two time points"):
+        run(tmp_path, "--t-points", t_points, "tree")
 
 
 def test_fig3_cross_check_passes_at_seed_4(tmp_path, capsys):

@@ -287,12 +287,9 @@ def test_phase_independence_on_star():
 
 def test_heisenberg_field_changes_only_the_time():
     # A commensurate field shifts the optimum in time, not in value.
-    from spinclone import GridSpec, optimize
-    grid0 = GridSpec(t_range=(0.0, 8.0), t_points=900,
-                     b_range=(0.0, 0.0), b_points=1)
-    grid1 = GridSpec(t_range=(0.0, 8.0), t_points=900,
-                     b_range=(1.0, 1.0), b_points=1)
-    base = optimize(star(2), 1.0, EQUATOR, grid0)
-    with_field = optimize(star(2), 1.0, EQUATOR, grid1)
+    from spinclone import optimize
+    base = optimize(star(2), 1.0, EQUATOR, (0.0, 8.0), 900, field=(0.0, 0.0))
+    with_field = optimize(star(2), 1.0, EQUATOR, (0.0, 8.0), 900,
+                          field=(1.0, 1.0))
     assert abs(base.fidelity - with_field.fidelity) <= 1e-6
     assert abs(with_field.t_c - base.t_c) > 0.5

@@ -125,6 +125,13 @@ def test_stochastic_gamma_zero_is_exact():
     assert np.max(np.abs(out.matrix - expected)) <= 1e-9
 
 
+@pytest.mark.parametrize("n_traj", [0, -3])
+def test_stochastic_needs_a_trajectory(n_traj):
+    _, state, block = _star_setup(2)
+    with pytest.raises(ValueError, match="trajectory"):
+        stochastic_evolve(state.amplitudes, block, 1e-3, 1.0, n_traj=n_traj)
+
+
 def test_stochastic_single_qubit_three_sigma():
     net = from_edge_list(1, [], [0], [])
     block = build_block(net, (0, 1))

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclone import (NetworkTooLargeError, bipartite, from_edge_list,
                        from_text, jitter, star, to_text, tree)
 from spinclone.topology import coupling_factors, twin_classes
+from strategies import small_networks
 
 
 def test_star_two_clones():
@@ -154,6 +157,19 @@ def test_text_round_trip():
     np.testing.assert_allclose(back.coupling_array(), net.coupling_array(),
                                rtol=0, atol=0)
     assert back.field_b == net.field_b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(net=small_networks(max_sites=7), anisotropy=st.floats(0.0, 1.0),
+       fields=st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
+       epsilon=st.floats(0.0, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_text_round_trip_on_random_networks(net, anisotropy, fields, epsilon,
+                                            seed):
+    # Every coupling, field, role and the anisotropy survive exactly.
+    net = dataclasses.replace(jitter(net, epsilon, seed),
+                              anisotropy=anisotropy,
+                              field_b=tuple(fields[:net.n_sites]))
+    assert from_text(to_text(net)) == net
 
 
 def test_text_header_format():
