@@ -16,8 +16,8 @@ from .dynamics import (CloneResult, QubitDensity, SectorState, clone_fidelity,
                        evolve, prepare_input, protocol_fidelities,
                        reduce_density_to_site, reduce_to_site, run_protocol)
 from .hamiltonian import (DimensionLimitError, HamiltonianBlock, SectorBasis,
-                          SpectralDecomposition, build_block, required_weights,
-                          sector_basis, spectral)
+                          SpectralDecomposition, build_block, sector_basis,
+                          spectral)
 from .noise import (GatePulse, MixedState, circuit_baseline,
                     circuit_ideal_fidelity, lindblad_evolve,
                     noisy_network_fidelity, pcc_circuit_schedule,

@@ -230,9 +230,13 @@ def cmd_fig3(args) -> int:
     """Dephasing comparison of the free-evolution protocol against the
     compiled cloning circuits, for two and three clones."""
     started = time.time()
+    if args.n_traj < 1:
+        raise ValueError(f"--n-traj must be at least 1, got {args.n_traj}")
+    gammas = [0.0] + _parse_gamma_grid(args.gamma_grid)
+    if max(gammas) <= 0.0:
+        raise ValueError(f"--gamma-grid {args.gamma_grid!r} has no gamma > 0")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    gammas = [0.0] + _parse_gamma_grid(args.gamma_grid)
 
     def network_point(item):
         m, gamma = item

@@ -84,22 +84,22 @@ class CloneResult:
     field: float
 
 
-def _input_patterns(net: SpinNetwork):
-    """Union basis of excitation numbers ``0 .. n_inputs`` and the
-    (dim, n_inputs + 1) indicators of the configurations with ``k`` excited
-    inputs and every other site blank, one column per ``k``."""
+def _input_patterns(net: SpinNetwork, basis: SectorBasis) -> np.ndarray:
+    """(dim, n_inputs + 1) parts of the product input on a count basis:
+    column ``k`` holds ``prod_a sqrt(C(s_a, n_a))`` on the states with ``k``
+    excitations, all of them in input classes, so the input at one angle is
+    ``patterns @ _input_coefficients(...)``."""
     if not net.input_sites:
         raise ValueError("network has no input sites")
-    n_in = len(net.input_sites)
-    basis = sector_basis(net.n_sites, tuple(range(n_in + 1)))
-    input_mask = 0
-    for s in net.input_sites:
-        input_mask |= 1 << s
-    outside = basis.states & ~np.int64(input_mask)
-    k = ((basis.states & np.int64(input_mask))[:, None]
-         >> np.arange(net.n_sites, dtype=np.int64)[None, :] & 1).sum(axis=1)
-    counts = np.where(outside == 0, k, -1)
-    return basis, (counts[:, None] == np.arange(n_in + 1)).astype(float)
+    inputs = sorted(set(basis.classes[i] for i in net.input_sites))
+    k = basis.counts[:, inputs].sum(axis=1)
+    k[np.delete(basis.counts, inputs, axis=1).any(axis=1)] = -1
+    patterns = (k[:, None] == np.arange(len(net.input_sites) + 1)) * 1.0
+    for a in inputs:
+        binomials = [math.comb(basis.sizes[a], n)
+                     for n in range(basis.sizes[a] + 1)]
+        patterns *= np.sqrt(binomials)[basis.counts[:, a], None]
+    return patterns
 
 
 def _input_coefficients(thetas: np.ndarray, phi: float,
@@ -117,12 +117,19 @@ def prepare_input(net: SpinNetwork, theta: float, phi: float) -> SectorState:
     """Product input: each input site in cos(t/2)|0> + e^{i phi} sin(t/2)|1>.
 
     All other sites start blank (``|0>``); amplitudes are expanded in the
-    union basis of excitation numbers ``0 .. n_inputs``.
+    configuration basis of excitation numbers ``0 .. n_inputs``.
     """
-    basis, patterns = _input_patterns(net)
+    basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
+    return SectorState(basis=basis,
+                       amplitudes=count_input(net, basis, theta, phi))
+
+
+def count_input(net: SpinNetwork, basis: SectorBasis, theta: float,
+                phi: float) -> np.ndarray:
+    """Amplitudes of the product input on a count basis."""
     coefficients = _input_coefficients(np.array([float(theta)]), phi,
                                        len(net.input_sites))[0]
-    return SectorState(basis=basis, amplitudes=patterns @ coefficients)
+    return _input_patterns(net, basis) @ coefficients
 
 
 def _propagate(decomposition: SpectralDecomposition, amplitudes: np.ndarray,
@@ -142,11 +149,8 @@ def evolve(state: SectorState, decomposition: SpectralDecomposition,
                        amplitudes=_propagate(decomposition, state.amplitudes, t))
 
 
-_PAIR_CACHE: dict[tuple, tuple] = {}
-
-
 def site_pairs(basis: SectorBasis, site: int):
-    """Index machinery for reducing a sector state to one site.
+    """Index machinery for reducing a configuration-basis state to one site.
 
     Returns ``(empty, occupied, idx0, idx1)``: ascending positions of the
     configurations with the site empty/occupied, and index pairs coupling a
@@ -154,30 +158,20 @@ def site_pairs(basis: SectorBasis, site: int):
     (all other sites equal).  Pairs exist only when the partner weight is
     present in the basis.
     """
-    if not 0 <= site < basis.n_sites:
+    if not 0 <= site < len(basis.classes):
         raise ValueError("site index out of range")
-    key = (basis.n_sites, basis.weights, site)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    bit = np.int64(1 << site)
-    mask1 = (basis.states & bit) != 0
-    empty = np.nonzero(~mask1)[0]
-    partners = basis.states[empty] | bit
-    positions = np.searchsorted(basis.states, partners)
-    valid = (positions < len(basis)) & (
-        basis.states[np.minimum(positions, len(basis) - 1)] == partners)
-    result = (empty, np.nonzero(mask1)[0], empty[valid], positions[valid])
-    _PAIR_CACHE[key] = result
-    return result
+    occupied = basis.counts[:, site] != 0
+    return (np.nonzero(~occupied)[0], np.nonzero(occupied)[0],
+            *basis.raising(site)[:2])
 
 
 class OutputReadout:
-    """Mean clone fidelity read off configuration-basis amplitudes ``a``.
+    """Mean clone fidelity read off count-basis amplitudes ``a``.
 
-    ``base = diagonal . |a|^2``; ``gbar = weight * sum a[lower] conj(a[upper])``
-    over the pairs linking each configuration with an output empty to the
-    one with it occupied, merged over all outputs (``weight = 1 / n_out``).
+    ``base = diagonal . |a|^2`` with ``diagonal = sum_a (c^2 (s_a - n_a) +
+    s^2 n_a) / n_out`` over the output classes; ``gbar = sum weight a[lower]
+    conj(a[upper])`` over the pairs ``n -> n + e_a`` of every output class,
+    ``weight = sqrt((n_a + 1)(s_a - n_a)) / n_out``.
     """
 
     def __init__(self, net: SpinNetwork, basis: SectorBasis, theta: float,
@@ -186,13 +180,12 @@ class OutputReadout:
         n_out = max(len(outputs), 1)
         c2 = math.cos(theta / 2.0) ** 2
         s2 = math.sin(theta / 2.0) ** 2
-        empty = [np.zeros(0, dtype=np.int64)]
-        self.lower = np.concatenate(
-            [site_pairs(basis, o)[2] for o in outputs] + empty)
-        self.upper = np.concatenate(
-            [site_pairs(basis, o)[3] for o in outputs] + empty)
-        self.weight = 1.0 / n_out
-        occupied = basis.occupancy()[:, list(outputs)].sum(axis=1)
+        classes = list(dict.fromkeys(basis.classes[o] for o in outputs))
+        empty = np.zeros(0, dtype=np.int64)
+        self.lower, self.upper, elements = map(np.concatenate, zip(
+            *[basis.raising(a) for a in classes], (empty, empty, empty)))
+        self.weight = elements / n_out
+        occupied = basis.counts[:, classes].sum(axis=1)
         self.diagonal = (c2 * (n_out - occupied) + s2 * occupied) / n_out
         self.cs = math.cos(theta / 2.0) * math.sin(theta / 2.0)
         self.phi = phi
@@ -276,8 +269,9 @@ def protocol_fidelities(net: SpinNetwork, anisotropy: float, field: float,
         raise ValueError("network has no output sites")
     configured = net.with_params(anisotropy=anisotropy, field=field)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
-    basis, patterns = _input_patterns(configured)
     n_in = len(net.input_sites)
+    basis = sector_basis(net.n_sites, tuple(range(n_in + 1)))
+    patterns = _input_patterns(configured, basis)
     decomposition = spectral(build_block(configured, basis.weights))
     evolved = _propagate(decomposition, patterns, t).T
     coefficients = _input_coefficients(thetas, phi, n_in)

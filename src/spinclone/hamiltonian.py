@@ -7,18 +7,25 @@ The model is, with Pauli matrices and ``hbar = 1``,
 
 each undirected edge counted once.  Total z-magnetization is conserved, so
 the operator never mixes excitation numbers and can be assembled directly on
-a union of fixed-weight configuration sets.  ``|0>`` is the ``sz = +1``
-eigenstate; bit ``1`` in a configuration word marks a site in ``|1>`` (an
-excitation).  Site 0 occupies the lowest bit.
+a union of fixed-weight sectors.  ``|0>`` is the ``sz = +1`` eigenstate.
+
+A basis state is the product of the symmetric (Dicke) states of classes of
+sites (twins, or one site per class) with ``n_a`` excitations in class
+``a`` of ``s_a`` sites.  With uniform couplings within and between classes
+each class is a collective spin and every element is closed-form: a hop
+from class b to class a is ``(J_ab/2) sqrt((n_a+1)(s_a-n_a) n_b(s_b-n_b+1))``,
+hops inside a class add ``(J_aa/2) n(s-n)`` to the diagonal, zz adds
+``lambda J_ab/4 (s_a-2n_a)(s_b-2n_b)`` between and ``lambda J_aa/8
+((s-2n)^2-s)`` inside classes, and the field ``B_a/2 (s_a-2n_a)``.  With one
+site per class the counts are the bits of a configuration word.
 
 Times are reported as ``J t`` and fields as ``B / J`` throughout (``J = 1``
 default energy scale).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -34,81 +41,94 @@ class DimensionLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SectorBasis:
-    """Ordered configuration basis for a union of excitation numbers.
+    """Ordered count basis for a union of excitation numbers.
 
-    ``states`` lists n-bit configuration words in strictly ascending integer
-    order; the ordering is part of the data contract.  ``state_weights``
-    caches the excitation number of each configuration.
+    ``classes`` gives every site's class and ``sizes`` each class's site
+    count.  Row ``k`` of ``counts`` holds the excitations per class of state
+    ``k``; ``states[k] = counts[k] @ radix`` is its mixed-radix code, class
+    0 the lowest digit, strictly ascending (the ordering is part of the data
+    contract).  ``state_weights`` caches each state's excitation number.
+    Bases compare and hash by ``classes`` and ``weights``.
     """
 
-    n_sites: int
+    classes: tuple[int, ...]
     weights: tuple[int, ...]
-    states: np.ndarray
-    state_weights: np.ndarray
-
-    def __eq__(self, other):
-        return (isinstance(other, SectorBasis)
-                and self.n_sites == other.n_sites
-                and self.weights == other.weights)
-
-    def __hash__(self):
-        return hash((self.n_sites, self.weights))
+    sizes: np.ndarray = field(compare=False)
+    radix: np.ndarray = field(compare=False)
+    states: np.ndarray = field(compare=False)
+    counts: np.ndarray = field(compare=False)
+    state_weights: np.ndarray = field(compare=False)
 
     def __len__(self):
         return len(self.states)
 
-    def index_of(self, configs: np.ndarray) -> np.ndarray:
-        """Positions of configuration words; assumes membership."""
-        return np.searchsorted(self.states, configs)
+    def index_of(self, codes: np.ndarray) -> np.ndarray:
+        """Positions of state codes; assumes membership."""
+        return np.searchsorted(self.states, codes)
 
-    def occupancy(self) -> np.ndarray:
-        """(dim, n_sites) array of site occupations (0 or 1)."""
-        shifts = np.arange(self.n_sites, dtype=np.int64)
-        return ((self.states[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+    def raising(self, cls: int) -> tuple[np.ndarray, ...]:
+        """Nonzero elements of the collective raising operator of class
+        ``cls``: positions ``lower``, ``upper`` of the states ``n`` and
+        ``n + e_cls``, both in the basis, and ``sqrt((n + 1)(s - n))``."""
+        rows = np.nonzero(self.counts[:, cls] < self.sizes[cls])[0]
+        partners = self.states[rows] + self.radix[cls]
+        upper = np.minimum(self.index_of(partners), len(self) - 1)
+        kept = self.states[upper] == partners   # the partner weight exists
+        rows, upper = rows[kept], upper[kept]
+        n = self.counts[rows, cls]
+        return rows, upper, np.sqrt((n + 1) * (self.sizes[cls] - n))
+
+
+def sector_dimension(sizes, weights) -> int:
+    """Number of count states with an excitation number in ``weights``: the
+    coefficients of ``prod_a (1 + x + ... + x^{s_a})``; with unit sizes, the
+    ``sum_w C(n, w)`` configurations."""
+    poly = [1]
+    for size in sizes:
+        poly = [sum(poly[max(0, k - size):k + 1])
+                for k in range(len(poly) + size)]
+    return sum(poly[w] for w in set(weights) if 0 <= w < len(poly))
 
 
 @lru_cache(maxsize=128)
-def sector_basis(n_sites: int, weights: tuple[int, ...]) -> SectorBasis:
-    """Shared basis instance for the given site count and excitation numbers."""
-    if n_sites < 1:
+def count_basis(classes: tuple[int, ...],
+                weights: tuple[int, ...]) -> SectorBasis:
+    """Shared count basis for a site partition and excitation numbers.
+
+    The dimension is checked against ``MAX_DIM`` before any state is built;
+    the enumeration runs from the highest digit down and keeps only the
+    prefixes from which a requested weight is still reachable.
+    """
+    if not classes:
         raise ValueError("need at least one site")
     wset = tuple(sorted(set(int(w) for w in weights)))
     if not wset:
         raise ValueError("empty weight set")
-    if wset[0] < 0 or wset[-1] > n_sites:
-        raise ValueError(f"weights {wset} outside 0..{n_sites}")
-    states: list[int] = []
-    for w in wset:
-        for positions in combinations(range(n_sites), w):
-            word = 0
-            for p in positions:
-                word |= 1 << p
-            states.append(word)
-    order = np.sort(np.array(states, dtype=np.int64))
-    if len(order) > MAX_DIM:
-        raise DimensionLimitError(
-            f"sector dimension {len(order)} exceeds maximum {MAX_DIM}"
-        )
-    shifts = np.arange(n_sites, dtype=np.int64)
-    wts = ((order[:, None] >> shifts[None, :]) & 1).sum(axis=1).astype(np.int64)
-    basis = SectorBasis(n_sites=n_sites, weights=wset, states=order,
-                        state_weights=wts)
-    return basis
-
-
-def orbit_isometry(basis: SectorBasis, classes: np.ndarray) -> np.ndarray:
-    """(dim, K) normalized indicators of the orbits of ``basis`` under
-    permutations within each site class (equal excitation counts per class);
-    singleton classes give the identity."""
+    if wset[0] < 0 or wset[-1] > len(classes):
+        raise ValueError(f"weights {wset} outside 0..{len(classes)}")
     sizes = np.bincount(classes)
-    if len(sizes) == basis.n_sites:
-        return np.eye(len(basis))
+    dim = sector_dimension(sizes.tolist(), wset)
+    if dim > MAX_DIM:
+        raise DimensionLimitError(
+            f"sector dimension {dim} exceeds maximum {MAX_DIM}"
+        )
+    counts = np.zeros((1, 0), dtype=np.int64)
+    room = len(classes)   # sites of the classes not yet enumerated
+    for size in sizes[::-1]:
+        room -= size
+        counts = np.column_stack((np.tile(np.arange(size + 1), len(counts)),
+                                  np.repeat(counts, size + 1, axis=0)))
+        total = counts.sum(axis=1, keepdims=True)
+        counts = counts[((total <= wset) & (wset <= total + room)).any(axis=1)]
     radix = np.cumprod(np.concatenate(([1], sizes[:-1] + 1)))
-    code = basis.occupancy() @ radix[classes]
-    _, orbit, counts = np.unique(code, return_inverse=True, return_counts=True)
-    isometry = np.zeros((len(basis), len(counts)))
-    isometry[np.arange(len(basis)), orbit] = counts[orbit] ** -0.5
-    return isometry
+    return SectorBasis(classes=classes, weights=wset, sizes=sizes,
+                       radix=radix, states=counts @ radix, counts=counts,
+                       state_weights=counts.sum(axis=1))
+
+
+def sector_basis(n_sites: int, weights: tuple[int, ...]) -> SectorBasis:
+    """Configuration basis: the count basis with one site per class."""
+    return count_basis(tuple(range(n_sites)), tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -122,9 +142,6 @@ class HamiltonianBlock:
 
     basis: SectorBasis
     matrix: np.ndarray
-    anisotropy: float
-    field_b: tuple[float, ...]
-    network: SpinNetwork
 
 
 @dataclass(frozen=True)
@@ -136,17 +153,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def required_weights(theta: float, n_inputs: int) -> tuple[int, ...]:
-    """Excitation numbers populated by a product input on ``n_inputs`` sites."""
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    if theta == 0.0:
-        return (0,)
-    if theta == np.pi:
-        return (n_inputs,)
-    return tuple(range(n_inputs + 1))
-
-
 def build_block(net: SpinNetwork, weights) -> HamiltonianBlock:
     """Assemble the exchange Hamiltonian restricted to the given weights.
 
@@ -155,36 +161,50 @@ def build_block(net: SpinNetwork, weights) -> HamiltonianBlock:
     """
     basis = sector_basis(net.n_sites, tuple(weights))
     matrix = assemble_blocks(net, basis, net.coupling_array()[None, :])[0]
-    return HamiltonianBlock(basis=basis, matrix=matrix,
-                            anisotropy=net.anisotropy, field_b=net.field_b,
-                            network=net)
+    return HamiltonianBlock(basis=basis, matrix=matrix)
 
 
 def assemble_blocks(net: SpinNetwork, basis: SectorBasis,
                     couplings: np.ndarray) -> np.ndarray:
-    """(R, dim, dim) Hamiltonians of ``net`` with its edge couplings replaced
-    by each row of the (R, n_edges) array ``couplings`` (``net.edges`` order).
-
-    Hopping moves one excitation across an edge with amplitude ``J_ij / 2``;
-    the diagonal carries ``lambda J_ij / 4 * z_i z_j`` per edge plus
-    ``B_i / 2 * z_i`` per site, with ``z = +1`` for ``|0>``.
+    """(R, dim, dim) Hamiltonians of ``net`` on ``basis`` with its edge
+    couplings replaced by each row of the (R, n_edges) array ``couplings``
+    (``net.edges`` order), from the collective-spin elements of the module
+    docstring.  A pair of classes takes the coupling of its first edge, as
+    twin classes and one site per class allow.
     """
-    dim = len(basis)
-    occ = basis.occupancy()
-    z = (1 - 2 * occ).astype(np.float64)
-
-    field = np.asarray(net.field_b, dtype=float)
-    diagonal = np.tile(0.5 * z @ field, (len(couplings), 1))
-    lam = net.anisotropy
+    dim, lam = len(basis), net.anisotropy
+    counts, sizes = basis.counts, basis.sizes
+    z = (sizes - 2 * counts).astype(np.float64)   # s - 2n per class
+    class_field = np.zeros(len(sizes))
+    class_field[list(basis.classes)] = net.field_b
+    diagonal = np.tile(0.5 * z @ class_field, (len(couplings), 1))
     matrix = np.zeros((len(couplings), dim, dim), dtype=np.float64)
+    pairs: dict[tuple[int, ...], int] = {}   # class pair -> its first edge
     for e, (i, j, _) in enumerate(net.edges):
+        pairs.setdefault(tuple(sorted((basis.classes[i], basis.classes[j]))),
+                         e)
+    hops = []   # (up, down, edge): one excitation from class down to class up
+    for (a, b), e in pairs.items():
         coupling = couplings[:, e, None]
+        if a == b:
+            n, s = counts[:, a], sizes[a]
+            diagonal += 0.5 * coupling * (n * (s - n))
+            if lam != 0.0:
+                diagonal += 0.125 * lam * coupling * (z[:, a] ** 2 - s)
+            continue
+        hops += [(a, b, e), (b, a, e)]
         if lam != 0.0:
-            diagonal += 0.25 * lam * coupling * z[:, i] * z[:, j]
-        rows = np.nonzero(occ[:, i] != occ[:, j])[0]
-        partners = basis.states[rows] ^ ((1 << i) | (1 << j))
-        # Distinct edges link distinct (row, col) pairs: assigning adds to 0.
-        matrix[:, rows, basis.index_of(partners)] = 0.5 * coupling
+            diagonal += 0.25 * lam * coupling * z[:, a] * z[:, b]
+    up, down, edge = np.array(hops, dtype=np.int64).reshape(-1, 3).T
+    rows, k = np.nonzero((counts[:, up] < sizes[up]) & (counts[:, down] > 0))
+    up, down, edge = up[k], down[k], edge[k]
+    n_up, n_down = counts[rows, up], counts[rows, down]
+    amplitude = np.sqrt((n_up + 1) * (sizes[up] - n_up)
+                        * n_down * (sizes[down] - n_down + 1))
+    partners = basis.states[rows] + basis.radix[up] - basis.radix[down]
+    # Distinct class pairs link distinct (row, col) pairs: assigning adds to 0.
+    matrix[:, rows, basis.index_of(partners)] = (0.5 * couplings[:, edge]
+                                                  * amplitude)
     matrix.reshape(len(couplings), -1)[:, ::dim + 1] += diagonal
     return matrix
 

@@ -81,10 +81,6 @@ class GatePulse:
         return self.value if self.kind == "xy_pulse" else 0.0
 
 
-def _z_table(basis: SectorBasis) -> np.ndarray:
-    return (1.0 - 2.0 * basis.occupancy()).astype(np.float64)
-
-
 def _propagate(rho: np.ndarray, matrix: np.ndarray, z: np.ndarray,
                gamma: float, t: float) -> np.ndarray:
     """Exact dephasing evolution ``vec(rho(t)) = expm(L t) vec(rho)``.
@@ -112,7 +108,7 @@ def lindblad_evolve(rho0: MixedState, block: HamiltonianBlock, gamma: float,
     if rho0.basis != block.basis:
         raise ValueError("state and block use different bases")
     final = _propagate(rho0.matrix.astype(np.complex128), block.matrix,
-                       _z_table(block.basis), gamma, t)
+                       1.0 - 2.0 * block.basis.counts, gamma, t)
     return MixedState(basis=block.basis, matrix=final)
 
 
@@ -135,7 +131,7 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
         raise ValueError("state dimension does not match block basis")
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    z = _z_table(basis)
+    z = 1.0 - 2.0 * basis.counts   # sz per site
     rng = np.random.default_rng(seed)
 
     n_full = int(math.floor(t / dt + 1e-12))
@@ -290,16 +286,12 @@ def schedule_duration(schedule: list[GatePulse]) -> float:
 
 def _embed_1q(u: np.ndarray, site: int, basis: SectorBasis) -> np.ndarray:
     """Full-space matrix of a single-qubit unitary on the given site."""
-    dim = len(basis)
-    bit = np.int64(1 << site)
-    occupied = (basis.states & bit) != 0
-    partners = basis.index_of(basis.states ^ bit)
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    rows = np.arange(dim)
-    full[rows[~occupied], rows[~occupied]] = u[0, 0]
-    full[rows[occupied], rows[occupied]] = u[1, 1]
-    full[partners[~occupied], rows[~occupied]] = u[1, 0]
-    full[partners[occupied], rows[occupied]] = u[0, 1]
+    empty, occupied, _ = basis.raising(site)   # every weight is present
+    full = np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    full[empty, empty] = u[0, 0]
+    full[occupied, occupied] = u[1, 1]
+    full[occupied, empty] = u[1, 0]
+    full[empty, occupied] = u[0, 1]
     return full
 
 
@@ -346,7 +338,7 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
     amplitudes[0] = math.cos(theta / 2.0)
     amplitudes[1] = math.sin(theta / 2.0)       # configuration |1> on qubit 0
     rho = np.outer(amplitudes, amplitudes.conj())
-    z = _z_table(basis)
+    z = 1.0 - 2.0 * basis.counts   # sz per site
     for pulse in schedule:
         if pulse.kind == "xy_pulse":
             block = _pair_block(n_qubits, *pulse.sites)

@@ -14,11 +14,12 @@ interval is therefore known at every time, and the one optimizer,
 :func:`optimize`, searches in time only: a dense scan of that maximum, then
 golden-section refinement of the best peaks.
 
-Scans run on orbit states: swapping twin sites commutes with H, fixes the
-input and permutes the outputs, so the state stays in the span of the
-normalized orbit sums ``S`` (:func:`spinclone.hamiltonian.orbit_isometry`;
-the identity without twins).  ``run_protocol`` stays on configurations as
-the independent oracle.
+Scans run on the count basis of the twin classes
+(:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
+with H, fixes the input and permutes the outputs, so the state is fixed by
+its excitation count per class.  Disorder realizations take the same
+evaluator, stacked, with one site per class.  ``run_protocol`` stays on
+configurations as the independent oracle.
 """
 from __future__ import annotations
 
@@ -27,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OutputReadout, prepare_input
-from .hamiltonian import assemble_blocks, build_block, orbit_isometry
+from .dynamics import OutputReadout, count_input
+from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
+                          sector_basis, sector_dimension)
 from .topology import SpinNetwork, coupling_factors, twin_classes
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,7 +54,7 @@ class OptimizationResult:
     t_c: float
     b_opt: float
     n_evaluations: int
-    sector_dim: tuple[int, int]   # (configurations, orbit states)
+    sector_dim: tuple[int, int]   # (configurations, count states)
 
     @property
     def j_over_b(self) -> float:
@@ -71,71 +73,63 @@ class DisorderSummary:
     sector_dim: int   # configurations each realization is evaluated on
 
 
-class ProtocolScan:
+class _Spectra:
+    """Stacked evaluator of the zero-field fidelity components: the blocks of
+    ``net`` on ``basis`` for each row of the (R, n_edges) array
+    ``couplings``, diagonalized with one ``eigh`` per weight, with the input
+    expanded in their eigenvectors and read out by :class:`OutputReadout`."""
+
+    def __init__(self, net: SpinNetwork, basis: SectorBasis,
+                 couplings: np.ndarray, theta: float, phi: float):
+        self.basis, self.dim, self.phi = basis, len(basis), float(phi)
+        self._realizations = len(couplings)
+        self._readout = OutputReadout(net, basis, theta, self.phi)
+        psi = count_input(net, basis, theta, self.phi)
+        blocks = assemble_blocks(net, basis, couplings)
+        self._sectors = []
+        for w in basis.weights:
+            idx = np.nonzero(basis.state_weights == w)[0]
+            vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
+            coeffs = np.swapaxes(vecs, 1, 2) @ psi[idx]
+            self._sectors.append((idx, vals[:, :, None],
+                                  vecs.astype(np.complex128),
+                                  coeffs[:, :, None]))
+
+    def stacked_components(self, t_values: np.ndarray):
+        """``(base, gbar)``, each (R, T), for a batch of times."""
+        amps = np.empty((self._realizations, self.dim, len(t_values)),
+                        dtype=np.complex128)
+        for idx, vals, vecs, coeffs in self._sectors:
+            amps[:, idx, :] = vecs @ (coeffs * np.exp(-1j * (vals * t_values)))
+        r = self._readout
+        return (r.diagonal @ np.abs(amps) ** 2,
+                r.weight @ (amps[:, r.lower] * np.conj(amps[:, r.upper])))
+
+
+class ProtocolScan(_Spectra):
     """Precomputed fast evaluator of the mean clone fidelity.
 
-    Diagonalizes the zero-field Hamiltonian on the ``dim`` orbit states once
-    per excitation sector; any batch of times is then a phase application
+    The one-realization case of the stacked evaluator, on the ``dim`` count
+    states of the twin classes: any batch of times is a phase application
     plus two weighted reductions, and the field enters in closed form.
     Results agree with :func:`spinclone.dynamics.run_protocol` to round-off.
     """
 
     def __init__(self, net: SpinNetwork, anisotropy: float, theta: float,
                  phi: float = 0.0):
-        self.phi = float(phi)
         configured = net.with_params(anisotropy=anisotropy, field=0.0)
-        state = prepare_input(configured, theta, phi)
-        basis = state.basis
-        block = build_block(configured, basis.weights)
-
-        orbits = orbit_isometry(basis, twin_classes(configured))
-        orbit, scale = orbits.argmax(axis=1), orbits.max(axis=1)
-        k = orbits.shape[1]
-
-        def project(rows, cols, values):   # S^T X S from the entries of X
-            return np.bincount(orbit[rows] * k + orbit[cols],
-                               scale[rows] * values * scale[cols],
-                               k * k).reshape(k, k)
-
-        self.basis = basis
-        self.dim = k
+        basis = count_basis(tuple(twin_classes(configured).tolist()),
+                            tuple(range(len(net.input_sites) + 1)))
+        super().__init__(configured, basis, configured.coupling_array()[None],
+                         theta, phi)
         self.n_eval = 0
-        self._blocks = []
-        entries = np.nonzero(block.matrix)
-        matrix = project(*entries, block.matrix[entries])
-        amplitudes = orbits.T @ state.amplitudes
-        orbit_weights = basis.state_weights[orbits.argmax(axis=0)]
-        for w in basis.weights:
-            idx = np.nonzero(orbit_weights == w)[0]
-            vals, vecs = np.linalg.eigh(matrix[np.ix_(idx, idx)])
-            coeffs = vecs.conj().T @ amplitudes[idx]
-            self._blocks.append((idx, vals, vecs.astype(np.complex128), coeffs))
-
-        # Output means S^T D S (diagonal) and S^T G S (pairs).
-        self._readout = OutputReadout(net, basis, theta, self.phi)
-        self._base = np.bincount(orbit, scale ** 2 * self._readout.diagonal, k)
-        coherence = project(self._readout.lower, self._readout.upper,
-                            self._readout.weight)
-        self._pairs = np.nonzero(coherence)
-        self._pair_weights = coherence[self._pairs]
-
-    def _amplitudes(self, t_values: np.ndarray) -> np.ndarray:
-        """Zero-field orbit amplitudes for a batch of times, (dim, T)."""
-        amps = np.empty((self.dim, len(t_values)), dtype=np.complex128)
-        for idx, vals, vecs, coeffs in self._blocks:
-            phases = np.exp(-1j * np.outer(vals, t_values))
-            amps[idx, :] = vecs @ (coeffs[:, None] * phases)
-        return amps
 
     def components(self, t_values) -> tuple[np.ndarray, np.ndarray]:
         """Field-independent pieces ``(base, gbar)`` for a batch of times."""
         t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-        amps = self._amplitudes(t_values)
-        base = self._base @ np.abs(amps) ** 2
-        rows, cols = self._pairs
-        gbar = self._pair_weights @ (amps[rows] * np.conj(amps[cols]))
+        base, gbar = self.stacked_components(t_values)
         self.n_eval += len(t_values)
-        return base, gbar
+        return base[0], gbar[0]
 
     def mean_fidelity(self, t: float, b: float) -> float:
         base, gbar = self.components([t])
@@ -246,7 +240,9 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
     best, fields = scan.field_optimum([best_t], b_lo, b_hi)
     return OptimizationResult(
         fidelity=float(best[0]), t_c=float(best_t), b_opt=float(fields[0]),
-        n_evaluations=scan.n_eval, sector_dim=(len(scan.basis), scan.dim))
+        n_evaluations=scan.n_eval,
+        sector_dim=(sector_dimension([1] * net.n_sites, scan.basis.weights),
+                    scan.dim))
 
 
 def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,
@@ -254,32 +250,23 @@ def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,
                         phi: float = 0.0) -> np.ndarray:
     """Mean clone fidelity at ``(t, B)`` of ``jitter(net_template, epsilon,
     s)`` for every ``s`` in ``seeds``, evaluated stacked in chunks of at most
-    ``STACK_ENTRIES`` matrix entries (one ``eigh`` per weight and chunk).
+    ``STACK_ENTRIES`` matrix entries (one ``eigh`` per weight and chunk) on
+    configurations, the count basis with one site per class.
     """
     net = net_template.with_params(anisotropy=anisotropy, field=0.0)
-    state = prepare_input(net, theta, phi)
-    basis = state.basis
-    readout = OutputReadout(net, basis, theta, phi)
+    basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
     field_phase = np.exp(-1j * (t * b))
     template = net.coupling_array()
-    sectors = [np.nonzero(basis.state_weights == w)[0] for w in basis.weights]
     chunk = max(1, STACK_ENTRIES // len(basis) ** 2)
     values = np.empty(len(seeds))
     for lo in range(0, len(seeds), chunk):
         part = seeds[lo:lo + chunk]
         couplings = template * np.array(
             [coupling_factors(epsilon, int(s), len(template)) for s in part])
-        blocks = assemble_blocks(net, basis, couplings)
-        amps = np.empty((len(part), len(basis)), dtype=np.complex128)
-        for idx in sectors:
-            vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
-            coeffs = np.swapaxes(vecs, 1, 2) @ state.amplitudes[idx]
-            phases = np.exp(-1j * (vals * t))
-            amps[:, idx] = (vecs @ (coeffs * phases)[:, :, None])[:, :, 0]
-        base = np.abs(amps) ** 2 @ readout.diagonal
-        gbar = readout.weight * np.sum(
-            amps[:, readout.lower] * np.conj(amps[:, readout.upper]), axis=1)
-        values[lo:lo + len(part)] = readout.fidelity(base, gbar, field_phase)
+        spectra = _Spectra(net, basis, couplings, theta, phi)
+        base, gbar = spectra.stacked_components(np.array([t]))
+        values[lo:lo + len(part)] = spectra._readout.fidelity(
+            base[:, 0], gbar[:, 0], field_phase)
     return values
 
 
@@ -298,7 +285,8 @@ def disorder_study(net_template: SpinNetwork, epsilon: float, samples: int,
         raise ValueError("need at least one sample")
     ideal_scan = ProtocolScan(net_template, anisotropy, theta)
     ideal = ideal_scan.mean_fidelity(t_fixed, b_fixed)
-    dim = len(ideal_scan.basis)
+    dim = sector_dimension([1] * net_template.n_sites,
+                           ideal_scan.basis.weights)
     if epsilon == 0.0:
         return DisorderSummary(samples=samples, mean_fidelity=ideal,
                                std_fidelity=0.0, ideal_fidelity=ideal,

@@ -84,6 +84,22 @@ def embed_full(basis, amplitudes, n_sites):
     return full
 
 
+def orbit_isometry(basis, classes):
+    """(dim, K) normalized indicators of the orbits of a configuration basis
+    under permutations within each site class, that is of the sets of
+    configurations with equal excitation counts per class.  Orbits are
+    ordered by the mixed-radix code of their counts, class 0 the lowest
+    digit."""
+    occupancy = (basis.states[:, None] >> np.arange(len(classes))) & 1
+    sizes = np.bincount(classes)
+    radix = np.cumprod(np.concatenate(([1], sizes[:-1] + 1)))
+    code = occupancy @ radix[classes]
+    _, orbit, counts = np.unique(code, return_inverse=True, return_counts=True)
+    isometry = np.zeros((len(basis), len(counts)))
+    isometry[np.arange(len(basis)), orbit] = counts[orbit] ** -0.5
+    return isometry
+
+
 def full_dephasing_evolve(h, rho, gamma, t):
     """Dephasing master equation on the full 2^n space, solved exactly.
 

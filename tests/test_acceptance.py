@@ -6,8 +6,10 @@ Each test prints one `ACCEPTANCE <n> PASS|FAIL <name>` line (visible under
 import math
 
 import numpy as np
-from spinclone import (b_opt_xy, bipartite, build_block, circuit_baseline,
-                       circuit_ideal_fidelity, disorder_study, evolve,
+import pytest
+from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
+                       circuit_baseline, circuit_ideal_fidelity,
+                       disorder_study, evolve,
                        heis_star_fidelity, lindblad_evolve,
                        noisy_network_fidelity, optimize, prepare_input,
                        reduce_to_site, run_protocol, spectral, star,
@@ -66,6 +68,19 @@ def test_criterion_3_scaling_laws():
         numeric_ok &= abs(xy.mean_fidelity - 0.5 - 0.5 / math.sqrt(m)) <= 1e-6
         numeric_ok &= abs(heis.mean_fidelity - 0.5 - 1 / (m + 1)) <= 1e-6
     report(3, "1/sqrt(M) and 1/(M+1) scaling laws", analytic_ok and numeric_ok)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 61])
+def test_criterion_3_scaling_laws_at_large_m(m):
+    # On its twin classes star(M) scans 3 count states, so the closed forms
+    # are checked where the laws are asymptotic; 61 clones is the largest
+    # star within the 62-site limit.
+    xy = ProtocolScan(star(m), 0.0, EQUATOR).mean_fidelity(t_c_xy(m),
+                                                           b_opt_xy(m))
+    heis = ProtocolScan(star(m), 1.0, EQUATOR).mean_fidelity(t_c_heis(m), 0.0)
+    worst = max(abs(xy - xy_star_fidelity(m, EQUATOR)),
+                abs(heis - heis_star_fidelity(m, EQUATOR)))
+    report(3, f"scaling laws at M = {m}, |dev| = {worst:.2e}", worst <= 1e-8)
 
 
 def test_criterion_4_tree_graphs():

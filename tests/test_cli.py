@@ -163,6 +163,17 @@ def test_too_few_time_points_rejected(tmp_path, t_points):
         run(tmp_path, "--t-points", t_points, "tree")
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["--n-traj", 0], "--n-traj"),
+    (["--gamma-grid", "1e-4:1e-1:0"], "--gamma-grid"),
+    (["--gamma-grid", "0"], "--gamma-grid"),
+], ids=["no_trajectory", "empty_grid", "zero_grid"])
+def test_fig3_rejects_bad_input_before_writing(tmp_path, argv, name):
+    with pytest.raises(ValueError, match=name):
+        run(tmp_path, *argv, "fig3")
+    assert not (tmp_path / "fig3.manifest").exists()
+
+
 def test_fig3_cross_check_passes_at_seed_4(tmp_path, capsys):
     assert run(tmp_path, "--seed", 4, "--gamma-grid", "1e-3,1e-1",
                "fig3") == 0

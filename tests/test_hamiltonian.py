@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spinclone import (DimensionLimitError, bipartite, build_block,
-                       from_edge_list, required_weights, sector_basis,
-                       spectral, star, tree)
+                       from_edge_list, sector_basis, spectral, star, tree)
 from reference import full_hamiltonian
 
 
@@ -24,6 +23,12 @@ def test_basis_rejects_empty_weights():
 def test_single_excitation_dimension():
     basis = sector_basis(40, (1,))
     assert len(basis) == 40
+
+
+def test_dimension_checked_before_enumeration():
+    # 2^40 configurations: raising must not wait for them to be listed.
+    with pytest.raises(DimensionLimitError, match=str(2 ** 40)):
+        sector_basis(40, tuple(range(41)))
 
 
 def test_two_site_xy_hopping_block():
@@ -118,12 +123,3 @@ def test_spectral_dimension_guard():
     block = build_block(star(2), (0, 1))
     with pytest.raises(DimensionLimitError):
         spectral(block, max_dim=2)
-
-
-def test_required_weights():
-    assert required_weights(math.pi / 2, 1) == (0, 1)
-    assert required_weights(0.0, 3) == (0,)
-    assert required_weights(math.pi, 3) == (3,)
-    assert required_weights(math.pi / 2, 2) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        required_weights(-0.1, 1)

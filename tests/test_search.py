@@ -10,9 +10,12 @@ from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
                        jitter, optimize, prepare_input, run_protocol, star,
                        t_c_xy, tree, xy_star_fidelity)
 from spinclone import search
-from spinclone.hamiltonian import assemble_blocks, orbit_isometry
+from spinclone.dynamics import OutputReadout, count_input
+from spinclone.hamiltonian import (assemble_blocks, count_basis,
+                                   sector_dimension)
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
+from reference import orbit_isometry
 from strategies import small_networks
 
 EQUATOR = math.pi / 2
@@ -105,6 +108,36 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     leak = h @ orbits - orbits @ (orbits.T @ h @ orbits)
     assert np.max(np.abs(leak)) <= 1e-12
 
+    # The count basis spans the orbit sums S: its block, input and readout
+    # are S^T H S, S^T psi, S^T D S and S^T G S, with the configuration
+    # readout D (diagonal) and G (output coherence pairs) built here bit by
+    # bit.
+    basis = count_basis(tuple(classes.tolist()), psi.basis.weights)
+    assert (len(basis), basis) == (scan.dim, scan.basis)
+    block = assemble_blocks(configured, basis,
+                            configured.coupling_array()[None])[0]
+    assert np.max(np.abs(block - orbits.T @ h @ orbits)) <= 1e-12
+    amplitudes = count_input(configured, basis, theta, phi)
+    assert np.max(np.abs(amplitudes - orbits.T @ psi.amplitudes)) <= 1e-12
+
+    words = psi.basis.states.tolist()
+    where = {w: k for k, w in enumerate(words)}
+    n_out = len(net.output_sites)
+    c2, s2 = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
+    diagonal = np.zeros(len(words))
+    pairs = np.zeros((len(words), len(words)))
+    for k, w in enumerate(words):
+        for o in net.output_sites:
+            diagonal[k] += (s2 if w >> o & 1 else c2) / n_out
+            if not w >> o & 1 and w | 1 << o in where:
+                pairs[k, where[w | 1 << o]] += 1.0 / n_out
+    readout = OutputReadout(net, basis, theta, phi)
+    projected = orbits.T @ (diagonal[:, None] * orbits)
+    assert np.max(np.abs(projected - np.diag(readout.diagonal))) <= 1e-12
+    counted = np.zeros((len(basis), len(basis)))
+    np.add.at(counted, (readout.lower, readout.upper), readout.weight)
+    assert np.max(np.abs(counted - orbits.T @ pairs @ orbits)) <= 1e-12
+
     jittered = ProtocolScan(jitter(net, 0.1, seed=3), anisotropy, theta)
     assert jittered.dim == len(psi.basis)
 
@@ -118,13 +151,18 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     (tree(2, 2), 16, 12),
     (tree(3, 2), 41, 23),
     (jitter(star(4), 0.1, seed=0), 6, 6),
+    # More configurations than MAX_DIM; the scan builds none of them.
+    (bipartite(4, 57), 559737, 15),
+    (star(61), 63, 3),
 ], ids=["bipartite_4_5", "bipartite_3_4",
         *[f"bipartite_2_{m}" for m in range(3, 8)],
         *[f"star_{m}" for m in (2, 5, 7)],
-        "tree_2_2", "tree_3_2", "jittered_star_4"])
+        "tree_2_2", "tree_3_2", "jittered_star_4", "bipartite_4_57",
+        "star_61"])
 def test_reduced_sector_dims(net, full, reduced):
     scan = ProtocolScan(net, 0.0, EQUATOR)
-    assert (len(scan.basis), scan.dim) == (full, reduced)
+    configurations = sector_dimension([1] * net.n_sites, scan.basis.weights)
+    assert (configurations, scan.dim) == (full, reduced)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
