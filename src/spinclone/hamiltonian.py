@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .topology import SpinNetwork
 
@@ -216,7 +215,7 @@ def spectral(block: HamiltonianBlock, max_dim: int = MAX_DIM) -> SpectralDecompo
         raise DimensionLimitError(
             f"block dimension {dim} exceeds maximum {max_dim}"
         )
-    eigenvalues, eigenvectors = scipy.linalg.eigh(block.matrix)
+    eigenvalues, eigenvectors = np.linalg.eigh(block.matrix)
     return SpectralDecomposition(
         basis=block.basis,
         eigenvalues=eigenvalues,

@@ -12,7 +12,11 @@ with ``c = cos(theta/2)``, ``s = sin(theta/2)``, ``gbar`` the site-mean
 coherence sum and ``chi = arg(gbar) + phi``.  Its maximum over a field
 interval is therefore known at every time, and the one optimizer,
 :func:`optimize`, searches in time only: a dense scan of that maximum, then
-golden-section refinement of the best peaks.
+golden-section refinement of the best peaks, all of them in lockstep.
+Every evaluation is batched through one phase builder: a uniform grid takes
+its phases ``e^{-iEt}`` as products of row and column phases, about
+``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, and a batch of
+arbitrary times is its one-column case.
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -95,12 +99,23 @@ class _Spectra:
                                   vecs.astype(np.complex128),
                                   coeffs[:, :, None]))
 
-    def stacked_components(self, t_values: np.ndarray):
-        """``(base, gbar)``, each (R, T), for a batch of times."""
-        amps = np.empty((self._realizations, self.dim, len(t_values)),
+    def stacked_components(self, t_rows: np.ndarray, t_cols=(0.0,)):
+        """``(base, gbar)``, each (R, T), at the ``T = len(t_rows) *
+        len(t_cols)`` times ``t_rows[j] + t_cols[m]`` in row-major order.
+
+        The phase ``e^{-iE(t_rows[j] + t_cols[m])}`` is the product of a row
+        and a column phase.  A batch of arbitrary times is the one-column
+        case at offset 0, whose phase is exactly ``1 + 0j``.
+        """
+        count = len(t_rows) * len(t_cols)
+        amps = np.empty((self._realizations, self.dim, count),
                         dtype=np.complex128)
         for idx, vals, vecs, coeffs in self._sectors:
-            amps[:, idx, :] = vecs @ (coeffs * np.exp(-1j * (vals * t_values)))
+            phase = (np.exp(-1j * (vals * t_rows))[..., None]
+                     * np.exp(-1j * (vals * t_cols))[..., None, :])
+            amps[:, idx, :] = vecs @ (coeffs * phase.reshape(
+                self._realizations, len(idx), count))
+            del phase   # freed before the readout's temporaries
         r = self._readout
         return (r.diagonal @ np.abs(amps) ** 2,
                 r.weight @ (amps[:, r.lower] * np.conj(amps[:, r.upper])))
@@ -124,31 +139,44 @@ class ProtocolScan(_Spectra):
                          theta, phi)
         self.n_eval = 0
 
-    def components(self, t_values) -> tuple[np.ndarray, np.ndarray]:
-        """Field-independent pieces ``(base, gbar)`` for a batch of times."""
-        t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-        base, gbar = self.stacked_components(t_values)
-        self.n_eval += len(t_values)
-        return base[0], gbar[0]
+    def components(self, t_values,
+                   grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Field-independent pieces ``(base, gbar)`` for a batch of times.
+
+        ``grid=True`` declares ``t_values`` a uniform grid of ``T`` times:
+        its phases are then products of one row phase per ``w =
+        ceil(sqrt(T))`` times and ``w`` column phases at multiples of the
+        step (see :meth:`_Spectra.stacked_components`).
+        """
+        t = np.atleast_1d(np.asarray(t_values, dtype=float))
+        rows, cols = t, (0.0,)
+        if grid and len(t) > 1:
+            width = math.isqrt(len(t) - 1) + 1
+            rows = t[::width]
+            cols = np.arange(width) * ((t[-1] - t[0]) / (len(t) - 1))
+        base, gbar = self.stacked_components(rows, cols)
+        self.n_eval += len(t)
+        return base[0, :len(t)], gbar[0, :len(t)]
 
     def mean_fidelity(self, t: float, b: float) -> float:
         base, gbar = self.components([t])
         return float(self._readout.fidelity(base, gbar,
                                             np.exp(-1j * (t * b)))[0])
 
-    def field_maximum(self, t_values, b_lo: float, b_hi: float) -> np.ndarray:
+    def field_maximum(self, t_values, b_lo: float, b_hi: float,
+                      grid: bool = False) -> np.ndarray:
         """The values of :meth:`field_optimum`.  An interval unbounded above
         reaches ``base + 2cs |gbar|`` at every ``t > 0``, needing no field."""
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
         if b_hi < math.inf or t.min() <= 0.0:
-            return self.field_optimum(t, b_lo, b_hi)[0]
-        base, gbar = self.components(t)
+            return self.field_optimum(t, b_lo, b_hi, grid)[0]
+        base, gbar = self.components(t, grid)
         return base + 2.0 * self._readout.cs * np.abs(gbar)
 
-    def field_optimum(self, t_values, b_lo: float,
-                      b_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    def field_optimum(self, t_values, b_lo: float, b_hi: float,
+                      grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Maximum of ``F(t, B)`` over ``b_lo <= B <= b_hi`` for a batch of
-        times, and a field attaining it.
+        times, and a field attaining it; ``grid`` as in :meth:`components`.
 
         ``base + 2cs |gbar|`` is reached at the smallest ``B >= b_lo`` with
         ``B = chi / t (mod 2 pi / t)``; where that exceeds ``b_hi``, and at
@@ -156,7 +184,7 @@ class ProtocolScan(_Spectra):
         (``b_lo`` on a tie).
         """
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
-        base, gbar = self.components(t)
+        base, gbar = self.components(t, grid)
         best = base + 2.0 * self._readout.cs * np.abs(gbar)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             period = 2.0 * math.pi / np.abs(t)
@@ -173,23 +201,30 @@ class ProtocolScan(_Spectra):
         return best, fields
 
 
-def _golden_max(func, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal scalar on [lo, hi], to a
-    bracket of 1e-10; returns the better final point and its value."""
-    a, b = lo, hi
+def _golden_refine(func, lo: np.ndarray,
+                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization of a unimodal function on every bracket
+    ``[lo[k], hi[k]]``, each to a width of 1e-10.  The brackets advance in
+    lockstep: ``func`` maps an array of times to values and is called once
+    per step with the new point of every bracket still open.  Returns the
+    better final point of each bracket and its value."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
-    f1, f2 = func(x1), func(x2)
-    while b - a > 1e-10:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = func(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = func(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+    f1, f2 = np.split(func(np.concatenate((x1, x2))), 2)
+    active = np.nonzero(b - a > 1e-10)[0]
+    while len(active):
+        rising = f1[active] < f2[active]
+        up, down = active[rising], active[~rising]
+        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        x2[up] = a[up] + GOLDEN * (b[up] - a[up])
+        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x1[down] = b[down] - GOLDEN * (b[down] - a[down])
+        values = func(np.concatenate((x2[up], x1[down])))
+        f2[up], f1[down] = values[:len(up)], values[len(up):]
+        active = active[b[active] - a[active] > 1e-10]
+    first = f1 >= f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
 def optimize(net: SpinNetwork, anisotropy: float, theta: float,
@@ -200,7 +235,7 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
 
     The field is maximized in closed form at every time (see
     :meth:`ProtocolScan.field_optimum`), so only time is searched: a dense
-    scan of ``t_points`` times over ``t_range``, then golden-section
+    scan of ``t_points`` times over ``t_range``, then lockstep golden-section
     refinement within one spacing of the ``PEAKS`` best scan points more than
     two points apart.  A fixed field ``B`` is the interval ``(B, B)``.
     Refined maxima within ``TIE_TOLERANCE`` resolve to the smallest time.
@@ -218,7 +253,7 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
     values = np.empty(t_points)
     for lo in range(0, t_points, CHUNK):
         values[lo:lo + CHUNK] = scan.field_maximum(t_values[lo:lo + CHUNK],
-                                                   b_lo, b_hi)
+                                                   b_lo, b_hi, grid=True)
 
     # argsort is not stable, so the first maximum goes first: a flat
     # landscape then refines its smallest time.
@@ -229,14 +264,13 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
         if all(abs(int(idx) - c) > 2 for c in chosen):
             chosen.append(int(idx))
 
-    def maximum_at(t: float) -> float:
-        return float(scan.field_maximum([t], b_lo, b_hi)[0])
-
     spacing = (t_hi - t_lo) / (t_points - 1)
-    refined = [_golden_max(maximum_at, max(t_lo, t_values[k] - spacing),
-                           min(t_hi, t_values[k] + spacing)) for k in chosen]
-    top = max(f for _, f in refined)
-    best_t = min(t for t, f in refined if f >= top - TIE_TOLERANCE)
+    centers = t_values[chosen]
+    times, maxima = _golden_refine(
+        lambda t: scan.field_maximum(t, b_lo, b_hi),
+        np.maximum(t_lo, centers - spacing),
+        np.minimum(t_hi, centers + spacing))
+    best_t = times[maxima >= maxima.max() - TIE_TOLERANCE].min()
     best, fields = scan.field_optimum([best_t], b_lo, b_hi)
     return OptimizationResult(
         fidelity=float(best[0]), t_c=float(best_t), b_opt=float(fields[0]),

@@ -4,6 +4,8 @@ Everything here works on the full 2^n space with dense Kronecker products
 and generic tensor reshapes, deliberately sharing no machinery with the
 package's sector-restricted implementation.
 """
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -116,3 +118,24 @@ def full_dephasing_evolve(h, rho, gamma, t):
         liouvillian += (gamma / 4.0) * (np.kron(zi.T, zi) - np.kron(eye, eye))
     vec = scipy.linalg.expm(liouvillian * t) @ rho.ravel(order="F")
     return vec.reshape((dim, dim), order="F")
+
+
+def golden_max(func, lo, hi):
+    """Scalar golden-section maximization of a unimodal ``func`` on
+    ``[lo, hi]`` to a bracket of 1e-10, one point per call; returns the
+    better final point and its value."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - ratio * (b - a)
+    x2 = a + ratio * (b - a)
+    f1, f2 = func(x1), func(x2)
+    while b - a > 1e-10:
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + ratio * (b - a)
+            f2 = func(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - ratio * (b - a)
+            f1 = func(x1)
+    return (x1, f1) if f1 >= f2 else (x2, f2)

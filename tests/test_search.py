@@ -15,7 +15,7 @@ from spinclone.hamiltonian import (assemble_blocks, count_basis,
                                    sector_dimension)
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
-from reference import orbit_isometry
+from reference import golden_max, orbit_isometry
 from strategies import small_networks
 
 EQUATOR = math.pi / 2
@@ -191,6 +191,50 @@ def test_field_maximum_over_interval(net, anisotropy, theta, phi, times, b_lo,
         assert b_lo - 1e-9 * (1.0 + abs(b)) <= b <= b_hi
         assert abs(scan.mean_fidelity(t, b) - value) <= 1e-12
         assert max(scan.mean_fidelity(t, s) for s in sampled) <= value + 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       centers=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=9),
+       spacing=st.floats(1e-3, 0.5), b_lo=st.floats(-2.0, 2.0),
+       kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
+       width=st.floats(0.0, 3.0))
+def test_lockstep_refinement_matches_scalar_oracle(net, anisotropy, theta, phi,
+                                                   centers, spacing, b_lo,
+                                                   kind, width):
+    # Every bracket of the lockstep search reaches the value that the
+    # oracle's scalar search, one single-time call per point, reaches, at a
+    # time inside the bracket; the first bracket is clipped at t = 0.
+    b_hi = {"fixed": b_lo, "bounded": b_lo + width,
+            "unbounded": math.inf}[kind]
+    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    centers = np.array([0.0] + centers)
+    lo, hi = np.maximum(0.0, centers - spacing), centers + spacing
+    times, maxima = search._golden_refine(
+        lambda t: scan.field_maximum(t, b_lo, b_hi), lo, hi)
+    for k in range(len(centers)):
+        _, value = golden_max(
+            lambda x: scan.field_maximum([x], b_lo, b_hi)[0], lo[k], hi[k])
+        assert abs(maxima[k] - value) <= 1e-12
+        assert lo[k] <= times[k] <= hi[k]
+
+
+@pytest.mark.parametrize("net,field", [
+    (bipartite(4, 5), (1.0 / 100.0, math.inf)),
+    (bipartite(2, 3), (0.0, 0.5)),
+    (tree(3, 2), (0.0, math.inf)),
+], ids=["bipartite_4_5", "bipartite_2_3_bounded", "tree_3_2"])
+@pytest.mark.parametrize("n", [3, 7, 1000, 5001, 8191])
+def test_grid_phases_match_direct_times(net, field, n):
+    # The factorized grid's ceil(sqrt(n)) columns divide none of these n.
+    # Both sides round the phase argument to about |E t| 2^-53, t <= 3000.
+    scan = ProtocolScan(net, 0.0, EQUATOR)
+    t = np.linspace(0.0, 3000.0, n)
+    grid = scan.field_maximum(t, *field, grid=True)
+    direct = scan.field_maximum(t, *field)
+    assert np.max(np.abs(grid - direct)) <= 1e-11
+    assert scan.n_eval == 2 * n
 
 
 def test_field_maximum_at_time_zero_ignores_the_field():
