@@ -81,9 +81,23 @@ class GatePulse:
         return self.value if self.kind == "xy_pulse" else 0.0
 
 
-def _propagate(rho: np.ndarray, matrix: np.ndarray, z: np.ndarray,
-               gamma: float, t: float) -> np.ndarray:
-    """Exact dephasing evolution ``vec(rho(t)) = expm(L t) vec(rho)``.
+# Phase entries (steps x trajectories x states) that stochastic_evolve holds
+# at once: four steps of 1000 trajectories on a 4-state sector.  Longer
+# chunks save little per step and raise a fig3 process's peak memory.
+KICK_ENTRIES = 1 << 14
+
+
+def _require(name: str, value: float, positive: bool = False) -> None:
+    """Raise ValueError unless ``value`` is finite and >= 0 (> 0 if
+    ``positive``)."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def _propagator(matrix: np.ndarray, z: np.ndarray, gamma: float,
+                t: float) -> np.ndarray:
+    """Exact dephasing propagator ``expm(L t)`` on row-major ``vec(rho)``.
 
     With row-major ``vec``, ``-i [H, rho]`` is ``-i (H x 1 - 1 x H^T)`` and
     the dissipator is diagonal: ``(Gamma/4) sum_i (z_ai z_bi - 1)`` on
@@ -97,18 +111,24 @@ def _propagate(rho: np.ndarray, matrix: np.ndarray, z: np.ndarray,
     generator = -1j * (np.kron(matrix, eye) - np.kron(eye, matrix.T))
     dephasing = (gamma / 4.0) * (z @ z.T - z.shape[1])
     generator[np.diag_indices(dim * dim)] += dephasing.ravel()
-    return (scipy.linalg.expm(generator * t) @ rho.ravel()).reshape(dim, dim)
+    return scipy.linalg.expm(generator * t)
+
+
+def _apply(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``rho(t)`` from ``vec(rho(t)) = propagator vec(rho)``."""
+    return (propagator @ rho.ravel()).reshape(rho.shape)
 
 
 def lindblad_evolve(rho0: MixedState, block: HamiltonianBlock, gamma: float,
                     t: float) -> MixedState:
     """Evolve a density matrix under the block Hamiltonian with dephasing."""
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    _require("gamma", gamma)
+    _require("t", t)
     if rho0.basis != block.basis:
         raise ValueError("state and block use different bases")
-    final = _propagate(rho0.matrix.astype(np.complex128), block.matrix,
-                       1.0 - 2.0 * block.basis.counts, gamma, t)
+    propagator = _propagator(block.matrix, 1.0 - 2.0 * block.basis.counts,
+                             gamma, t)
+    final = _apply(propagator, rho0.matrix.astype(np.complex128))
     return MixedState(basis=block.basis, matrix=final)
 
 
@@ -124,6 +144,11 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     that is the complex conjugate phase factors, so each one is still an
     exact sample of the noise while the error of the average that is odd in
     the kicks cancels.  Deterministic under a fixed seed.
+
+    The kicks are drawn from the generator for a chunk of steps at a time,
+    at most ``KICK_ENTRIES`` phase entries, which yields the same numbers in
+    the same order as one ``(ceil(n_traj / 2), n_sites)`` draw per step; the
+    states advance in two reused buffers.
     """
     basis = block.basis
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -131,31 +156,56 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
         raise ValueError("state dimension does not match block basis")
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
-    z = 1.0 - 2.0 * basis.counts   # sz per site
+    _require("gamma", gamma)
+    _require("t", t)
+    _require("dt", dt, positive=True)
     rng = np.random.default_rng(seed)
 
     n_full = int(math.floor(t / dt + 1e-12))
     remainder = t - n_full * dt
     states = np.tile(psi0, (n_traj, 1))
+    spare = np.empty_like(states)
     half = (n_traj + 1) // 2
+    rest = n_traj - half
+    # Kick -> phase angle -(kicks . z) / 2 with z the sz per site; the factor
+    # -1/2 is exact, so the angles do not depend on where it is applied.
+    to_angle = -0.5 * (1.0 - 2.0 * basis.counts).T
+    chunk = max(1, KICK_ENTRIES // states.size)
+    kicks = np.empty((chunk, half, basis.counts.shape[1]))
+    angles = np.empty((chunk, half, len(basis)))
+    phases = np.empty((chunk, n_traj, len(basis)), dtype=np.complex128)
 
-    def run_segment(states, duration, n_steps):
+    def draw_phases(n_steps, scale):
+        """Phase factors of the next ``n_steps`` steps into ``phases``."""
+        kick = kicks[:n_steps]
+        rng.standard_normal(out=kick)
+        kick *= scale
+        angle = np.matmul(kick, to_angle, out=angles[:n_steps])
+        phase = phases[:n_steps]
+        np.cos(angle, out=phase[:, :half].real)
+        np.sin(angle, out=phase[:, :half].imag)
+        phase[:, half:].real = phase[:, :rest].real
+        np.negative(phase[:, :rest].imag, out=phase[:, half:].imag)
+
+    def run_segment(duration, n_steps):
+        nonlocal states, spare
         if n_steps == 0 or duration == 0.0:
-            return states
-        u = scipy.linalg.expm(-1j * duration * block.matrix)
+            return
+        u_t = scipy.linalg.expm(-1j * duration * block.matrix).T
         scale = math.sqrt(gamma * duration)
-        for _ in range(n_steps):
-            states = states @ u.T
+        for lo in range(0, n_steps, chunk):
+            n_chunk = min(chunk, n_steps - lo)
             if scale > 0.0:
-                kicks = rng.normal(0.0, scale, size=(half, z.shape[1]))
-                phases = np.exp(-0.5j * (kicks @ z.T))
-                states = states * np.concatenate(
-                    [phases, phases.conj()])[:n_traj]
-        return states
+                draw_phases(n_chunk, scale)
+            for step in range(n_chunk):
+                np.matmul(states, u_t, out=spare)
+                states, spare = spare, states
+                if scale > 0.0:
+                    states *= phases[step]
 
-    states = run_segment(states, dt, n_full)
+    run_segment(dt, n_full)
     if remainder > 1e-15:
-        states = run_segment(states, remainder, 1)
+        run_segment(remainder, 1)
     rho = (states.T @ states.conj()) / n_traj
     return MixedState(basis=basis, matrix=rho)
 
@@ -339,10 +389,15 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
     amplitudes[1] = math.sin(theta / 2.0)       # configuration |1> on qubit 0
     rho = np.outer(amplitudes, amplitudes.conj())
     z = 1.0 - 2.0 * basis.counts   # sz per site
+    propagators = {}   # one per distinct (pair, duration); pulses repeat
     for pulse in schedule:
         if pulse.kind == "xy_pulse":
-            block = _pair_block(n_qubits, *pulse.sites)
-            rho = _propagate(rho, block.matrix, z, gamma, pulse.value)
+            key = (pulse.sites, pulse.value)
+            if key not in propagators:
+                block = _pair_block(n_qubits, *pulse.sites)
+                propagators[key] = _propagator(block.matrix, z, gamma,
+                                               pulse.value)
+            rho = _apply(propagators[key], rho)
         else:
             u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis)
             rho = u @ rho @ u.conj().T

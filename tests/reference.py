@@ -139,3 +139,41 @@ def golden_max(func, lo, hi):
             x1 = b - ratio * (b - a)
             f1 = func(x1)
     return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
+    """Trajectory average one step at a time, one kick draw per step.
+
+    The original per-step loop of ``noise.stochastic_evolve``, kept as the
+    oracle for its chunked kernel: same random stream, same arithmetic.
+    Returns the averaged density matrix and the (n_traj, dim) final
+    trajectory states.
+    """
+    psi0 = np.asarray(psi0, dtype=np.complex128)
+    z = 1.0 - 2.0 * block.basis.counts   # sz per site
+    rng = np.random.default_rng(seed)
+
+    n_full = int(math.floor(t / dt + 1e-12))
+    remainder = t - n_full * dt
+    states = np.tile(psi0, (n_traj, 1))
+    half = (n_traj + 1) // 2
+
+    def run_segment(states, duration, n_steps):
+        if n_steps == 0 or duration == 0.0:
+            return states
+        u = scipy.linalg.expm(-1j * duration * block.matrix)
+        scale = math.sqrt(gamma * duration)
+        for _ in range(n_steps):
+            states = states @ u.T
+            if scale > 0.0:
+                kicks = rng.normal(0.0, scale, size=(half, z.shape[1]))
+                phases = np.exp(-0.5j * (kicks @ z.T))
+                states = states * np.concatenate(
+                    [phases, phases.conj()])[:n_traj]
+        return states
+
+    states = run_segment(states, dt, n_full)
+    if remainder > 1e-15:
+        states = run_segment(states, remainder, 1)
+    rho = (states.T @ states.conj()) / n_traj
+    return rho, states

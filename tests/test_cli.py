@@ -182,6 +182,18 @@ def test_fig3_cross_check_passes_at_seed_4(tmp_path, capsys):
     assert line.startswith("[ok]") and "bound 0.01" in line
 
 
+@pytest.mark.parametrize("seed,distance", [(0, "0.00553"), (4, "0.0042")])
+def test_fig3_cross_check_random_stream_is_pinned(tmp_path, capsys, seed,
+                                                  distance):
+    # Printed values of the per-step trajectory loop on the default grid; a
+    # change to the kick stream or its arithmetic moves them.
+    assert run(tmp_path, "--seed", seed, "fig3") == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "trajectory/master cross-check" in ln)
+    assert line == (f"[ok] trajectory/master cross-check (1000 trajectories):"
+                    f" trace distance {distance}, bound 0.01")
+
+
 def test_table1_command_small_grid(tmp_path, capsys):
     # A deliberately coarse scan still emits all rows with deviation and
     # flag columns; headline tolerances are only claimed at full density.

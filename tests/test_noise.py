@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from spinclone import (GatePulse, b_opt_xy, build_block,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
                        pcc_circuit_schedule, prepare_input, star,
                        stochastic_evolve, t_c_xy)
-from spinclone.noise import (MixedState, cnot_pulses, cry_pulses,
-                             schedule_duration, schedule_unitary)
-from reference import full_dephasing_evolve, full_hamiltonian, full_input_state
+from spinclone.dynamics import clone_fidelity, reduce_density_to_site
+from spinclone.noise import (KICK_ENTRIES, MixedState, cnot_pulses,
+                             cry_pulses, schedule_duration, schedule_unitary)
+from reference import (full_dephasing_evolve, full_hamiltonian,
+                       full_input_state, stochastic_stepwise)
+from strategies import small_networks as connected_networks
 
 EQUATOR = math.pi / 2
 
@@ -146,6 +150,106 @@ def test_stochastic_single_qubit_three_sigma():
     sigma = max(sigma / math.sqrt(n_traj), 1e-4)
     assert abs(out.matrix[0, 1].real - target) <= 3.0 * sigma
     assert abs(out.matrix[0, 1].imag) <= 3.0 * sigma
+
+
+@pytest.mark.parametrize("n_traj,gamma,t", [
+    (2, 0.05, 0.5),
+    (999, 0.05, 0.5),          # odd: the antithetic half is one row short
+    (1000, 0.1, t_c_xy(2)),    # fig3's cross-check, with a remainder step
+    (1000, 0.1, 0.0237),       # 23 steps and a remainder step
+    (1000, 0.0, 0.5),          # no kicks drawn
+])
+def test_stochastic_matches_stepwise_oracle(n_traj, gamma, t):
+    _, state, block = _star_setup(2)
+    out = stochastic_evolve(state.amplitudes, block, gamma, t,
+                            n_traj=n_traj, seed=7)
+    rho, _ = stochastic_stepwise(state.amplitudes, block, gamma, t,
+                                 n_traj=n_traj, seed=7)
+    assert np.array_equal(out.matrix, rho)
+
+
+def test_stochastic_oracle_cases_split_chunks():
+    # The 1000-trajectory cases above end in a partial chunk of kick steps.
+    _, state, _ = _star_setup(2)
+    chunk = max(1, KICK_ENTRIES // (1000 * len(state.basis)))
+    assert chunk > 1
+    assert 23 % chunk and int(t_c_xy(2) / 1e-3) % chunk
+
+
+def test_stochastic_single_trajectory_near_oracle():
+    # One-row products may take another BLAS path than the oracle's.
+    _, state, block = _star_setup(2)
+    out = stochastic_evolve(state.amplitudes, block, 0.1, 0.5, n_traj=1,
+                            seed=7)
+    rho, _ = stochastic_stepwise(state.amplitudes, block, 0.1, 0.5,
+                                 n_traj=1, seed=7)
+    assert np.max(np.abs(out.matrix - rho)) <= 1e-14
+
+
+def test_stochastic_memory_stays_bounded():
+    _, state, block = _star_setup(2)
+    stochastic_evolve(state.amplitudes, block, 0.1, 0.01, n_traj=1)  # warm-up
+    tracemalloc.start()
+    try:
+        stochastic_evolve(state.amplitudes, block, 0.1, t_c_xy(2),
+                          n_traj=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+MALFORMED_T_GAMMA = [("t", {"t": -1.0}), ("t", {"t": math.inf}),
+                     ("t", {"t": math.nan}), ("gamma", {"gamma": math.nan}),
+                     ("gamma", {"gamma": -1e-3}),
+                     ("gamma", {"gamma": math.inf})]
+
+
+@pytest.mark.parametrize("name,kwargs", MALFORMED_T_GAMMA + [
+    ("dt", {"dt": 0.0}), ("dt", {"dt": -1e-3}), ("dt", {"dt": math.nan})])
+def test_stochastic_rejects_malformed_inputs(name, kwargs):
+    _, state, block = _star_setup(2)
+    args = {"gamma": 1e-3, "t": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        stochastic_evolve(state.amplitudes, block, n_traj=2, **args)
+
+
+@pytest.mark.parametrize("name,kwargs", MALFORMED_T_GAMMA)
+def test_lindblad_rejects_malformed_inputs(name, kwargs):
+    _, state, block = _star_setup(2)
+    args = {"gamma": 1e-3, "t": 1.0, **kwargs}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        lindblad_evolve(_pure(state), block, **args)
+
+
+def _mean_clone_fidelity(matrix, net, basis, theta, phi):
+    return np.mean([
+        clone_fidelity(reduce_density_to_site(matrix, basis, s), theta, phi)
+        for s in net.output_sites])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(net=connected_networks(max_sites=4), gamma=st.floats(0.0, 0.5),
+       t=st.floats(0.0, 1.5), theta=st.floats(0.0, math.pi),
+       phi=st.floats(0.0, 2 * math.pi))
+def test_trajectories_match_master_within_three_sigma(net, gamma, t, theta,
+                                                      phi):
+    n_traj = 200
+    state = prepare_input(net, theta, phi)
+    block = build_block(net, state.basis.weights)
+    master = lindblad_evolve(_pure(state), block, gamma, t).matrix
+    sampled = stochastic_evolve(state.amplitudes, block, gamma, t,
+                                n_traj=n_traj, seed=5).matrix
+    _, states = stochastic_stepwise(state.amplitudes, block, gamma, t,
+                                    n_traj=n_traj, seed=5)
+    per_traj = np.array([
+        _mean_clone_fidelity(np.outer(psi, psi.conj()), net, state.basis,
+                             theta, phi) for psi in states])
+    pairs = 0.5 * (per_traj[:n_traj // 2] + per_traj[n_traj // 2:])
+    sigma = max(np.std(pairs, ddof=1) / math.sqrt(len(pairs)), 1e-4)
+    gap = (_mean_clone_fidelity(sampled, net, state.basis, theta, phi)
+           - _mean_clone_fidelity(master, net, state.basis, theta, phi))
+    assert abs(gap) <= 3.0 * sigma
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1e-2])
