@@ -1,9 +1,10 @@
 """Reproduction harness: one subcommand per headline artifact.
 
-Every command writes deterministic CSV (9 significant digits, fixed row
-order) plus a manifest file recording the full parameter set, seed and
-output hashes.  Commands exit nonzero when one of their tolerance checks
-fails, so they can gate CI runs.
+Each ``cmd_*`` computes and returns ``(tables, networks, params, checks)``;
+``_run`` alone writes them: deterministic CSV (9 significant digits, fixed
+row order), network dumps and a manifest file recording the full parameter
+set, seed and output hashes.  Commands exit nonzero when one of their
+tolerance checks fails, so they can gate CI runs.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .analytic import (NTOM_REFERENCE, NoPccReference, b_opt_xy,
 from .dynamics import protocol_fidelities, run_protocol
 from .noise import circuit_baseline, circuit_ideal_fidelity, noisy_network_fidelity
 from .search import disorder_study, optimize
-from .topology import SpinNetwork, bipartite, star, to_text, tree
+from .topology import bipartite, star, to_text, tree
 
 TREE_CASES = ((2, 0), (2, 1), (2, 2), (3, 1), (3, 2))
 DISORDER_STARS = (2, 3, 4)
@@ -40,50 +41,50 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, header: list[str], rows: list[list]) -> None:
+def _json_text(header: list[str], rows: list[list]) -> str:
     records = [
         {key: (_fmt(cell) if isinstance(cell, float) else cell)
          for key, cell in zip(header, row)}
         for row in rows
     ]
-    path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    return json.dumps(records, indent=1, sort_keys=True) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, params: dict,
-                    outputs: list[Path], started: float) -> Path:
-    lines = [f"command={command}", f"version={__version__}"]
+def _run(command, args) -> int:
+    """Run one command, then write its tables (CSV, plus JSON mirrors under
+    ``--format json``), its network dumps and a manifest of parameters and
+    output hashes, and print its checks.  Nothing is written when the
+    command raises.  Returns 1 when any check fails."""
+    started = time.time()
+    tables, networks, params, checks = command(args)
+    files = [(f"{stem}.csv", _csv_text(*table))
+             for stem, table in tables.items()]
+    if args.format == "json":
+        files += [(f"{stem}.json", _json_text(*table))
+                  for stem, table in tables.items()]
+    files += [(f"networks/{name}.txt", to_text(net))
+              for name, net in networks.items()]
+    out_dir = Path(args.out_dir)
+    (out_dir / "networks").mkdir(parents=True, exist_ok=True)
+    lines = [f"command={args.command}", f"version={__version__}"]
+    params = {"seed": args.seed, **params}
     lines += [f"{key}={value}" for key, value in sorted(params.items())]
-    lines += [f"output={p.name} sha256={_sha256(p)}" for p in outputs]
+    for name, text in files:
+        path = out_dir / name
+        path.write_text(text)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines.append(f"output={path.name} sha256={digest}")
     lines.append(f"duration_s={time.time() - started:.3f}")
-    path = out_dir / f"{command}.manifest"
-    path.write_text("\n".join(lines) + "\n")
-    return path
-
-
-def _dump_network(out_dir: Path, name: str, net: SpinNetwork) -> Path:
-    net_dir = out_dir / "networks"
-    net_dir.mkdir(parents=True, exist_ok=True)
-    path = net_dir / f"{name}.txt"
-    path.write_text(to_text(net))
-    return path
-
-
-def _report(checks: list[tuple[str, bool]]) -> int:
-    failed = 0
-    for name, ok in checks:
-        print(f"[{'ok' if ok else 'FAIL'}] {name}")
-        failed += 0 if ok else 1
-    return 1 if failed else 0
+    (out_dir / f"{args.command}.manifest").write_text("\n".join(lines) + "\n")
+    for line, ok in checks:
+        print(f"[{'ok' if ok else 'FAIL'}] {line}")
+    return 0 if all(ok for _, ok in checks) else 1
 
 
 def _parallel_map(func, items, threads: int):
@@ -93,12 +94,9 @@ def _parallel_map(func, items, threads: int):
         return list(pool.map(func, items))
 
 
-def cmd_fig2(args) -> int:
+def cmd_fig2(args) -> tuple:
     """Equatorial-sweep fidelity curves for two clones, plus the clone-count
     scaling at theta = pi/2 (analytic and numeric columns side by side)."""
-    started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     net2 = star(2)
     thetas = [math.pi * k / 180.0 for k in range(181)]
     xy_sweep = protocol_fidelities(net2, 0.0, b_opt_xy(2), thetas, 0.0,
@@ -124,22 +122,6 @@ def cmd_fig2(args) -> int:
         inset_rows.append([m, xy_star_fidelity(m, math.pi / 2), xy_num,
                            heis_star_fidelity(m, math.pi / 2), heis_num, pcc])
 
-    theta_path = out_dir / "fig2_theta.csv"
-    inset_path = out_dir / "fig2_inset.csv"
-    theta_header = ["theta", "F_xy_analytic", "F_xy_numeric",
-                    "F_heis_analytic", "F_heis_numeric", "F_pcc"]
-    inset_header = ["M", "F_xy_analytic", "F_xy_numeric", "F_heis_analytic",
-                    "F_heis_numeric", "F_pcc"]
-    _write_rows(theta_path, theta_header, theta_rows)
-    _write_rows(inset_path, inset_header, inset_rows)
-    outputs = [theta_path, inset_path]
-    if args.format == "json":
-        _write_json(out_dir / "fig2_theta.json", theta_header, theta_rows)
-        _write_json(out_dir / "fig2_inset.json", inset_header, inset_rows)
-        outputs += [out_dir / "fig2_theta.json", out_dir / "fig2_inset.json"]
-    outputs.append(_dump_network(out_dir, "star_2", net2))
-    _write_manifest(out_dir, "fig2", {"seed": args.seed}, outputs, started)
-
     mid = theta_rows[90]
     polar = max(abs(theta_rows[0][2] - 1.0), abs(theta_rows[0][4] - 1.0))
     gap = max(max(abs(r[1] - r[2]), abs(r[3] - r[4])) for r in theta_rows)
@@ -153,16 +135,16 @@ def cmd_fig2(args) -> int:
         (f"analytic-numeric agreement: max {gap:.3g}, bound 1e-8",
          gap < 1e-8),
     ]
-    return _report(checks)
+    columns = ["F_xy_analytic", "F_xy_numeric", "F_heis_analytic",
+               "F_heis_numeric", "F_pcc"]
+    tables = {"fig2_theta": (["theta"] + columns, theta_rows),
+              "fig2_inset": (["M"] + columns, inset_rows)}
+    return tables, {"star_2": net2}, {}, checks
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> tuple:
     """Bipartite N -> M maximization over the quoted (t, B) ranges, with the
     published values and deviations as comparison columns."""
-    started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     def scan_row(ref):
         net = bipartite(ref.n_inputs, ref.n_outputs)
         # The published scans bound the field below by J/B <= 100
@@ -178,11 +160,12 @@ def cmd_table1(args) -> int:
 
     results = _parallel_map(scan_row, NTOM_REFERENCE, args.threads)
     rows = []
-    outputs = []
-    params = {"seed": args.seed, "t_points": args.t_points}
+    networks = {}
+    params = {"t_points": args.t_points}
     for ref, (net, result, at_ref) in zip(NTOM_REFERENCE, results):
         name = f"bipartite_{ref.n_inputs}_{ref.n_outputs}"
         params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
+        networks[name] = net
         deviation = result.fidelity - ref.fidelity
         flag = "TOPOLOGY_MISMATCH" if abs(deviation) > 0.03 else ""
         rows.append([
@@ -192,19 +175,6 @@ def cmd_table1(args) -> int:
             result.j_over_b, ref.jt_c, ref.j_over_b, at_ref,
             result.n_evaluations, flag,
         ])
-        outputs.append(_dump_network(out_dir, name, net))
-
-    header = ["N", "M", "F_pcc", "F_ref", "F_found", "deviation",
-              "Jt_c_found", "B_over_J_found", "J_over_B_found", "Jt_c_ref",
-              "J_over_B_ref", "F_at_ref_point", "n_eval", "flag"]
-    table_path = out_dir / "table1.csv"
-    _write_rows(table_path, header, rows)
-    outputs.insert(0, table_path)
-    if args.format == "json":
-        json_path = out_dir / "table1.json"
-        _write_json(json_path, header, rows)
-        outputs.insert(1, json_path)
-    _write_manifest(out_dir, "table1", params, outputs, started)
 
     by_pair = {(r[0], r[1]): r for r in rows}
     checks = [("all seven rows emitted", len(rows) == 7)]
@@ -213,30 +183,35 @@ def cmd_table1(args) -> int:
         checks.append((f"{n}->{m} within 0.03 of published value or flagged: "
                        f"deviation {deviation:.3g}, bound 0.03",
                        abs(deviation) <= 0.03 or flag != ""))
-    return _report(checks)
+    header = ["N", "M", "F_pcc", "F_ref", "F_found", "deviation",
+              "Jt_c_found", "B_over_J_found", "J_over_B_found", "Jt_c_ref",
+              "J_over_B_ref", "F_at_ref_point", "n_eval", "flag"]
+    return {"table1": (header, rows)}, networks, params, checks
 
 
 def _parse_gamma_grid(spec: str) -> list[float]:
-    """Either 'start:stop:count' (log spaced) or a comma-separated list."""
-    if ":" in spec:
-        lo, hi, count = spec.split(":")
-        values = np.logspace(math.log10(float(lo)), math.log10(float(hi)),
-                             int(count))
-        return [float(v) for v in values]
-    return [float(v) for v in spec.split(",")]
+    """Either 'start:stop:count' (log spaced) or a comma-separated list,
+    holding at least one gamma > 0."""
+    try:
+        if ":" in spec:
+            lo, hi, count = spec.split(":")
+            values = np.logspace(math.log10(float(lo)), math.log10(float(hi)),
+                                 int(count)).tolist()
+        else:
+            values = [float(v) for v in spec.split(",")]
+    except ValueError as error:
+        raise ValueError(f"--gamma-grid {spec!r}: {error}") from error
+    if max(values, default=0.0) <= 0.0:
+        raise ValueError(f"--gamma-grid {spec!r} has no gamma > 0")
+    return values
 
 
-def cmd_fig3(args) -> int:
+def cmd_fig3(args) -> tuple:
     """Dephasing comparison of the free-evolution protocol against the
     compiled cloning circuits, for two and three clones."""
-    started = time.time()
     if args.n_traj < 1:
         raise ValueError(f"--n-traj must be at least 1, got {args.n_traj}")
     gammas = [0.0] + _parse_gamma_grid(args.gamma_grid)
-    if max(gammas) <= 0.0:
-        raise ValueError(f"--gamma-grid {args.gamma_grid!r} has no gamma > 0")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def network_point(item):
         m, gamma = item
@@ -257,20 +232,6 @@ def cmd_fig3(args) -> int:
         curves[("circuit", m)] = circ_vals
         rows += [["network", m, g, f] for g, f in zip(gammas, net_vals)]
         rows += [["circuit", m, g, f] for g, f in zip(gammas, circ_vals)]
-
-    header = ["protocol", "M", "gamma_over_J", "F"]
-    path = out_dir / "fig3.csv"
-    _write_rows(path, header, rows)
-    outputs = [path]
-    if args.format == "json":
-        json_path = out_dir / "fig3.json"
-        _write_json(json_path, header, rows)
-        outputs.append(json_path)
-    for m in (2, 3):
-        outputs.append(_dump_network(out_dir, f"star_{m}", star(m)))
-    _write_manifest(out_dir, "fig3",
-                    {"seed": args.seed, "gamma_grid": args.gamma_grid},
-                    outputs, started)
 
     probe = min((g for g in gammas if g > 0.0),
                 key=lambda g: abs(g - 1e-3))
@@ -294,7 +255,9 @@ def cmd_fig3(args) -> int:
          f"trace distance {cross:.3g}, bound {CROSS_CHECK_BOUND:g}",
          cross <= CROSS_CHECK_BOUND),
     ]
-    return _report(checks)
+    tables = {"fig3": (["protocol", "M", "gamma_over_J", "F"], rows)}
+    networks = {f"star_{m}": star(m) for m in (2, 3)}
+    return tables, networks, {"gamma_grid": args.gamma_grid}, checks
 
 
 def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
@@ -316,33 +279,20 @@ def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
     return 0.5 * float(np.sum(np.abs(gaps)))
 
 
-def cmd_tree(args) -> int:
+def cmd_tree(args) -> tuple:
     """Tree-graph single-input maxima with the equal-M star value alongside."""
-    started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    outputs = []
-    params = {"seed": args.seed, "t_points": args.t_points}
+    networks = {}
+    params = {"t_points": args.t_points}
     for branching, levels in TREE_CASES:
-        result = optimize(tree(branching, levels), 0.0, math.pi / 2,
-                          t_range=(0.0, 50.0), t_points=args.t_points)
         name = f"tree_{branching}_{levels}"
+        networks[name] = tree(branching, levels)
+        result = optimize(networks[name], 0.0, math.pi / 2,
+                          t_range=(0.0, 50.0), t_points=args.t_points)
         params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
         m = branching ** (levels + 1)
         rows.append([branching, levels, m, result.fidelity, result.t_c,
                      result.b_opt, xy_star_fidelity(m, math.pi / 2)])
-        outputs.append(_dump_network(out_dir, name, tree(branching, levels)))
-
-    header = ["k", "j", "M", "F", "Jt_c", "B_over_J", "F_star_formula"]
-    path = out_dir / "tree.csv"
-    _write_rows(path, header, rows)
-    outputs.insert(0, path)
-    if args.format == "json":
-        json_path = out_dir / "tree.json"
-        _write_json(json_path, header, rows)
-        outputs.insert(1, json_path)
-    _write_manifest(out_dir, "tree", params, outputs, started)
 
     by_case = {(r[0], r[1]): r[3] for r in rows}
     checks = [
@@ -350,15 +300,12 @@ def cmd_tree(args) -> int:
          abs(by_case[(k, j)] - target) <= 0.005)
         for k, j, target in ((2, 2, 0.676), (3, 2, 0.596))
     ]
-    return _report(checks)
+    header = ["k", "j", "M", "F", "Jt_c", "B_over_J", "F_star_formula"]
+    return {"tree": (header, rows)}, networks, params, checks
 
 
-def cmd_disorder(args) -> int:
+def cmd_disorder(args) -> tuple:
     """Coupling-disorder averages for small stars at the ideal XY point."""
-    started = time.time()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     def one(m):
         return disorder_study(star(m), DISORDER_EPSILON, DISORDER_SAMPLES,
                               0.0, math.pi / 2, t_c_xy(m), b_opt_xy(m),
@@ -370,22 +317,9 @@ def cmd_disorder(args) -> int:
          s.ideal_fidelity, s.relative_drop]
         for m, s in zip(DISORDER_STARS, summaries)
     ]
-    header = ["M", "epsilon", "samples", "mean_F", "std_F", "ideal_F",
-              "relative_drop"]
-    path = out_dir / "disorder.csv"
-    _write_rows(path, header, rows)
-    outputs = [path]
-    if args.format == "json":
-        json_path = out_dir / "disorder.json"
-        _write_json(json_path, header, rows)
-        outputs.append(json_path)
-    for m in DISORDER_STARS:
-        outputs.append(_dump_network(out_dir, f"star_{m}", star(m)))
-    params = {"seed": args.seed, "epsilon": DISORDER_EPSILON,
-              "samples": DISORDER_SAMPLES}
+    params = {"epsilon": DISORDER_EPSILON, "samples": DISORDER_SAMPLES}
     for m, s in zip(DISORDER_STARS, summaries):
         params[f"sector_dim.star_{m}"] = s.sector_dim
-    _write_manifest(out_dir, "disorder", params, outputs, started)
 
     lowest = min(r[6] for r in rows)
     checks = [
@@ -393,7 +327,20 @@ def cmd_disorder(args) -> int:
          rows[0][6] < 0.002),
         (f"every relative drop non-negative: min {lowest:.3g}", lowest >= 0.0),
     ]
-    return _report(checks)
+    header = ["M", "epsilon", "samples", "mean_F", "std_F", "ideal_F",
+              "relative_drop"]
+    networks = {f"star_{m}": star(m) for m in DISORDER_STARS}
+    return {"disorder": (header, rows)}, networks, params, checks
+
+
+# name: (command, help, default --t-points)
+COMMANDS = {
+    "fig2": (cmd_fig2, "two-clone fidelity curves and scaling inset", 600),
+    "table1": (cmd_table1, "bipartite N->M maxima versus published", 150001),
+    "fig3": (cmd_fig3, "dephasing comparison against circuits", 600),
+    "tree": (cmd_tree, "tree-graph cloning maxima", 5001),
+    "disorder": (cmd_disorder, "coupling-disorder robustness", 600),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,29 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="json additionally mirrors every CSV")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("fig2", help="two-clone fidelity curves and scaling inset")
-    sub.add_parser("table1", help="bipartite N->M maxima versus published")
-    sub.add_parser("fig3", help="dephasing comparison against circuits")
-    sub.add_parser("tree", help="tree-graph cloning maxima")
-    sub.add_parser("disorder", help="coupling-disorder robustness")
+    for name, (_, help_text, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
-
-
-_DEFAULT_T_POINTS = {"table1": 150001, "tree": 5001}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command, _, default_t_points = COMMANDS[args.command]
     if args.t_points is None:
-        args.t_points = _DEFAULT_T_POINTS.get(args.command, 600)
-    handler = {
-        "fig2": cmd_fig2,
-        "table1": cmd_table1,
-        "fig3": cmd_fig3,
-        "tree": cmd_tree,
-        "disorder": cmd_disorder,
-    }[args.command]
-    return handler(args)
+        args.t_points = default_t_points
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    return _run(command, args)
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from .topology import SpinNetwork
 MAX_DIM = 4096
 
 
-class DimensionLimitError(RuntimeError):
+class DimensionLimitError(ValueError):
     """Raised when a sector exceeds the configured dense-matrix budget."""
 
 

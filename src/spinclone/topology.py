@@ -16,7 +16,7 @@ import numpy as np
 MAX_SITES = 62
 
 
-class NetworkTooLargeError(RuntimeError):
+class NetworkTooLargeError(ValueError):
     """Raised when a requested graph exceeds the supported site count."""
 
 

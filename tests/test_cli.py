@@ -1,5 +1,10 @@
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,12 +113,20 @@ def test_disorder_command(tmp_path, capsys):
 
 
 def test_disorder_command_byte_deterministic(tmp_path):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
+    # Run c takes the thread-pool path; it must not change a byte.
     assert run(tmp_path / "a", "--seed", 5, "disorder") == 0
     assert run(tmp_path / "b", "--seed", 5, "disorder") == 0
-    assert ((tmp_path / "a" / "disorder.csv").read_bytes()
-            == (tmp_path / "b" / "disorder.csv").read_bytes())
+    assert run(tmp_path / "c", "--seed", 5, "--threads", 2, "disorder") == 0
+    serial = (tmp_path / "a" / "disorder.csv").read_bytes()
+    assert (tmp_path / "b" / "disorder.csv").read_bytes() == serial
+    assert (tmp_path / "c" / "disorder.csv").read_bytes() == serial
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_rejected(tmp_path, threads):
+    with pytest.raises(ValueError, match="--threads"):
+        run(tmp_path / "out", "--threads", threads, "disorder")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fig3_command(tmp_path, capsys):
@@ -167,11 +180,17 @@ def test_too_few_time_points_rejected(tmp_path, t_points):
     (["--n-traj", 0], "--n-traj"),
     (["--gamma-grid", "1e-4:1e-1:0"], "--gamma-grid"),
     (["--gamma-grid", "0"], "--gamma-grid"),
-], ids=["no_trajectory", "empty_grid", "zero_grid"])
+    (["--gamma-grid", "1e-4:1e-1"], "--gamma-grid"),
+    (["--gamma-grid", "0:1:3"], "--gamma-grid"),
+    (["--gamma-grid", "1e-3:1e-1:-2"], "--gamma-grid"),
+    (["--gamma-grid", "a,b"], "--gamma-grid"),
+], ids=["no_trajectory", "empty_grid", "zero_grid", "two_field_grid",
+        "zero_log_bound", "negative_count", "non_numeric_list"])
 def test_fig3_rejects_bad_input_before_writing(tmp_path, argv, name):
     with pytest.raises(ValueError, match=name):
-        run(tmp_path, *argv, "fig3")
-    assert not (tmp_path / "fig3.manifest").exists()
+        run(tmp_path / "out", *argv, "fig3")
+    # Not even the output directory is created.
+    assert not (tmp_path / "out").exists()
 
 
 def test_fig3_cross_check_passes_at_seed_4(tmp_path, capsys):
@@ -238,6 +257,42 @@ def test_gamma_grid_parsing():
     assert abs(values[0] - 1e-4) < 1e-12
     assert abs(values[3] - 1e-3) < 1e-12
     assert _parse_gamma_grid("0.5,0.25") == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig2"],
+    ["--t-points", 2001, "tree"],
+    ["disorder"],
+    ["--gamma-grid", "1e-3,1e-2", "--n-traj", 200, "fig3"],
+], ids=["fig2", "tree", "disorder", "fig3"])
+def test_manifest_hashes_every_output(tmp_path, argv):
+    assert run(tmp_path, "--format", "json", *argv) == 0
+    command = argv[-1]
+    lines = (tmp_path / f"{command}.manifest").read_text().splitlines()
+    assert lines[0] == f"command={command}"
+    assert lines[-1].startswith("duration_s=")
+    hashes = [re.fullmatch(r"output=(\S+) sha256=([0-9a-f]{64})", ln).groups()
+              for ln in lines if ln.startswith("output=")]
+    written = {path.name: path for path in tmp_path.rglob("*")
+               if path.is_file() and path.suffix != ".manifest"}
+    assert sorted(name for name, _ in hashes) == sorted(written)
+    for name, digest in hashes:
+        assert hashlib.sha256(written[name].read_bytes()).hexdigest() == digest
+    tables = {path.stem for path in tmp_path.glob("*.csv")}
+    assert tables and tables == {path.stem for path in tmp_path.glob("*.json")}
+    assert all(written[name].parent.name == "networks"
+               for name in written if name.endswith(".txt"))
+
+
+def test_entry_point_runs_as_module(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "spinclone.cli", "--out-dir", str(tmp_path),
+         "fig2"], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert len([ln for ln in done.stdout.splitlines()
+                if ln.startswith("[ok]")]) == 4
 
 
 def test_unknown_command_rejected():

@@ -61,8 +61,9 @@ def test_tree_zero_levels_matches_star():
 
 
 def test_tree_overflow():
-    with pytest.raises(NetworkTooLargeError):
-        tree(3, 3)
+    for error in (NetworkTooLargeError, ValueError):
+        with pytest.raises(error):
+            tree(3, 3)
 
 
 def test_bipartite_counts():
