@@ -371,6 +371,8 @@ def main(argv=None) -> int:
         args.t_points = default_t_points
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     return _run(command, args)
 
 

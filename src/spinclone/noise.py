@@ -390,6 +390,7 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
     rho = np.outer(amplitudes, amplitudes.conj())
     z = 1.0 - 2.0 * basis.counts   # sz per site
     propagators = {}   # one per distinct (pair, duration); pulses repeat
+    rotations = {}     # one (u, u^dagger) per distinct (kind, site, angle)
     for pulse in schedule:
         if pulse.kind == "xy_pulse":
             key = (pulse.sites, pulse.value)
@@ -399,8 +400,12 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
                                                pulse.value)
             rho = _apply(propagators[key], rho)
         else:
-            u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis)
-            rho = u @ rho @ u.conj().T
+            key = (pulse.kind, pulse.sites, pulse.value)
+            if key not in rotations:
+                u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis)
+                rotations[key] = u, u.conj().T
+            u, u_dagger = rotations[key]
+            rho = u @ rho @ u_dagger
     values = [
         clone_fidelity(reduce_density_to_site(rho, basis, q), theta, 0.0)
         for q in range(n_qubits)

@@ -16,7 +16,11 @@ golden-section refinement of the best peaks, all of them in lockstep.
 Every evaluation is batched through one phase builder: a uniform grid takes
 its phases ``e^{-iEt}`` as products of row and column phases, about
 ``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, and a batch of
-arbitrary times is its one-column case.
+arbitrary times is its one-column case.  Each evaluator writes its phases,
+amplitudes and readout into one workspace of its own, grown to the largest
+batch it has seen, so a dense scan allocates only its results.  The peaks
+are picked from the ``5 PEAKS + 1`` largest scan values alone, which is
+exact (see :func:`_peak_indices`).
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -81,7 +85,8 @@ class _Spectra:
     """Stacked evaluator of the zero-field fidelity components: the blocks of
     ``net`` on ``basis`` for each row of the (R, n_edges) array
     ``couplings``, diagonalized with one ``eigh`` per weight, with the input
-    expanded in their eigenvectors and read out by :class:`OutputReadout`."""
+    expanded in their eigenvectors and read out by :class:`OutputReadout`,
+    all through one workspace of its own."""
 
     def __init__(self, net: SpinNetwork, basis: SectorBasis,
                  couplings: np.ndarray, theta: float, phi: float):
@@ -95,9 +100,22 @@ class _Spectra:
             idx = np.nonzero(basis.state_weights == w)[0]
             vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
             coeffs = np.swapaxes(vecs, 1, 2) @ psi[idx]
-            self._sectors.append((idx, vals[:, :, None],
+            consecutive = idx[-1] - idx[0] < len(idx)
+            run = slice(idx[0], idx[-1] + 1) if consecutive else None
+            self._sectors.append((idx, run, vals[:, :, None],
                                   vecs.astype(np.complex128),
                                   coeffs[:, :, None]))
+        # Workspace rows, each one complex per time and realization: the
+        # amplitudes first, then a sector's weighted phases and, unless its
+        # states are consecutive amplitude rows, its phases; or the float
+        # |amps|^2; or, from row max(dim, pairs) on, the two coherence
+        # factors, whose product overwrites the spent amplitudes.
+        pairs = len(self._readout.lower)
+        self._rows = max(
+            self.dim + max(len(idx) * (1 if run is not None else 2)
+                           for idx, run, *_ in self._sectors),
+            self.dim + (self.dim + 1) // 2, max(self.dim, pairs) + 2 * pairs)
+        self._work = np.empty(0, dtype=np.complex128)
 
     def stacked_components(self, t_rows: np.ndarray, t_cols=(0.0,)):
         """``(base, gbar)``, each (R, T), at the ``T = len(t_rows) *
@@ -105,20 +123,56 @@ class _Spectra:
 
         The phase ``e^{-iE(t_rows[j] + t_cols[m])}`` is the product of a row
         and a column phase.  A batch of arbitrary times is the one-column
-        case at offset 0, whose phase is exactly ``1 + 0j``.
+        case at offset 0, whose phase is exactly ``1 + 0j``.  Every large
+        intermediate goes into the workspace through ``out=``, by the same
+        ufuncs in the same operand order as into fresh arrays, and no
+        complex product overwrites its own operand (numpy rounds a
+        one-element product in place differently), so the results match
+        fresh arrays bit for bit.
         """
-        count = len(t_rows) * len(t_cols)
-        amps = np.empty((self._realizations, self.dim, count),
-                        dtype=np.complex128)
-        for idx, vals, vecs, coeffs in self._sectors:
-            phase = (np.exp(-1j * (vals * t_rows))[..., None]
-                     * np.exp(-1j * (vals * t_cols))[..., None, :])
-            amps[:, idx, :] = vecs @ (coeffs * phase.reshape(
-                self._realizations, len(idx), count))
-            del phase   # freed before the readout's temporaries
+        realizations, count = self._realizations, len(t_rows) * len(t_cols)
+        size = realizations * count
+        if len(self._work) < self._rows * size:
+            self._work = np.empty(self._rows * size, dtype=np.complex128)
+
+        def carve(rows, start, dtype=np.complex128):
+            """(R, rows, T) view of the workspace from row ``start`` on, in
+            rows of ``dtype``."""
+            flat = self._work.view(dtype)[start * size:(start + rows) * size]
+            return flat.reshape(realizations, rows, count)
+
+        amps = carve(self.dim, 0)
+        grid = amps.reshape(realizations, self.dim, len(t_rows), len(t_cols))
+        for idx, run, vals, vecs, coeffs in self._sectors:
+            # Consecutive states are synthesized in place; others past the
+            # weighted phases, then scattered.
+            if run is None:
+                target = carve(len(idx), self.dim + len(idx))
+                phase = target.reshape(grid.shape[:1] + (len(idx),)
+                                       + grid.shape[2:])
+            else:
+                target, phase = amps[:, run], grid[:, run]
+            np.multiply(np.exp(-1j * (vals * t_rows))[..., None],
+                        np.exp(-1j * (vals * t_cols))[..., None, :],
+                        out=phase)
+            weighted = np.multiply(coeffs, target,
+                                   out=carve(len(idx), self.dim))
+            np.matmul(vecs, weighted, out=target)
+            if run is None:
+                amps[:, idx, :] = target
         r = self._readout
-        return (r.diagonal @ np.abs(amps) ** 2,
-                r.weight @ (amps[:, r.lower] * np.conj(amps[:, r.upper])))
+        squares = carve(self.dim, 2 * self.dim, np.float64)
+        np.abs(amps, out=squares)
+        base = r.diagonal @ np.square(squares, out=squares)
+        # mode="clip" takes straight into out; "raise" would buffer a copy.
+        pairs, top = len(r.lower), max(self.dim, len(r.lower))
+        lower = np.take(amps, r.lower, axis=1, out=carve(pairs, top),
+                        mode="clip")
+        upper = np.take(amps, r.upper, axis=1, out=carve(pairs, top + pairs),
+                        mode="clip")
+        np.conjugate(upper, out=upper)
+        return base, r.weight @ np.multiply(lower, upper,
+                                            out=carve(pairs, 0))
 
 
 class ProtocolScan(_Spectra):
@@ -227,6 +281,27 @@ def _golden_refine(func, lo: np.ndarray,
     return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
+def _peak_indices(values: np.ndarray) -> list[int]:
+    """Indices of the ``PEAKS`` best scan values more than two points apart,
+    best first.
+
+    Only the ``5 PEAKS + 1`` largest values are sorted.  That is exact:
+    every index the walk visits lies within two points of a chosen one, so
+    before it has ``PEAKS`` points it has visited at most ``5 PEAKS``.
+    """
+    top = min(5 * PEAKS + 1, len(values))
+    best = np.argpartition(values, -top)[-top:]
+    # The sort is not stable, so the first maximum goes first: a flat
+    # landscape then refines its smallest time.
+    chosen = [int(np.argmax(values))]
+    for idx in best[np.argsort(values[best])[::-1]]:
+        if len(chosen) >= PEAKS:
+            break
+        if all(abs(int(idx) - c) > 2 for c in chosen):
+            chosen.append(int(idx))
+    return chosen
+
+
 def optimize(net: SpinNetwork, anisotropy: float, theta: float,
              t_range: tuple[float, float], t_points: int,
              field: tuple[float, float] = (0.0, math.inf),
@@ -255,17 +330,8 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
         values[lo:lo + CHUNK] = scan.field_maximum(t_values[lo:lo + CHUNK],
                                                    b_lo, b_hi, grid=True)
 
-    # argsort is not stable, so the first maximum goes first: a flat
-    # landscape then refines its smallest time.
-    chosen = [int(np.argmax(values))]
-    for idx in np.argsort(values)[::-1]:
-        if len(chosen) >= PEAKS:
-            break
-        if all(abs(int(idx) - c) > 2 for c in chosen):
-            chosen.append(int(idx))
-
     spacing = (t_hi - t_lo) / (t_points - 1)
-    centers = t_values[chosen]
+    centers = t_values[_peak_indices(values)]
     times, maxima = _golden_refine(
         lambda t: scan.field_maximum(t, b_lo, b_hi),
         np.maximum(t_lo, centers - spacing),

@@ -177,3 +177,33 @@ def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
         states = run_segment(states, remainder, 1)
     rho = (states.T @ states.conj()) / n_traj
     return rho, states
+
+
+def stacked_components_alloc(spectra, t_rows, t_cols=(0.0,)):
+    """``search._Spectra.stacked_components`` as it was before its workspace:
+    fresh arrays for every phase, synthesis and readout step.  The oracle
+    for the workspace version, which must match it bit for bit."""
+    realizations = spectra._realizations
+    count = len(t_rows) * len(t_cols)
+    amps = np.empty((realizations, spectra.dim, count), dtype=np.complex128)
+    for idx, _, vals, vecs, coeffs in spectra._sectors:
+        phase = (np.exp(-1j * (vals * t_rows))[..., None]
+                 * np.exp(-1j * (vals * t_cols))[..., None, :])
+        amps[:, idx, :] = vecs @ (coeffs * phase.reshape(
+            realizations, len(idx), count))
+    r = spectra._readout
+    return (r.diagonal @ np.abs(amps) ** 2,
+            r.weight @ (amps[:, r.lower] * np.conj(amps[:, r.upper])))
+
+
+def peak_indices_argsort(values, peaks):
+    """The scan's peak choice by a full ``argsort``: the first maximum, then
+    the best points more than two indices from every chosen one, until
+    ``peaks`` are chosen."""
+    chosen = [int(np.argmax(values))]
+    for idx in np.argsort(values)[::-1]:
+        if len(chosen) >= peaks:
+            break
+        if all(abs(int(idx) - c) > 2 for c in chosen):
+            chosen.append(int(idx))
+    return chosen

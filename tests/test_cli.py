@@ -129,6 +129,14 @@ def test_threads_below_one_rejected(tmp_path, threads):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["disorder", "fig3"])
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_negative_seed_rejected(tmp_path, command, seed):
+    with pytest.raises(ValueError, match="--seed"):
+        run(tmp_path / "out", "--seed", seed, command)
+    assert not (tmp_path / "out").exists()
+
+
 def test_fig3_command(tmp_path, capsys):
     assert run(tmp_path, "--gamma-grid", "1e-3,1e-2", "--n-traj", 400,
                "fig3") == 0

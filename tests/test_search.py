@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
 from spinclone import search
 from spinclone.dynamics import OutputReadout, count_input
 from spinclone.hamiltonian import (assemble_blocks, count_basis,
-                                   sector_dimension)
+                                   sector_basis, sector_dimension)
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
-from reference import golden_max, orbit_isometry
+from reference import (golden_max, orbit_isometry, peak_indices_argsort,
+                       stacked_components_alloc)
 from strategies import small_networks
 
 EQUATOR = math.pi / 2
@@ -235,6 +237,117 @@ def test_grid_phases_match_direct_times(net, field, n):
     direct = scan.field_maximum(t, *field)
     assert np.max(np.abs(grid - direct)) <= 1e-11
     assert scan.n_eval == 2 * n
+
+
+def _grid_batch(drawn):
+    n_rows, n_cols, step = drawn
+    return np.arange(n_rows) * (n_cols * step), np.arange(n_cols) * step
+
+
+# A batch of stacked_components: arbitrary times, or a factorized grid of
+# row offsets and column steps.
+BATCHES = st.one_of(
+    st.lists(st.floats(0.0, 50.0), min_size=1, max_size=30).map(
+        lambda t: (np.array(t), (0.0,))),
+    st.tuples(st.integers(1, 30), st.integers(2, 12),
+              st.floats(1e-3, 1.0)).map(_grid_batch))
+
+
+def _assert_matches_oracle_without_aliasing(spectra, batches):
+    # Every batch matches the allocating oracle bit for bit, and no later
+    # call, larger or smaller, changes an earlier result.
+    kept = []
+    for rows, cols in batches:
+        got = spectra.stacked_components(rows, cols)
+        want = stacked_components_alloc(spectra, rows, cols)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        kept.append((got, [a.copy() for a in got]))
+    for got, copies in kept:
+        for a, b in zip(got, copies):
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       epsilon=st.floats(0.0, 0.5),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3),
+       t=st.floats(0.0, 50.0), batches=st.lists(BATCHES, max_size=5))
+def test_workspace_evaluator_matches_allocating_oracle(net, anisotropy, theta,
+                                                       phi, epsilon, seeds, t,
+                                                       batches):
+    # Stacked jittered realizations on configurations, and the one-row
+    # scan on twin-class counts, through the same sequence of batches.  It
+    # opens with one time, where the weight-0 sector's products have one
+    # element, the case numpy rounds differently when done in place.
+    batches = [(np.array([t]), (0.0,))] + batches
+    configured = net.with_params(anisotropy=anisotropy, field=0.0)
+    basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
+    couplings = configured.coupling_array() * np.array(
+        [coupling_factors(epsilon, s, len(net.edges)) for s in seeds])
+    stacked = search._Spectra(configured, basis, couplings, theta, phi)
+    _assert_matches_oracle_without_aliasing(stacked, batches)
+    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    _assert_matches_oracle_without_aliasing(scan, batches)
+
+
+def test_workspace_survives_interleaved_scan_chunks():
+    # table1's largest network: full and partial grid chunks interleaved
+    # with the refinement's small arbitrary batches, growing and shrinking.
+    scan = ProtocolScan(bipartite(4, 5), 0.0, EQUATOR)
+    batches = []
+    for n in (20, search.CHUNK, 1, 2545, 10, search.CHUNK):
+        t = np.linspace(100.0, 300.0, n)
+        width = math.isqrt(n - 1) + 1
+        batches += [(t[::width], np.arange(width) * (200.0 / max(n - 1, 1))),
+                    (t[:20], (0.0,))]
+    _assert_matches_oracle_without_aliasing(scan, batches)
+
+
+def test_dense_scan_allocates_only_its_results():
+    # Once the first chunk has sized the workspace, a chunk of table1's
+    # 150001-point bipartite(4, 5) scan allocates its (base, gbar) and the
+    # field maximum's temporaries, about 0.33 MB, instead of about 6 MB of
+    # phases, amplitudes and coherence factors.
+    scan = ProtocolScan(bipartite(4, 5), 0.0, EQUATOR)
+    t = np.linspace(0.0, 3000.0, 150001)
+    chunks = [t[lo:lo + search.CHUNK] for lo in range(0, len(t), search.CHUNK)]
+    scan.field_maximum(chunks[0], 0.01, math.inf, grid=True)
+    tracemalloc.start()
+    try:
+        for chunk in chunks[1:]:
+            scan.field_maximum(chunk, 0.01, math.inf, grid=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 19
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1),
+       smooth=st.booleans())
+def test_top_k_peak_choice_matches_full_sort(n, seed, smooth):
+    # Distinct values, either shuffled or a smooth many-peaked landscape
+    # whose best points crowd into neighbouring windows.
+    rng = np.random.default_rng(seed)
+    if smooth:
+        x = np.linspace(0.0, 1.0, n)
+        values = np.sin(rng.uniform(5.0, 200.0) * x) + 1e-6 * rng.random(n)
+    else:
+        values = rng.permutation(n).astype(float)
+    assume(len(np.unique(values)) == n)
+    assert search._peak_indices(values) == peak_indices_argsort(
+        values, search.PEAKS)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5 * search.PEAKS, 5 * search.PEAKS + 1,
+                               5 * search.PEAKS + 2])
+def test_top_k_peak_choice_on_short_scans(n):
+    # Up to and past 5 PEAKS + 1 points, where every value is sorted.
+    values = np.random.default_rng(n).random(n)
+    assert search._peak_indices(values) == peak_indices_argsort(
+        values, search.PEAKS)
 
 
 def test_field_maximum_at_time_zero_ignores_the_field():
