@@ -7,17 +7,13 @@ cloning circuits.
 """
 
 from .analytic import (NoPccReference, NtomReference, NTOM_REFERENCE,
-                       PccReference, StarEigenstate, b_opt_xy,
-                       heis_star_fidelity, heis_star_fidelity_equatorial,
-                       pcc_pairs, pcc_reference, t_c_heis, t_c_xy,
-                       xy_star_fidelity, xy_star_fidelity_equatorial,
-                       xy_star_spectrum)
-from .dynamics import (CloneResult, QubitDensity, SectorState, clone_fidelity,
-                       evolve, prepare_input, protocol_fidelities,
-                       reduce_density_to_site, reduce_to_site, run_protocol)
+                       b_opt_xy, heis_star_fidelity, pcc_reference, t_c_heis,
+                       t_c_xy, xy_star_fidelity)
+from .dynamics import (CloneResult, QubitDensity, clone_fidelity,
+                       prepare_input, protocol_fidelities,
+                       reduce_density_to_site, run_protocol)
 from .hamiltonian import (DimensionLimitError, HamiltonianBlock, SectorBasis,
-                          SpectralDecomposition, build_block, sector_basis,
-                          spectral)
+                          build_block, sector_basis)
 from .noise import (GatePulse, MixedState, circuit_baseline,
                     circuit_ideal_fidelity, lindblad_evolve,
                     noisy_network_fidelity, pcc_circuit_schedule,

@@ -1,9 +1,8 @@
 """Closed-form star-cloner results and stored reference constants.
 
 Covers the maximum clone fidelities of the Heisenberg and XY spin-star
-protocols, their optimal times and fields, the XY star spectrum in the
-maximal angular-momentum multiplet, and the optimal phase-covariant-cloning
-fidelities used for comparison.
+protocols, their optimal times and fields, and the optimal
+phase-covariant-cloning fidelities used for comparison.
 """
 from __future__ import annotations
 
@@ -49,89 +48,27 @@ def b_opt_xy(n_clones: int) -> float:
     return 0.5 * math.sqrt(n_clones)
 
 
-def heis_star_fidelity_equatorial(n_clones: int) -> float:
-    """Independently simplified equatorial form, 1/2 + 1/(M+1)."""
-    return 0.5 + 1.0 / (n_clones + 1.0)
-
-
-def xy_star_fidelity_equatorial(n_clones: int) -> float:
-    """Independently simplified equatorial form, 1/2 + 1/(2 sqrt(M))."""
-    return 0.5 + 0.5 / math.sqrt(n_clones)
-
-
-@dataclass(frozen=True)
-class StarEigenstate:
-    """One analytic eigenvalue of the XY star, with a readable label."""
-
-    energy: float
-    description: str
-
-
-def xy_star_spectrum(n_clones: int, field: float) -> list[StarEigenstate]:
-    """Analytic XY star eigenvalues in the maximal outer-spin multiplet.
-
-    For outer angular momentum j = M/2 the paired eigenstates
-    ``(|1>|j,m> +/- |0>|j,m-1>)/sqrt(2)`` carry energies
-    ``+/- (1/2) sqrt((j+m)(j-m+1)) + B (m - 1/2)`` for ``m = j .. -j+1``;
-    the two extremal product states have energies ``+/- B (j + 1/2)``.
-    """
-    if n_clones < 1:
-        raise ValueError("need at least one clone")
-    j = n_clones / 2.0
-    lines = [
-        StarEigenstate(field * (j + 0.5), "|0>|j,j>  (all sites blank)"),
-        StarEigenstate(-field * (j + 0.5), "|1>|j,-j>  (all sites excited)"),
-    ]
-    m = j
-    while m > -j + 0.5:
-        gap = 0.5 * math.sqrt((j + m) * (j - m + 1.0))
-        shift = field * (m - 0.5)
-        lines.append(StarEigenstate(
-            gap + shift, f"(|1>|j,{m:g}> + |0>|j,{m - 1:g}>)/sqrt(2)"))
-        lines.append(StarEigenstate(
-            -gap + shift, f"(|1>|j,{m:g}> - |0>|j,{m - 1:g}>)/sqrt(2)"))
-        m -= 1.0
-    return lines
-
-
-@dataclass(frozen=True)
-class PccReference:
-    """Stored optimal phase-covariant-cloning fidelity for one (N, M) pair."""
-
-    n_inputs: int
-    n_outputs: int
-    fidelity: float
-
-
 # Values are stored for the supported pairs only, never extrapolated.
-_PCC_TABLE: dict[tuple[int, int], PccReference] = {
-    (n, m): PccReference(n, m, f)
-    for n, m, f in [
-        (1, 2, (2.0 + math.sqrt(2.0)) / 4.0),
-        (2, 3, 0.941),
-        (2, 4, 0.933),
-        (2, 5, 0.912),
-        (2, 6, 0.908),
-        (2, 7, 0.898),
-        (3, 4, 0.973),
-        (4, 5, 0.987),
-    ]
+_PCC_TABLE: dict[tuple[int, int], float] = {
+    (1, 2): (2.0 + math.sqrt(2.0)) / 4.0,
+    (2, 3): 0.941,
+    (2, 4): 0.933,
+    (2, 5): 0.912,
+    (2, 6): 0.908,
+    (2, 7): 0.898,
+    (3, 4): 0.973,
+    (4, 5): 0.987,
 }
 
 
 def pcc_reference(n_inputs: int, n_outputs: int) -> float:
     """Stored optimal-PCC fidelity; raises :class:`NoPccReference` if absent."""
     try:
-        return _PCC_TABLE[(n_inputs, n_outputs)].fidelity
+        return _PCC_TABLE[(n_inputs, n_outputs)]
     except KeyError:
         raise NoPccReference(
             f"no stored PCC fidelity for {n_inputs} -> {n_outputs}"
         ) from None
-
-
-def pcc_pairs() -> tuple[tuple[int, int], ...]:
-    """The (N, M) pairs with a stored PCC reference."""
-    return tuple(sorted(_PCC_TABLE))
 
 
 @dataclass(frozen=True)

@@ -190,15 +190,18 @@ def cmd_table1(args) -> tuple:
 
 
 def _parse_gamma_grid(spec: str) -> list[float]:
-    """Either 'start:stop:count' (log spaced) or a comma-separated list,
-    holding at least one gamma > 0."""
+    """Either 'start:stop:count' (log spaced) or a comma-separated list of
+    finite gammas >= 0, at least one of them > 0."""
     try:
         if ":" in spec:
             lo, hi, count = spec.split(":")
-            values = np.logspace(math.log10(float(lo)), math.log10(float(hi)),
-                                 int(count)).tolist()
+            numbers = [float(lo), float(hi)]
         else:
-            values = [float(v) for v in spec.split(",")]
+            numbers = [float(v) for v in spec.split(",")]
+        if not all(math.isfinite(v) and v >= 0.0 for v in numbers):
+            raise ValueError("every gamma must be finite and >= 0")
+        values = (np.logspace(math.log10(numbers[0]), math.log10(numbers[1]),
+                              int(count)).tolist() if ":" in spec else numbers)
     except ValueError as error:
         raise ValueError(f"--gamma-grid {spec!r}: {error}") from error
     if max(values, default=0.0) <= 0.0:
@@ -267,13 +270,12 @@ def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
     from .noise import MixedState, lindblad_evolve, stochastic_evolve
 
     net = star(2).with_params(anisotropy=0.0, field=b_opt_xy(2))
-    state = prepare_input(net, math.pi / 2, 0.0)
-    block = build_block(net, state.basis.weights)
-    rho0 = MixedState(basis=state.basis,
-                      matrix=np.outer(state.amplitudes,
-                                      state.amplitudes.conj()))
+    basis, amplitudes = prepare_input(net, math.pi / 2, 0.0)
+    block = build_block(net, basis.weights)
+    rho0 = MixedState(basis=basis,
+                      matrix=np.outer(amplitudes, amplitudes.conj()))
     master = lindblad_evolve(rho0, block, gamma, t_c_xy(2))
-    sampled = stochastic_evolve(state.amplitudes, block, gamma, t_c_xy(2),
+    sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2),
                                 n_traj=n_traj, seed=seed)
     gaps = np.linalg.eigvalsh(master.matrix - sampled.matrix)
     return 0.5 * float(np.sum(np.abs(gaps)))
@@ -373,6 +375,9 @@ def main(argv=None) -> int:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.t_points < 2:
+        raise ValueError(f"--t-points needs at least two time points, got "
+                         f"{args.t_points}")
     return _run(command, args)
 
 

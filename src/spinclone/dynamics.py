@@ -19,22 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (SectorBasis, SpectralDecomposition, build_block,
-                          sector_basis, spectral)
+from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
+                          sector_basis)
 from .topology import SpinNetwork
-
-
-@dataclass(frozen=True)
-class SectorState:
-    """Normalized complex amplitude vector over a sector basis."""
-
-    basis: SectorBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if len(self.amplitudes) != len(self.basis):
-            raise ValueError("amplitude count does not match basis dimension")
-        _check_norms(self.amplitudes)
 
 
 def _check_norms(amplitudes: np.ndarray) -> None:
@@ -113,15 +100,18 @@ def _input_coefficients(thetas: np.ndarray, phi: float,
     return c ** (n_in - k) * s ** k
 
 
-def prepare_input(net: SpinNetwork, theta: float, phi: float) -> SectorState:
+def prepare_input(net: SpinNetwork, theta: float,
+                  phi: float) -> tuple[SectorBasis, np.ndarray]:
     """Product input: each input site in cos(t/2)|0> + e^{i phi} sin(t/2)|1>.
 
-    All other sites start blank (``|0>``); amplitudes are expanded in the
-    configuration basis of excitation numbers ``0 .. n_inputs``.
+    All other sites start blank (``|0>``).  Returns the configuration basis
+    of excitation numbers ``0 .. n_inputs`` and the amplitudes on it, whose
+    norm is checked.
     """
     basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
-    return SectorState(basis=basis,
-                       amplitudes=count_input(net, basis, theta, phi))
+    amplitudes = count_input(net, basis, theta, phi)
+    _check_norms(amplitudes)
+    return basis, amplitudes
 
 
 def count_input(net: SpinNetwork, basis: SectorBasis, theta: float,
@@ -132,21 +122,15 @@ def count_input(net: SpinNetwork, basis: SectorBasis, theta: float,
     return _input_patterns(net, basis) @ coefficients
 
 
-def _propagate(decomposition: SpectralDecomposition, amplitudes: np.ndarray,
+def _propagate(block: HamiltonianBlock, amplitudes: np.ndarray,
                t: float) -> np.ndarray:
-    """``V exp(-i L t) V^dag`` applied to a vector or to matrix columns."""
-    v = decomposition.eigenvectors
-    phases = np.exp(-1j * decomposition.eigenvalues * t)
+    """Exact evolution ``V exp(-i L t) V^dag`` of a vector or of matrix
+    columns on the block's basis, from the block's eigenvalues ``L``
+    (ascending) and orthonormal eigenvectors ``V``."""
+    eigenvalues, v = np.linalg.eigh(block.matrix)
+    v = v.astype(np.complex128)
+    phases = np.exp(-1j * eigenvalues * t)
     return v @ (phases * (v.conj().T @ amplitudes).T).T
-
-
-def evolve(state: SectorState, decomposition: SpectralDecomposition,
-           t: float) -> SectorState:
-    """Exact evolution ``V exp(-i L t) V^dag`` of the amplitude vector."""
-    if state.basis != decomposition.basis:
-        raise ValueError("state and spectral decomposition use different bases")
-    return SectorState(basis=state.basis,
-                       amplitudes=_propagate(decomposition, state.amplitudes, t))
 
 
 def site_pairs(basis: SectorBasis, site: int):
@@ -220,12 +204,6 @@ def _site_densities(basis: SectorBasis, amplitudes: np.ndarray,
     return matrices
 
 
-def reduce_to_site(state: SectorState, site: int) -> QubitDensity:
-    """Exact partial trace onto one site, done on the sector representation."""
-    matrices = _site_densities(state.basis, state.amplitudes[None], [site])
-    return QubitDensity(matrix=matrices[0, 0])
-
-
 def reduce_density_to_site(matrix: np.ndarray, basis: SectorBasis,
                            site: int) -> QubitDensity:
     """Partial trace of a density matrix given on a sector basis."""
@@ -272,8 +250,8 @@ def protocol_fidelities(net: SpinNetwork, anisotropy: float, field: float,
     n_in = len(net.input_sites)
     basis = sector_basis(net.n_sites, tuple(range(n_in + 1)))
     patterns = _input_patterns(configured, basis)
-    decomposition = spectral(build_block(configured, basis.weights))
-    evolved = _propagate(decomposition, patterns, t).T
+    evolved = _propagate(build_block(configured, basis.weights), patterns,
+                         t).T
     coefficients = _input_coefficients(thetas, phi, n_in)
     # Elementwise, so a row does not depend on how many angles share the call.
     amplitudes = sum(coefficients[:, k, None] * evolved[k]

@@ -143,15 +143,6 @@ class HamiltonianBlock:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    basis: SectorBasis
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def build_block(net: SpinNetwork, weights) -> HamiltonianBlock:
     """Assemble the exchange Hamiltonian restricted to the given weights.
 
@@ -207,17 +198,3 @@ def assemble_blocks(net: SpinNetwork, basis: SectorBasis,
     matrix.reshape(len(couplings), -1)[:, ::dim + 1] += diagonal
     return matrix
 
-
-def spectral(block: HamiltonianBlock, max_dim: int = MAX_DIM) -> SpectralDecomposition:
-    """Dense spectral decomposition of a sector block."""
-    dim = len(block.basis)
-    if dim > max_dim:
-        raise DimensionLimitError(
-            f"block dimension {dim} exceeds maximum {max_dim}"
-        )
-    eigenvalues, eigenvectors = np.linalg.eigh(block.matrix)
-    return SpectralDecomposition(
-        basis=block.basis,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors.astype(np.complex128),
-    )

@@ -216,14 +216,13 @@ def noisy_network_fidelity(net: SpinNetwork, anisotropy: float, field: float,
     from .dynamics import prepare_input
 
     configured = net.with_params(anisotropy=anisotropy, field=field)
-    state = prepare_input(configured, theta, 0.0)
-    block = build_block(configured, state.basis.weights)
-    rho0 = MixedState(basis=state.basis,
-                      matrix=np.outer(state.amplitudes,
-                                      state.amplitudes.conj()))
+    basis, amplitudes = prepare_input(configured, theta, 0.0)
+    block = build_block(configured, basis.weights)
+    rho0 = MixedState(basis=basis,
+                      matrix=np.outer(amplitudes, amplitudes.conj()))
     evolved = lindblad_evolve(rho0, block, gamma, t)
     values = [
-        clone_fidelity(reduce_density_to_site(evolved.matrix, state.basis, s),
+        clone_fidelity(reduce_density_to_site(evolved.matrix, basis, s),
                        theta, 0.0)
         for s in net.output_sites
     ]
@@ -358,21 +357,6 @@ def _pair_block(n_qubits: int, a: int, b: int) -> HamiltonianBlock:
     net = from_edge_list(n_qubits, [(a, b, 1.0)], input_sites=[0],
                          output_sites=[q for q in range(n_qubits) if q != 0])
     return build_block(net, tuple(range(n_qubits + 1)))
-
-
-def schedule_unitary(n_qubits: int, schedule: list[GatePulse]) -> np.ndarray:
-    """Noiseless unitary of a schedule (for verification and ideal runs)."""
-    basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))
-    total = np.eye(len(basis), dtype=np.complex128)
-    for pulse in schedule:
-        if pulse.kind == "xy_pulse":
-            block = _pair_block(n_qubits, *pulse.sites)
-            vals, vecs = np.linalg.eigh(block.matrix)
-            u = (vecs * np.exp(-1j * vals * pulse.value)) @ vecs.conj().T
-        else:
-            u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis)
-        total = u @ total
-    return total
 
 
 def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:

@@ -84,25 +84,6 @@ class SpinNetwork:
     def coupling_array(self) -> np.ndarray:
         return np.array([c for _, _, c in self.edges], dtype=float)
 
-    def is_connected(self) -> bool:
-        """Breadth-first reachability of every site from the first input."""
-        if self.n_sites == 1:
-            return True
-        adjacency: list[list[int]] = [[] for _ in range(self.n_sites)]
-        for i, j, _ in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        start = self.input_sites[0] if self.input_sites else 0
-        seen = {start}
-        queue = [start]
-        while queue:
-            node = queue.pop()
-            for other in adjacency[node]:
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        return len(seen) == self.n_sites
-
 
 def from_edge_list(n_sites: int,
                    edges: list[tuple[int, int, float]],
@@ -257,38 +238,50 @@ def to_text(net: SpinNetwork) -> str:
 
 
 def from_text(text: str) -> SpinNetwork:
-    """Inverse of :func:`to_text` (role comments are honored when present)."""
+    """Inverse of :func:`to_text` (role comments are honored when present).
+
+    Raises ``ValueError``, quoting the line, on any line that is not blank,
+    a comment or a record of exactly its :func:`to_text` shape, on a second
+    header, on a second field for one site and on a field for a site the
+    header does not count.
+    """
     n_sites = None
     anisotropy = 0.0
     edges: list[tuple[int, int, float]] = []
-    fields: dict[int, float] = {}
-    inputs: list[int] = []
-    outputs: list[int] = []
+    fields: dict[int, tuple[float, str]] = {}   # site -> (field, line)
+    roles = {"inputs": [], "outputs": []}
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         parts = line.split()
-        if parts[0] == "#":
-            if len(parts) > 1 and parts[1] == "inputs":
-                inputs = [int(p) for p in parts[2:]]
-            elif len(parts) > 1 and parts[1] == "outputs":
-                outputs = [int(p) for p in parts[2:]]
+        if not parts or (parts[0] == "#" and parts[1:2] not in (["inputs"],
+                                                                ["outputs"])):
             continue
-        if parts[0] not in ("sites", "edge", "field"):
+        if parts[0] not in ("#", "sites", "edge", "field"):
             raise ValueError(f"unrecognized line: {line!r}")
         try:
-            if parts[0] == "sites":
-                n_sites = int(parts[1])
-                anisotropy = float(parts[3])
+            if parts[0] == "#":
+                roles[parts[1]] = [int(p) for p in parts[2:]]
+            elif len(parts) != (3 if parts[0] == "field" else 4):
+                raise ValueError
+            elif parts[0] == "sites":
+                if n_sites is not None or parts[2] != "lambda":
+                    raise ValueError
+                n_sites, anisotropy = int(parts[1]), float(parts[3])
             elif parts[0] == "edge":
                 edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
             else:
-                fields[int(parts[1])] = float(parts[2])
-        except (IndexError, ValueError):
+                site = int(parts[1])
+                if site in fields:
+                    raise ValueError
+                fields[site] = float(parts[2]), line
+        except ValueError:
             raise ValueError(f"malformed line: {line!r}") from None
     if n_sites is None:
         raise ValueError("missing 'sites' header")
-    field_b = tuple(fields.get(i, 0.0) for i in range(n_sites))
-    net = from_edge_list(n_sites, edges, inputs, outputs, anisotropy=anisotropy)
+    for site, (_, line) in fields.items():
+        if not 0 <= site < n_sites:
+            raise ValueError(f"field for a missing site: {line!r}")
+    field_b = tuple(fields.get(i, (0.0,))[0] for i in range(n_sites))
+    net = from_edge_list(n_sites, edges, roles["inputs"], roles["outputs"],
+                         anisotropy=anisotropy)
     return dataclasses.replace(net, field_b=field_b)

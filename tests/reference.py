@@ -5,6 +5,7 @@ and generic tensor reshapes, deliberately sharing no machinery with the
 package's sector-restricted implementation.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -62,6 +63,23 @@ def full_input_state(net, theta, phi):
     return state
 
 
+def schedule_unitary(n_qubits, schedule):
+    """Noiseless 2^n unitary of a pulse schedule: an XY pulse of duration t
+    on (a, b) is ``expm(-i t (XX + YY)/4)`` and a rotation by ``angle`` is
+    ``expm(-i angle Z/2)`` or ``expm(-i angle X/2)`` on its site."""
+    total = np.eye(2 ** n_qubits, dtype=complex)
+    for pulse in schedule:
+        if pulse.kind == "xy_pulse":
+            a, b = pulse.sites
+            generator = 0.25 * (product_operator({a: SX, b: SX}, n_qubits)
+                                + product_operator({a: SY, b: SY}, n_qubits))
+        else:
+            op = SZ if pulse.kind == "z_rotation" else SX
+            generator = 0.5 * site_operator(op, pulse.sites[0], n_qubits)
+        total = scipy.linalg.expm(-1j * pulse.value * generator) @ total
+    return total
+
+
 def full_evolve(h, state, t):
     return scipy.linalg.expm(-1j * h * t) @ state
 
@@ -84,6 +102,41 @@ def embed_full(basis, amplitudes, n_sites):
     full = np.zeros(2 ** n_sites, dtype=complex)
     full[basis.states] = amplitudes
     return full
+
+
+@dataclass(frozen=True)
+class StarEigenstate:
+    """One analytic eigenvalue of the XY star, with a readable label."""
+
+    energy: float
+    description: str
+
+
+def xy_star_spectrum(n_clones, field):
+    """Analytic XY star eigenvalues in the maximal outer-spin multiplet.
+
+    For outer angular momentum j = M/2 the paired eigenstates
+    ``(|1>|j,m> +/- |0>|j,m-1>)/sqrt(2)`` carry energies
+    ``+/- (1/2) sqrt((j+m)(j-m+1)) + B (m - 1/2)`` for ``m = j .. -j+1``;
+    the two extremal product states have energies ``+/- B (j + 1/2)``.
+    """
+    if n_clones < 1:
+        raise ValueError("need at least one clone")
+    j = n_clones / 2.0
+    lines = [
+        StarEigenstate(field * (j + 0.5), "|0>|j,j>  (all sites blank)"),
+        StarEigenstate(-field * (j + 0.5), "|1>|j,-j>  (all sites excited)"),
+    ]
+    m = j
+    while m > -j + 0.5:
+        gap = 0.5 * math.sqrt((j + m) * (j - m + 1.0))
+        shift = field * (m - 0.5)
+        lines.append(StarEigenstate(
+            gap + shift, f"(|1>|j,{m:g}> + |0>|j,{m - 1:g}>)/sqrt(2)"))
+        lines.append(StarEigenstate(
+            -gap + shift, f"(|1>|j,{m:g}> - |0>|j,{m - 1:g}>)/sqrt(2)"))
+        m -= 1.0
+    return lines
 
 
 def orbit_isometry(basis, classes):

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
                        circuit_baseline, circuit_ideal_fidelity,
-                       disorder_study, evolve,
-                       heis_star_fidelity, lindblad_evolve,
+                       disorder_study, heis_star_fidelity, lindblad_evolve,
                        noisy_network_fidelity, optimize, prepare_input,
-                       reduce_to_site, run_protocol, spectral, star,
-                       stochastic_evolve, t_c_heis, t_c_xy, tree,
-                       xy_star_fidelity)
+                       run_protocol, star, stochastic_evolve, t_c_heis,
+                       t_c_xy, tree, xy_star_fidelity)
 from spinclone.cli import main as cli_main
+from spinclone.dynamics import _propagate, _site_densities
 from spinclone.noise import MixedState
 from reference import (embed_full, full_evolve, full_hamiltonian,
                        full_input_state)
@@ -116,15 +115,14 @@ def test_criterion_6_ntom_table(tmp_path):
 
 def test_criterion_7_noise_solver_cross_validation():
     net = star(2).with_params(anisotropy=0.0, field=b_opt_xy(2))
-    state = prepare_input(net, EQUATOR, 0.0)
-    block = build_block(net, state.basis.weights)
-    rho0 = MixedState(basis=state.basis,
-                      matrix=np.outer(state.amplitudes,
-                                      state.amplitudes.conj()))
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.0)
+    block = build_block(net, basis.weights)
+    rho0 = MixedState(basis=basis,
+                      matrix=np.outer(amplitudes, amplitudes.conj()))
     distances = []
     for gamma in (1e-3, 1e-2):
         master = lindblad_evolve(rho0, block, gamma, t_c_xy(2))
-        sampled = stochastic_evolve(state.amplitudes, block, gamma,
+        sampled = stochastic_evolve(amplitudes, block, gamma,
                                     t_c_xy(2), n_traj=1000, seed=11)
         gaps = np.linalg.eigvalsh(master.matrix - sampled.matrix)
         distances.append(0.5 * float(np.sum(np.abs(gaps))))
@@ -132,9 +130,9 @@ def test_criterion_7_noise_solver_cross_validation():
     from spinclone import from_edge_list
     single = from_edge_list(1, [], [0], [])
     sblock = build_block(single, (0, 1))
-    sstate = prepare_input(single, EQUATOR, 0.0)
+    _, samplitudes = prepare_input(single, EQUATOR, 0.0)
     gamma, t, n_traj = 0.05, 1.0, 1000
-    out = stochastic_evolve(sstate.amplitudes, sblock, gamma, t,
+    out = stochastic_evolve(samplitudes, sblock, gamma, t,
                             n_traj=n_traj, seed=123)
     target = 0.5 * math.exp(-gamma * t / 2.0)
     sigma = max(gamma * t / math.sqrt(2.0) / math.sqrt(n_traj), 1e-4)
@@ -166,29 +164,30 @@ def test_criterion_8_noise_ordering():
 def test_criterion_9_structural_properties():
     # Unitarity at Jt = 3e3.
     net = bipartite(2, 3).with_params(field=0.4)
-    state = prepare_input(net, EQUATOR, 0.2)
-    dec = spectral(build_block(net, state.basis.weights))
-    drift = abs(np.linalg.norm(evolve(state, dec, 3.0e3).amplitudes) - 1.0)
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.2)
+    evolved = _propagate(build_block(net, basis.weights), amplitudes, 3.0e3)
+    drift = abs(np.linalg.norm(evolved) - 1.0)
     unitary_ok = drift <= 1e-10
 
     # Sector-vs-full-space equivalence up to ten sites.
     sector_ok = True
     for test_net in (bipartite(4, 5).with_params(anisotropy=0.7, field=0.23),
                      star(9).with_params(anisotropy=0.2, field=0.11)):
-        st = prepare_input(test_net, 1.1, 0.6)
-        d = spectral(build_block(test_net, st.basis.weights))
-        lifted = embed_full(st.basis, evolve(st, d, 2.9).amplitudes,
-                            test_net.n_sites)
+        st_basis, st_amplitudes = prepare_input(test_net, 1.1, 0.6)
+        evolved = _propagate(build_block(test_net, st_basis.weights),
+                             st_amplitudes, 2.9)
+        lifted = embed_full(st_basis, evolved, test_net.n_sites)
         full = full_evolve(full_hamiltonian(test_net),
                            full_input_state(test_net, 1.1, 0.6), 2.9)
         sector_ok &= np.max(np.abs(lifted - full)) <= 1e-10
 
     # Clone permutation symmetry and phase independence on stars.
     sym_net = star(5).with_params(field=0.3)
-    sym_state = prepare_input(sym_net, 1.0, 0.9)
-    sym_dec = spectral(build_block(sym_net, sym_state.basis.weights))
-    evolved = evolve(sym_state, sym_dec, 1.4)
-    reduced = [reduce_to_site(evolved, s).matrix for s in sym_net.output_sites]
+    sym_basis, sym_amplitudes = prepare_input(sym_net, 1.0, 0.9)
+    sym_block = build_block(sym_net, sym_basis.weights)
+    evolved = _propagate(sym_block, sym_amplitudes, 1.4)
+    reduced = _site_densities(sym_basis, evolved[None],
+                              sym_net.output_sites)[0]
     perm_ok = all(np.max(np.abs(r - reduced[0])) <= 1e-10 for r in reduced)
     values = [run_protocol(star(3), 0.0, 0.5, EQUATOR, phi, 1.2).mean_fidelity
               for phi in np.arange(0.0, 2 * math.pi + 1e-9, math.pi / 4)]
@@ -196,10 +195,9 @@ def test_criterion_9_structural_properties():
 
     # Density-matrix invariants after dephasing evolution.
     noisy = lindblad_evolve(
-        MixedState(basis=sym_state.basis,
-                   matrix=np.outer(sym_state.amplitudes,
-                                   sym_state.amplitudes.conj())),
-        build_block(sym_net, sym_state.basis.weights), 0.02, 1.5)
+        MixedState(basis=sym_basis,
+                   matrix=np.outer(sym_amplitudes, sym_amplitudes.conj())),
+        sym_block, 0.02, 1.5)
     trace_ok = abs(np.trace(noisy.matrix).real - 1.0) <= 1e-8
     psd_ok = np.linalg.eigvalsh(noisy.matrix).min() >= -1e-9
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from spinclone import (NoPccReference, b_opt_xy, build_block,
-                       heis_star_fidelity, heis_star_fidelity_equatorial,
-                       pcc_pairs, pcc_reference, run_protocol, spectral, star,
-                       t_c_heis, t_c_xy, xy_star_fidelity,
-                       xy_star_fidelity_equatorial, xy_star_spectrum)
+                       heis_star_fidelity, pcc_reference, run_protocol, star,
+                       t_c_heis, t_c_xy, xy_star_fidelity)
+from reference import xy_star_spectrum
 
 EQUATOR = math.pi / 2
 
@@ -30,11 +29,12 @@ def test_xy_known_values():
 @pytest.mark.parametrize("m", range(1, 65))
 def test_equatorial_simplifications_agree(m):
     # Transcription tripwire: the full formulas must match the independently
-    # simplified equatorial forms to near round-off.
+    # simplified equatorial forms 1/2 + 1/(M+1) and 1/2 + 1/(2 sqrt(M)) to
+    # near round-off.
     assert abs(heis_star_fidelity(m, EQUATOR)
-               - heis_star_fidelity_equatorial(m)) <= 1e-12
+               - (0.5 + 1.0 / (m + 1.0))) <= 1e-12
     assert abs(xy_star_fidelity(m, EQUATOR)
-               - xy_star_fidelity_equatorial(m)) <= 1e-12
+               - (0.5 + 0.5 / math.sqrt(m))) <= 1e-12
 
 
 @pytest.mark.parametrize("m", range(1, 65))
@@ -97,8 +97,8 @@ def test_xy_spectrum_contained_in_numeric(m):
     # star, up to degeneracy (multiset containment).
     field = 0.41
     net = star(m).with_params(field=field)
-    numeric = spectral(
-        build_block(net, tuple(range(m + 2)))).eigenvalues.tolist()
+    numeric = np.linalg.eigvalsh(
+        build_block(net, tuple(range(m + 2))).matrix).tolist()
     for line in xy_star_spectrum(m, field):
         hits = [k for k, e in enumerate(numeric) if abs(e - line.energy) < 1e-10]
         assert hits, f"{line.energy} missing from numeric spectrum"
@@ -109,7 +109,7 @@ def test_pcc_reference_values():
     assert abs(pcc_reference(2, 3) - 0.941) < 1e-12
     assert abs(pcc_reference(4, 5) - 0.987) < 1e-12
     assert abs(pcc_reference(1, 2) - (2 + math.sqrt(2)) / 4) < 1e-15
-    assert (2, 5) in pcc_pairs()
+    assert abs(pcc_reference(2, 5) - 0.912) < 1e-12
 
 
 def test_pcc_reference_never_extrapolates():

@@ -192,8 +192,13 @@ def test_too_few_time_points_rejected(tmp_path, t_points):
     (["--gamma-grid", "0:1:3"], "--gamma-grid"),
     (["--gamma-grid", "1e-3:1e-1:-2"], "--gamma-grid"),
     (["--gamma-grid", "a,b"], "--gamma-grid"),
+    (["--gamma-grid=-1e-3,1e-2"], "--gamma-grid"),
+    (["--gamma-grid", "nan,1e-2"], "--gamma-grid"),
+    (["--gamma-grid", "1e-3:inf:3"], "--gamma-grid"),
+    (["--t-points", 1], "--t-points"),
 ], ids=["no_trajectory", "empty_grid", "zero_grid", "two_field_grid",
-        "zero_log_bound", "negative_count", "non_numeric_list"])
+        "zero_log_bound", "negative_count", "non_numeric_list",
+        "negative_list", "nan_list", "infinite_log_bound", "one_time_point"])
 def test_fig3_rejects_bad_input_before_writing(tmp_path, argv, name):
     with pytest.raises(ValueError, match=name):
         run(tmp_path / "out", *argv, "fig3")

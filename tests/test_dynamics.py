@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinclone import (QubitDensity, b_opt_xy, bipartite, build_block,
-                       clone_fidelity, evolve, from_edge_list, prepare_input,
+                       clone_fidelity, from_edge_list, prepare_input,
                        protocol_fidelities, reduce_density_to_site,
-                       reduce_to_site, run_protocol, sector_basis, spectral,
-                       star, t_c_xy, tree)
-from spinclone.dynamics import _check_densities, _check_norms
+                       run_protocol, sector_basis, star, t_c_xy, tree)
+from spinclone.dynamics import (_check_densities, _check_norms, _propagate,
+                                _site_densities)
 from reference import (embed_full, full_evolve, full_hamiltonian,
                        full_input_state, full_reduce)
 from strategies import small_networks
@@ -19,15 +19,15 @@ EQUATOR = math.pi / 2
 
 
 def test_prepare_input_polar():
-    state = prepare_input(star(3), 0.0, 1.3)
-    assert abs(state.amplitudes[0] - 1.0) < 1e-15
-    assert np.sum(np.abs(state.amplitudes[1:])) < 1e-15
+    _, amplitudes = prepare_input(star(3), 0.0, 1.3)
+    assert abs(amplitudes[0] - 1.0) < 1e-15
+    assert np.sum(np.abs(amplitudes[1:])) < 1e-15
 
 
 def test_prepare_input_star_equator():
-    state = prepare_input(star(2), EQUATOR, 0.0)
+    basis, amplitudes = prepare_input(star(2), EQUATOR, 0.0)
     # Basis over weights {0, 1}: |000>, then single excitations.
-    lookup = dict(zip(state.basis.states.tolist(), state.amplitudes))
+    lookup = dict(zip(basis.states.tolist(), amplitudes))
     assert abs(lookup[0] - 1 / math.sqrt(2)) < 1e-12
     assert abs(lookup[1] - 1 / math.sqrt(2)) < 1e-12
     assert abs(lookup[2]) == 0.0
@@ -37,8 +37,8 @@ def test_prepare_input_star_equator():
 def test_prepare_input_two_inputs():
     # Explicit 2-qubit tensor product: amplitude 1/2 on the four input
     # configurations of bipartite(2, M).
-    state = prepare_input(bipartite(2, 3), EQUATOR, 0.0)
-    lookup = dict(zip(state.basis.states.tolist(), state.amplitudes))
+    basis, amplitudes = prepare_input(bipartite(2, 3), EQUATOR, 0.0)
+    lookup = dict(zip(basis.states.tolist(), amplitudes))
     for config in (0, 1, 2, 3):
         assert abs(lookup[config] - 0.5) < 1e-12
 
@@ -46,18 +46,17 @@ def test_prepare_input_two_inputs():
 def test_prepare_input_matches_full_space():
     net = bipartite(2, 3)
     theta, phi = 0.9, 1.1
-    state = prepare_input(net, theta, phi)
-    full = embed_full(state.basis, state.amplitudes, net.n_sites)
+    basis, amplitudes = prepare_input(net, theta, phi)
+    full = embed_full(basis, amplitudes, net.n_sites)
     np.testing.assert_allclose(full, full_input_state(net, theta, phi),
                                atol=1e-14)
 
 
 def test_evolve_identity_at_zero_time():
     net = star(2)
-    state = prepare_input(net, EQUATOR, 0.0)
-    dec = spectral(build_block(net, state.basis.weights))
-    after = evolve(state, dec, 0.0)
-    np.testing.assert_allclose(after.amplitudes, state.amplitudes, atol=1e-15)
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.0)
+    after = _propagate(build_block(net, basis.weights), amplitudes, 0.0)
+    np.testing.assert_allclose(after, amplitudes, atol=1e-15)
 
 
 def test_two_site_swap():
@@ -66,12 +65,9 @@ def test_two_site_swap():
     basis = sector_basis(2, (0, 1))
     amplitudes = np.zeros(3, dtype=complex)
     amplitudes[basis.index_of(np.array([1]))[0]] = 1.0
-    from spinclone.dynamics import SectorState
-    state = SectorState(basis=basis, amplitudes=amplitudes)
-    dec = spectral(build_block(net, (0, 1)))
-    after = evolve(state, dec, math.pi)
+    after = _propagate(build_block(net, (0, 1)), amplitudes, math.pi)
     swapped = basis.index_of(np.array([2]))[0]
-    assert abs(abs(after.amplitudes[swapped]) - 1.0) < 1e-12
+    assert abs(abs(after[swapped]) - 1.0) < 1e-12
 
 
 def test_single_clone_star_needs_the_field():
@@ -90,20 +86,11 @@ def test_single_clone_star_needs_the_field():
     assert abs(tuned.mean_fidelity - 1.0) < 1e-12
 
 
-def test_evolve_basis_mismatch():
-    net = star(2)
-    state = prepare_input(net, EQUATOR, 0.0)
-    other = spectral(build_block(net, (0, 1, 2)))
-    with pytest.raises(ValueError):
-        evolve(state, other, 1.0)
-
-
 def test_unitarity_long_time():
     net = bipartite(2, 3).with_params(field=0.35)
-    state = prepare_input(net, EQUATOR, 0.4)
-    dec = spectral(build_block(net, state.basis.weights))
-    after = evolve(state, dec, 3.0e3)
-    assert abs(np.linalg.norm(after.amplitudes) - 1.0) <= 1e-10
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.4)
+    after = _propagate(build_block(net, basis.weights), amplitudes, 3.0e3)
+    assert abs(np.linalg.norm(after) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("net", [
@@ -115,19 +102,18 @@ def test_unitarity_long_time():
 def test_sector_evolution_matches_full_space(net):
     # Evolving in the union-of-weights block equals full 2^n evolution.
     theta, phi, t = 1.1, 0.7, 3.7
-    state = prepare_input(net, theta, phi)
-    dec = spectral(build_block(net, state.basis.weights))
-    evolved = evolve(state, dec, t)
+    basis, amplitudes = prepare_input(net, theta, phi)
+    evolved = _propagate(build_block(net, basis.weights), amplitudes, t)
     full = full_evolve(full_hamiltonian(net),
                        full_input_state(net, theta, phi), t)
-    lifted = embed_full(evolved.basis, evolved.amplitudes, net.n_sites)
+    lifted = embed_full(basis, evolved, net.n_sites)
     assert np.max(np.abs(lifted - full)) <= 1e-10
 
 
 def test_reduce_product_state():
-    state = prepare_input(star(3), 0.0, 0.0)
-    rho = reduce_to_site(state, 2)
-    np.testing.assert_allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+    basis, amplitudes = prepare_input(star(3), 0.0, 0.0)
+    rho = _site_densities(basis, amplitudes[None], [2])[0, 0]
+    np.testing.assert_allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_reduce_bell_pair():
@@ -135,44 +121,40 @@ def test_reduce_bell_pair():
     amplitudes = np.zeros(4, dtype=complex)
     amplitudes[basis.index_of(np.array([1]))[0]] = 1 / math.sqrt(2)
     amplitudes[basis.index_of(np.array([2]))[0]] = 1 / math.sqrt(2)
-    from spinclone.dynamics import SectorState
-    state = SectorState(basis=basis, amplitudes=amplitudes)
-    for site in (0, 1):
-        rho = reduce_to_site(state, site)
-        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-12)
+    _check_norms(amplitudes)
+    for rho in _site_densities(basis, amplitudes[None], [0, 1])[0]:
+        np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_reduce_matches_full_space():
     net = bipartite(2, 3).with_params(field=0.17)
-    state = prepare_input(net, 1.0, 0.3)
-    dec = spectral(build_block(net, state.basis.weights))
-    evolved = evolve(state, dec, 2.2)
+    basis, amplitudes = prepare_input(net, 1.0, 0.3)
+    evolved = _propagate(build_block(net, basis.weights), amplitudes, 2.2)
     full = full_evolve(full_hamiltonian(net),
                        full_input_state(net, 1.0, 0.3), 2.2)
-    for site in net.output_sites:
-        rho = reduce_to_site(evolved, site)
+    matrices = _site_densities(basis, evolved[None], net.output_sites)[0]
+    for site, rho in zip(net.output_sites, matrices):
         expected = full_reduce(full, site, net.n_sites)
-        np.testing.assert_allclose(rho.matrix, expected, atol=1e-10)
+        np.testing.assert_allclose(rho, expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("site", [3, 7, -1])
 def test_reduce_density_rejects_site_out_of_range(site):
     # star(2) has 3 sites; no site outside 0..2 may read as a blank |0><0|.
-    state = prepare_input(star(2), EQUATOR, 0.0)
-    matrix = np.outer(state.amplitudes, state.amplitudes.conj())
+    basis, amplitudes = prepare_input(star(2), EQUATOR, 0.0)
+    matrix = np.outer(amplitudes, amplitudes.conj())
     with pytest.raises(ValueError, match="site index out of range"):
-        reduce_density_to_site(matrix, state.basis, site)
+        reduce_density_to_site(matrix, basis, site)
     with pytest.raises(ValueError, match="site index out of range"):
-        reduce_to_site(state, site)
+        _site_densities(basis, amplitudes[None], [site])
 
 
 def test_star_clone_value_at_optimum():
-    net = star(2)
-    state = prepare_input(net.with_params(field=b_opt_xy(2)), EQUATOR, 0.0)
-    dec = spectral(build_block(net.with_params(field=b_opt_xy(2)),
-                               state.basis.weights))
-    evolved = evolve(state, dec, t_c_xy(2))
-    rho = reduce_to_site(evolved, 1)
+    net = star(2).with_params(field=b_opt_xy(2))
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.0)
+    evolved = _propagate(build_block(net, basis.weights), amplitudes,
+                         t_c_xy(2))
+    rho = QubitDensity(matrix=_site_densities(basis, evolved[None], [1])[0, 0])
     value = clone_fidelity(rho, EQUATOR, 0.0)
     assert abs(value - 0.853553) < 1e-6
 
@@ -269,10 +251,9 @@ def test_blank_clones_at_zero_time():
 @pytest.mark.parametrize("net,t", [(star(4), 0.7), (tree(2, 1), 1.9)])
 def test_clone_permutation_symmetry(net, t):
     configured = net.with_params(anisotropy=0.0, field=0.4)
-    state = prepare_input(configured, 1.0, 0.5)
-    dec = spectral(build_block(configured, state.basis.weights))
-    evolved = evolve(state, dec, t)
-    matrices = [reduce_to_site(evolved, s).matrix for s in net.output_sites]
+    basis, amplitudes = prepare_input(configured, 1.0, 0.5)
+    evolved = _propagate(build_block(configured, basis.weights), amplitudes, t)
+    matrices = _site_densities(basis, evolved[None], net.output_sites)[0]
     for other in matrices[1:]:
         assert np.max(np.abs(other - matrices[0])) <= 1e-10
 

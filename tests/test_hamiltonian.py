@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spinclone import (DimensionLimitError, bipartite, build_block,
-                       from_edge_list, sector_basis, spectral, star, tree)
+                       from_edge_list, sector_basis, star, tree)
+from spinclone.dynamics import _propagate
 from reference import full_hamiltonian
 
 
@@ -81,7 +82,7 @@ def test_star_field_block_eigenvalues():
     # Weight-1 star(2) block: E = +/- sqrt(2)/2 + B/2 plus a dark state B/2.
     field = 0.37
     net = star(2).with_params(field=field)
-    vals = spectral(build_block(net, (1,))).eigenvalues
+    vals = np.linalg.eigvalsh(build_block(net, (1,)).matrix)
     expected = np.sort([math.sqrt(2) / 2 + field / 2,
                         -math.sqrt(2) / 2 + field / 2,
                         field / 2])
@@ -91,7 +92,7 @@ def test_star_field_block_eigenvalues():
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_star_single_excitation_spectrum(m):
     # At B=0 the block is (J/2) x star adjacency: +/- sqrt(M)/2 and zeros.
-    vals = spectral(build_block(star(m), (1,))).eigenvalues
+    vals = np.linalg.eigvalsh(build_block(star(m), (1,)).matrix)
     expected = np.sort([-math.sqrt(m) / 2] + [0.0] * (m - 1)
                        + [math.sqrt(m) / 2])
     np.testing.assert_allclose(vals, expected, atol=1e-12)
@@ -106,21 +107,16 @@ def test_single_excitation_block_is_half_adjacency():
     np.testing.assert_allclose(block.matrix, adjacency / 2.0, atol=1e-15)
 
 
-def test_spectral_contract():
-    net = bipartite(4, 5)
-    basis = sector_basis(9, tuple(range(10)))
-    block = build_block(net, basis.weights)
-    dec = spectral(block)
-    assert np.all(np.diff(dec.eigenvalues) >= -1e-12)
-    v = dec.eigenvectors
-    gram = v.conj().T @ v
-    assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-10
-    rebuilt = (v * dec.eigenvalues) @ v.conj().T
-    scale = max(1.0, np.max(np.abs(dec.eigenvalues)))
-    assert np.max(np.abs(rebuilt - block.matrix)) <= 1e-10 * scale
-
-
-def test_spectral_dimension_guard():
-    block = build_block(star(2), (0, 1))
-    with pytest.raises(DimensionLimitError):
-        spectral(block, max_dim=2)
+def test_propagate_contract():
+    # The propagator on the full 512-state block is unitary, commutes with
+    # the block, is the identity at t = 0 and composes in time.
+    net = bipartite(4, 5).with_params(anisotropy=0.4, field=0.3)
+    block = build_block(net, tuple(range(10)))
+    eye = np.eye(len(block.basis))
+    u = _propagate(block, eye, 0.7)
+    scale = max(1.0, np.max(np.abs(block.matrix)))
+    assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10
+    assert np.max(np.abs(block.matrix @ u - u @ block.matrix)) <= 1e-10 * scale
+    assert np.max(np.abs(_propagate(block, eye, 0.0) - eye)) <= 1e-10
+    assert np.max(np.abs(_propagate(block, u, 0.7)
+                         - _propagate(block, eye, 1.4))) <= 1e-10

@@ -7,56 +7,56 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinclone import (GatePulse, b_opt_xy, build_block,
-                       circuit_baseline, circuit_ideal_fidelity, evolve,
+                       circuit_baseline, circuit_ideal_fidelity,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
                        pcc_circuit_schedule, prepare_input, star,
                        stochastic_evolve, t_c_xy)
-from spinclone.dynamics import clone_fidelity, reduce_density_to_site
+from spinclone.dynamics import (_propagate, clone_fidelity,
+                                reduce_density_to_site)
 from spinclone.noise import (KICK_ENTRIES, MixedState, cnot_pulses,
-                             cry_pulses, schedule_duration, schedule_unitary)
+                             cry_pulses, schedule_duration)
 from reference import (full_dephasing_evolve, full_hamiltonian,
-                       full_input_state, stochastic_stepwise)
+                       full_input_state, schedule_unitary,
+                       stochastic_stepwise)
 from strategies import small_networks as connected_networks
 
 EQUATOR = math.pi / 2
 
 
-def _pure(state):
-    return MixedState(basis=state.basis,
-                      matrix=np.outer(state.amplitudes,
-                                      state.amplitudes.conj()))
+def _pure(basis, amplitudes):
+    return MixedState(basis=basis,
+                      matrix=np.outer(amplitudes, amplitudes.conj()))
 
 
 def _star_setup(m, gamma_field=None):
     field = b_opt_xy(m) if gamma_field is None else gamma_field
     net = star(m).with_params(anisotropy=0.0, field=field)
-    state = prepare_input(net, EQUATOR, 0.0)
-    block = build_block(net, state.basis.weights)
-    return net, state, block
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.0)
+    block = build_block(net, basis.weights)
+    return net, basis, amplitudes, block
 
 
 def test_lindblad_gamma_zero_matches_unitary():
-    from spinclone import spectral
-    _, state, block = _star_setup(2)
-    out = lindblad_evolve(_pure(state), block, 0.0, 1.7)
-    pure = evolve(state, spectral(block), 1.7)
-    expected = np.outer(pure.amplitudes, pure.amplitudes.conj())
+    _, basis, amplitudes, block = _star_setup(2)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, 0.0, 1.7)
+    pure = _propagate(block, amplitudes, 1.7)
+    expected = np.outer(pure, pure.conj())
     assert np.max(np.abs(out.matrix - expected)) <= 1e-9
 
 
 def test_single_qubit_dephasing_analytic():
     net = from_edge_list(1, [], [0], [])
     block = build_block(net, (0, 1))
-    state = prepare_input(net, EQUATOR, 0.0)
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.0)
     gamma, t = 0.05, 1.0
-    out = lindblad_evolve(_pure(state), block, gamma, t)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t)
     expected = 0.5 * math.exp(-gamma * t / 2.0)
     assert abs(out.matrix[0, 1] - expected) <= 1e-10
 
 
 def test_lindblad_trace_and_positivity():
-    _, state, block = _star_setup(3)
-    out = lindblad_evolve(_pure(state), block, 0.01, t_c_xy(3))
+    _, basis, amplitudes, block = _star_setup(3)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, 0.01, t_c_xy(3))
     assert abs(np.trace(out.matrix).real - 1.0) <= 1e-8
     assert np.linalg.eigvalsh(out.matrix).min() >= -1e-9
 
@@ -83,9 +83,9 @@ def small_networks(draw):
 @given(net=small_networks(), gamma=st.floats(0.0, 2.0), t=st.floats(0.0, 5.0),
        theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi))
 def test_lindblad_matches_full_space_oracle(net, gamma, t, theta, phi):
-    state = prepare_input(net, theta, phi)
-    block = build_block(net, state.basis.weights)
-    out = lindblad_evolve(_pure(state), block, gamma, t).matrix
+    basis, amplitudes = prepare_input(net, theta, phi)
+    block = build_block(net, basis.weights)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t).matrix
     assert abs(np.trace(out) - 1.0) <= 1e-10
     assert np.max(np.abs(out - out.conj().T)) <= 1e-12
     assert np.linalg.eigvalsh(out).min() >= -1e-10
@@ -94,7 +94,7 @@ def test_lindblad_matches_full_space_oracle(net, gamma, t, theta, phi):
     oracle = full_dephasing_evolve(full_hamiltonian(net),
                                    np.outer(psi, psi.conj()), gamma, t)
     lifted = np.zeros_like(oracle)
-    lifted[np.ix_(state.basis.states, state.basis.states)] = out
+    lifted[np.ix_(basis.states, basis.states)] = out
     assert np.max(np.abs(lifted - oracle)) <= 1e-10
 
 
@@ -109,7 +109,7 @@ def test_lindblad_rejects_oversized_liouvillian():
 
 
 def test_lindblad_first_order_loss():
-    net, _, _ = _star_setup(2)
+    net = _star_setup(2)[0]
     gamma = 1e-3
     noiseless = noisy_network_fidelity(net, 0.0, b_opt_xy(2), EQUATOR, 0.0,
                                        t_c_xy(2))
@@ -120,28 +120,26 @@ def test_lindblad_first_order_loss():
 
 
 def test_stochastic_gamma_zero_is_exact():
-    from spinclone import spectral
-    _, state, block = _star_setup(2)
-    out = stochastic_evolve(state.amplitudes, block, 0.0, 1.3, n_traj=3,
-                            seed=1)
-    pure = evolve(state, spectral(block), 1.3)
-    expected = np.outer(pure.amplitudes, pure.amplitudes.conj())
+    _, _, amplitudes, block = _star_setup(2)
+    out = stochastic_evolve(amplitudes, block, 0.0, 1.3, n_traj=3, seed=1)
+    pure = _propagate(block, amplitudes, 1.3)
+    expected = np.outer(pure, pure.conj())
     assert np.max(np.abs(out.matrix - expected)) <= 1e-9
 
 
 @pytest.mark.parametrize("n_traj", [0, -3])
 def test_stochastic_needs_a_trajectory(n_traj):
-    _, state, block = _star_setup(2)
+    _, _, amplitudes, block = _star_setup(2)
     with pytest.raises(ValueError, match="trajectory"):
-        stochastic_evolve(state.amplitudes, block, 1e-3, 1.0, n_traj=n_traj)
+        stochastic_evolve(amplitudes, block, 1e-3, 1.0, n_traj=n_traj)
 
 
 def test_stochastic_single_qubit_three_sigma():
     net = from_edge_list(1, [], [0], [])
     block = build_block(net, (0, 1))
-    state = prepare_input(net, EQUATOR, 0.0)
+    basis, amplitudes = prepare_input(net, EQUATOR, 0.0)
     gamma, t, n_traj = 0.05, 1.0, 1000
-    out = stochastic_evolve(state.amplitudes, block, gamma, t,
+    out = stochastic_evolve(amplitudes, block, gamma, t,
                             n_traj=n_traj, seed=123)
     target = 0.5 * math.exp(-gamma * t / 2.0)
     # Spread of e^{-i W} with Var W = gamma t, divided by sqrt(n).
@@ -160,38 +158,38 @@ def test_stochastic_single_qubit_three_sigma():
     (1000, 0.0, 0.5),          # no kicks drawn
 ])
 def test_stochastic_matches_stepwise_oracle(n_traj, gamma, t):
-    _, state, block = _star_setup(2)
-    out = stochastic_evolve(state.amplitudes, block, gamma, t,
+    _, _, amplitudes, block = _star_setup(2)
+    out = stochastic_evolve(amplitudes, block, gamma, t,
                             n_traj=n_traj, seed=7)
-    rho, _ = stochastic_stepwise(state.amplitudes, block, gamma, t,
+    rho, _ = stochastic_stepwise(amplitudes, block, gamma, t,
                                  n_traj=n_traj, seed=7)
     assert np.array_equal(out.matrix, rho)
 
 
 def test_stochastic_oracle_cases_split_chunks():
     # The 1000-trajectory cases above end in a partial chunk of kick steps.
-    _, state, _ = _star_setup(2)
-    chunk = max(1, KICK_ENTRIES // (1000 * len(state.basis)))
+    _, basis, _, _ = _star_setup(2)
+    chunk = max(1, KICK_ENTRIES // (1000 * len(basis)))
     assert chunk > 1
     assert 23 % chunk and int(t_c_xy(2) / 1e-3) % chunk
 
 
 def test_stochastic_single_trajectory_near_oracle():
     # One-row products may take another BLAS path than the oracle's.
-    _, state, block = _star_setup(2)
-    out = stochastic_evolve(state.amplitudes, block, 0.1, 0.5, n_traj=1,
+    _, _, amplitudes, block = _star_setup(2)
+    out = stochastic_evolve(amplitudes, block, 0.1, 0.5, n_traj=1,
                             seed=7)
-    rho, _ = stochastic_stepwise(state.amplitudes, block, 0.1, 0.5,
+    rho, _ = stochastic_stepwise(amplitudes, block, 0.1, 0.5,
                                  n_traj=1, seed=7)
     assert np.max(np.abs(out.matrix - rho)) <= 1e-14
 
 
 def test_stochastic_memory_stays_bounded():
-    _, state, block = _star_setup(2)
-    stochastic_evolve(state.amplitudes, block, 0.1, 0.01, n_traj=1)  # warm-up
+    _, _, amplitudes, block = _star_setup(2)
+    stochastic_evolve(amplitudes, block, 0.1, 0.01, n_traj=1)  # warm-up
     tracemalloc.start()
     try:
-        stochastic_evolve(state.amplitudes, block, 0.1, t_c_xy(2),
+        stochastic_evolve(amplitudes, block, 0.1, t_c_xy(2),
                           n_traj=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -208,18 +206,18 @@ MALFORMED_T_GAMMA = [("t", {"t": -1.0}), ("t", {"t": math.inf}),
 @pytest.mark.parametrize("name,kwargs", MALFORMED_T_GAMMA + [
     ("dt", {"dt": 0.0}), ("dt", {"dt": -1e-3}), ("dt", {"dt": math.nan})])
 def test_stochastic_rejects_malformed_inputs(name, kwargs):
-    _, state, block = _star_setup(2)
+    _, _, amplitudes, block = _star_setup(2)
     args = {"gamma": 1e-3, "t": 1.0, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        stochastic_evolve(state.amplitudes, block, n_traj=2, **args)
+        stochastic_evolve(amplitudes, block, n_traj=2, **args)
 
 
 @pytest.mark.parametrize("name,kwargs", MALFORMED_T_GAMMA)
 def test_lindblad_rejects_malformed_inputs(name, kwargs):
-    _, state, block = _star_setup(2)
+    _, basis, amplitudes, block = _star_setup(2)
     args = {"gamma": 1e-3, "t": 1.0, **kwargs}
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        lindblad_evolve(_pure(state), block, **args)
+        lindblad_evolve(_pure(basis, amplitudes), block, **args)
 
 
 def _mean_clone_fidelity(matrix, net, basis, theta, phi):
@@ -235,28 +233,28 @@ def _mean_clone_fidelity(matrix, net, basis, theta, phi):
 def test_trajectories_match_master_within_three_sigma(net, gamma, t, theta,
                                                       phi):
     n_traj = 200
-    state = prepare_input(net, theta, phi)
-    block = build_block(net, state.basis.weights)
-    master = lindblad_evolve(_pure(state), block, gamma, t).matrix
-    sampled = stochastic_evolve(state.amplitudes, block, gamma, t,
+    basis, amplitudes = prepare_input(net, theta, phi)
+    block = build_block(net, basis.weights)
+    master = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t).matrix
+    sampled = stochastic_evolve(amplitudes, block, gamma, t,
                                 n_traj=n_traj, seed=5).matrix
-    _, states = stochastic_stepwise(state.amplitudes, block, gamma, t,
+    _, states = stochastic_stepwise(amplitudes, block, gamma, t,
                                     n_traj=n_traj, seed=5)
     per_traj = np.array([
-        _mean_clone_fidelity(np.outer(psi, psi.conj()), net, state.basis,
+        _mean_clone_fidelity(np.outer(psi, psi.conj()), net, basis,
                              theta, phi) for psi in states])
     pairs = 0.5 * (per_traj[:n_traj // 2] + per_traj[n_traj // 2:])
     sigma = max(np.std(pairs, ddof=1) / math.sqrt(len(pairs)), 1e-4)
-    gap = (_mean_clone_fidelity(sampled, net, state.basis, theta, phi)
-           - _mean_clone_fidelity(master, net, state.basis, theta, phi))
+    gap = (_mean_clone_fidelity(sampled, net, basis, theta, phi)
+           - _mean_clone_fidelity(master, net, basis, theta, phi))
     assert abs(gap) <= 3.0 * sigma
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 1e-2])
 def test_solver_agreement_on_star(gamma):
-    _, state, block = _star_setup(2)
-    master = lindblad_evolve(_pure(state), block, gamma, t_c_xy(2))
-    sampled = stochastic_evolve(state.amplitudes, block, gamma, t_c_xy(2),
+    _, basis, amplitudes, block = _star_setup(2)
+    master = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t_c_xy(2))
+    sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2),
                                 n_traj=1000, seed=11)
     gaps = np.linalg.eigvalsh(master.matrix - sampled.matrix)
     assert 0.5 * np.sum(np.abs(gaps)) <= 0.01

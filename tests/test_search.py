@@ -101,12 +101,12 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     assert abs(scan.mean_fidelity(t, b) - direct) <= 1e-12
 
     configured = net.with_params(anisotropy=anisotropy, field=b)
-    psi = prepare_input(configured, theta, phi)
-    orbits = orbit_isometry(psi.basis, classes)
-    assert scan.dim == orbits.shape[1] <= len(psi.basis)
-    lifted = orbits @ (orbits.T @ psi.amplitudes)
-    assert np.max(np.abs(lifted - psi.amplitudes)) <= 1e-12
-    h = build_block(configured, psi.basis.weights).matrix
+    config_basis, psi = prepare_input(configured, theta, phi)
+    orbits = orbit_isometry(config_basis, classes)
+    assert scan.dim == orbits.shape[1] <= len(config_basis)
+    lifted = orbits @ (orbits.T @ psi)
+    assert np.max(np.abs(lifted - psi)) <= 1e-12
+    h = build_block(configured, config_basis.weights).matrix
     leak = h @ orbits - orbits @ (orbits.T @ h @ orbits)
     assert np.max(np.abs(leak)) <= 1e-12
 
@@ -114,15 +114,15 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     # are S^T H S, S^T psi, S^T D S and S^T G S, with the configuration
     # readout D (diagonal) and G (output coherence pairs) built here bit by
     # bit.
-    basis = count_basis(tuple(classes.tolist()), psi.basis.weights)
+    basis = count_basis(tuple(classes.tolist()), config_basis.weights)
     assert (len(basis), basis) == (scan.dim, scan.basis)
     block = assemble_blocks(configured, basis,
                             configured.coupling_array()[None])[0]
     assert np.max(np.abs(block - orbits.T @ h @ orbits)) <= 1e-12
     amplitudes = count_input(configured, basis, theta, phi)
-    assert np.max(np.abs(amplitudes - orbits.T @ psi.amplitudes)) <= 1e-12
+    assert np.max(np.abs(amplitudes - orbits.T @ psi)) <= 1e-12
 
-    words = psi.basis.states.tolist()
+    words = config_basis.states.tolist()
     where = {w: k for k, w in enumerate(words)}
     n_out = len(net.output_sites)
     c2, s2 = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
@@ -141,7 +141,7 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     assert np.max(np.abs(counted - orbits.T @ pairs @ orbits)) <= 1e-12
 
     jittered = ProtocolScan(jitter(net, 0.1, seed=3), anisotropy, theta)
-    assert jittered.dim == len(psi.basis)
+    assert jittered.dim == len(config_basis)
 
 
 @pytest.mark.parametrize("net,full,reduced", [
@@ -494,7 +494,7 @@ def test_stacked_disorder_matches_run_protocol(net, anisotropy, theta, phi, t,
 
     # Each stacked row is bit-identical to the block of its jittered network.
     configured = net.with_params(anisotropy=anisotropy, field=b)
-    basis = prepare_input(configured, theta, phi).basis
+    basis, _ = prepare_input(configured, theta, phi)
     couplings = configured.coupling_array() * np.array(
         [coupling_factors(epsilon, s, len(net.edges)) for s in seeds])
     stacked = assemble_blocks(configured, basis, couplings)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from spinclone import (NetworkTooLargeError, bipartite, from_edge_list,
                        from_text, jitter, star, to_text, tree)
@@ -89,7 +90,10 @@ def test_bipartite_rejects_wrong_direction():
 def test_roles_disjoint_and_connected():
     for net in (star(3), tree(2, 1), bipartite(2, 4)):
         assert not set(net.input_sites) & set(net.output_sites)
-        assert net.is_connected()
+        adjacency = np.zeros((net.n_sites, net.n_sites))
+        for i, j, coupling in net.edges:
+            adjacency[i, j] = coupling
+        assert connected_components(adjacency, directed=False)[0] == 1
 
 
 def test_duplicate_edge_rejected():
@@ -180,9 +184,18 @@ def test_text_header_format():
     assert sum(1 for ln in lines if ln.startswith("field ")) == 3
 
 
-@pytest.mark.parametrize("line", ["sites 3", "edge 0 1", "field 2"])
+HEADER = "sites 3 lambda 0.0"
+
+
+@pytest.mark.parametrize("line", [
+    "sites 3", "edge 0 1", "field 2", "sites 3 lambda 0.0 extra",
+    "sites 3 kappa 0.0", "edge 0 1 1.0 9 9", "field 5 0.5", "field -1 0.7",
+    "field 0 0.25", "# inputs a", HEADER])
 def test_from_text_rejects_malformed_line(line):
-    text = line if line.startswith("sites") else f"sites 3 lambda 0.0\n{line}"
+    # Every line but a malformed header follows a header and a field for
+    # site 0, so that the header itself and "field 0" are second ones.
+    bad_header = line.startswith("sites") and line != HEADER
+    text = line if bad_header else f"{HEADER}\nfield 0 0.5\n{line}"
     with pytest.raises(ValueError, match=repr(line)):
         from_text(text)
 

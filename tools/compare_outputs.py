@@ -1,0 +1,96 @@
+"""Check that the working tree's ``src/`` reproduces a revision's outputs.
+
+Usage::
+
+    python tools/compare_outputs.py <rev> [--seeds 0-9]
+
+Extracts ``src/`` at ``<rev>`` with ``git archive`` into a temporary
+directory, then runs the five CLI commands with ``--format json`` at every
+seed, each in its own subprocess, once on that tree and once on the working
+tree's ``src/``.  Every written file (CSV, JSON mirror, network dump,
+manifest) and every command's stdout is compared byte for byte; only the
+manifests' ``duration_s`` line is ignored.  Prints each file that differs
+and exits 1 if any does.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("fig2", "table1", "fig3", "tree", "disorder")
+
+
+def parse_seeds(spec: str) -> list[int]:
+    """'0-9' or a comma-separated list of seeds."""
+    if "-" in spec:
+        lo, hi = spec.split("-")
+        return list(range(int(lo), int(hi) + 1))
+    return [int(s) for s in spec.split(",")]
+
+
+def run_all(src: Path, out: Path, seeds: list[int]) -> None:
+    """Every command at every seed on ``src``, into ``out/<command>_<seed>``
+    with the command's stdout saved as ``stdout.txt`` there."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out.mkdir(parents=True)   # the cwd, so that no other tree is importable
+    for seed in seeds:
+        for command in COMMANDS:
+            run_dir = out / f"{command}_{seed}"
+            done = subprocess.run(
+                [sys.executable, "-m", "spinclone.cli", "--seed", str(seed),
+                 "--format", "json", "--out-dir", str(run_dir), command],
+                env=env, cwd=out, capture_output=True, text=True)
+            if done.returncode not in (0, 1):
+                raise SystemExit(f"{command} at seed {seed} on {src} failed:\n"
+                                 f"{done.stderr}")
+            run_dir.mkdir(parents=True, exist_ok=True)
+            (run_dir / "stdout.txt").write_text(done.stdout)
+
+
+def comparable(path: Path) -> bytes:
+    """The file's bytes, without a manifest's ``duration_s`` line."""
+    data = path.read_bytes()
+    if path.suffix == ".manifest":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"duration_s="))
+    return data
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare against")
+    parser.add_argument("--seeds", default="0-9",
+                        help="'lo-hi' range or comma list (default 0-9)")
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(["git", "archive", args.rev, "src"],
+                                 cwd=ROOT, capture_output=True, check=True)
+        (tmp / "old").mkdir()
+        subprocess.run(["tar", "-x", "-C", str(tmp / "old")],
+                       input=archive.stdout, check=True)
+        run_all(tmp / "old" / "src", tmp / "old_out", seeds)
+        run_all(ROOT / "src", tmp / "new_out", seeds)
+        old = {p.relative_to(tmp / "old_out")
+               for p in (tmp / "old_out").rglob("*") if p.is_file()}
+        new = {p.relative_to(tmp / "new_out")
+               for p in (tmp / "new_out").rglob("*") if p.is_file()}
+        differing = sorted(old ^ new) + sorted(
+            name for name in old & new
+            if comparable(tmp / "old_out" / name)
+            != comparable(tmp / "new_out" / name))
+        for name in differing:
+            print(f"differs: {name}")
+        print(f"{len(old | new)} files compared over {len(seeds)} seeds, "
+              f"{len(differing)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
