@@ -12,15 +12,15 @@ from .analytic import (NoPccReference, NtomReference, NTOM_REFERENCE,
 from .dynamics import (CloneResult, QubitDensity, clone_fidelity,
                        prepare_input, protocol_fidelities,
                        reduce_density_to_site, run_protocol)
-from .hamiltonian import (DimensionLimitError, HamiltonianBlock, SectorBasis,
-                          build_block, sector_basis)
+from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
+                          sector_basis)
 from .noise import (GatePulse, MixedState, circuit_baseline,
                     circuit_ideal_fidelity, lindblad_evolve,
                     noisy_network_fidelity, pcc_circuit_schedule,
                     stochastic_evolve)
 from .search import (DisorderSummary, OptimizationResult, ProtocolScan,
                      disorder_study, optimize)
-from .topology import (MAX_SITES, NetworkTooLargeError, SpinNetwork, bipartite,
+from .topology import (DimensionLimitError, SpinNetwork, bipartite,
                        from_edge_list, from_text, jitter, star, to_text, tree)
 
 __version__ = "0.1.0"

@@ -25,23 +25,26 @@ from .topology import SpinNetwork
 
 
 def _check_norms(amplitudes: np.ndarray) -> None:
-    """Raise unless every amplitude vector (last axis) has norm 1 to 1e-9."""
+    """Raise unless every amplitude vector (last axis) has norm 1 to 1e-9;
+    NaN fails every check here."""
     gap = np.max(np.abs(np.linalg.norm(amplitudes, axis=-1) - 1.0),
                  initial=0.0)
-    if gap > 1e-9:
+    if not gap <= 1e-9:
         raise ValueError(f"state norm differs from 1 by {gap:.3g}")
 
 
-def _check_densities(matrices: np.ndarray) -> None:
-    """Raise unless every 2x2 matrix (last two axes) is a density matrix:
-    Hermitian, unit trace and positive semidefinite, each to 1e-10."""
-    m = matrices
-    if np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0) > 1e-10:
+def _check_densities(m: np.ndarray, hermitian: float = 1e-10,
+                     trace: float = 1e-10, psd: float = 1e-10) -> None:
+    """Raise unless every matrix (last two axes) is a density matrix:
+    Hermitian, unit trace and positive semidefinite to the given bounds;
+    NaN fails each check."""
+    if not np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))),
+                  initial=0.0) <= hermitian:
         raise ValueError("density matrix not Hermitian")
-    trace = np.trace(m, axis1=-2, axis2=-1).real
-    if np.max(np.abs(trace - 1.0), initial=0.0) > 1e-10:
+    gap = np.abs(np.trace(m, axis1=-2, axis2=-1).real - 1.0)
+    if not np.max(gap, initial=0.0) <= trace:
         raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(m), initial=0.0) < -1e-10:
+    if not np.min(np.linalg.eigvalsh(m), initial=0.0) >= -psd:
         raise ValueError("density matrix not positive semidefinite")
 
 

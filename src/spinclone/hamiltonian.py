@@ -24,18 +24,15 @@ default energy scale).
 """
 from __future__ import annotations
 
+import math
+import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .topology import SpinNetwork
-
-MAX_DIM = 4096
-
-
-class DimensionLimitError(ValueError):
-    """Raised when a sector exceeds the configured dense-matrix budget."""
+from .topology import MAX_DIM, DimensionLimitError, SpinNetwork
 
 
 @dataclass(frozen=True)
@@ -44,49 +41,58 @@ class SectorBasis:
 
     ``classes`` gives every site's class and ``sizes`` each class's site
     count.  Row ``k`` of ``counts`` holds the excitations per class of state
-    ``k``; ``states[k] = counts[k] @ radix`` is its mixed-radix code, class
-    0 the lowest digit, strictly ascending (the ordering is part of the data
-    contract).  ``state_weights`` caches each state's excitation number.
-    Bases compare and hash by ``classes`` and ``weights``.
+    ``k``, in lexicographic order, class 0 the lowest digit (the ordering is
+    part of the data contract).  ``codes = counts @ multipliers``, wrapping
+    in int64, are opaque distinct keys, looked up through their ``order``
+    and ``sorted_codes``.  ``state_weights`` caches each state's excitation
+    number.  Bases compare and hash by ``classes`` and ``weights``.
     """
 
     classes: tuple[int, ...]
     weights: tuple[int, ...]
     sizes: np.ndarray = field(compare=False)
-    radix: np.ndarray = field(compare=False)
-    states: np.ndarray = field(compare=False)
+    multipliers: np.ndarray = field(compare=False)
+    codes: np.ndarray = field(compare=False)
+    order: np.ndarray = field(compare=False)
+    sorted_codes: np.ndarray = field(compare=False)
     counts: np.ndarray = field(compare=False)
     state_weights: np.ndarray = field(compare=False)
 
     def __len__(self):
-        return len(self.states)
+        return len(self.codes)
 
     def index_of(self, codes: np.ndarray) -> np.ndarray:
         """Positions of state codes; assumes membership."""
-        return np.searchsorted(self.states, codes)
+        return self.order[np.searchsorted(self.sorted_codes, codes)]
 
     def raising(self, cls: int) -> tuple[np.ndarray, ...]:
         """Nonzero elements of the collective raising operator of class
         ``cls``: positions ``lower``, ``upper`` of the states ``n`` and
         ``n + e_cls``, both in the basis, and ``sqrt((n + 1)(s - n))``."""
-        rows = np.nonzero(self.counts[:, cls] < self.sizes[cls])[0]
-        partners = self.states[rows] + self.radix[cls]
-        upper = np.minimum(self.index_of(partners), len(self) - 1)
-        kept = self.states[upper] == partners   # the partner weight exists
-        rows, upper = rows[kept], upper[kept]
+        present = np.zeros(len(self.classes) + 2, dtype=bool)
+        present[list(self.weights)] = True   # the partner's weight
+        rows = np.nonzero((self.counts[:, cls] < self.sizes[cls])
+                          & present[self.state_weights + 1])[0]
+        upper = self.index_of(self.codes[rows] + self.multipliers[cls])
         n = self.counts[rows, cls]
         return rows, upper, np.sqrt((n + 1) * (self.sizes[cls] - n))
 
 
 def sector_dimension(sizes, weights) -> int:
     """Number of count states with an excitation number in ``weights``: the
-    coefficients of ``prod_a (1 + x + ... + x^{s_a})``; with unit sizes, the
-    ``sum_w C(n, w)`` configurations."""
-    poly = [1]
-    for size in sizes:
-        poly = [sum(poly[max(0, k - size):k + 1])
-                for k in range(len(poly) + size)]
-    return sum(poly[w] for w in set(weights) if 0 <= w < len(poly))
+    coefficients of ``prod_a (1 + x + ... + x^{s_a})`` up to the largest
+    weight, with ``(1 - x^{s+1})^m (1 - x)^{-m}`` for ``m`` classes of size
+    ``s``; with unit sizes, the ``sum_w C(n, w)`` configurations."""
+    top = max(weights)
+    poly = [1] + [0] * top
+    for s, m in Counter(sizes).items():
+        factor = [sum((-1) ** j * math.comb(m, j)
+                      * math.comb(m - 1 + k - j * (s + 1), m - 1)
+                      for j in range(k // (s + 1) + 1))
+                  for k in range(top + 1)]
+        poly = [sum(p * f for p, f in zip(poly[:k + 1], factor[k::-1]))
+                for k in range(top + 1)]
+    return sum(poly[w] for w in set(weights) if w >= 0)
 
 
 @lru_cache(maxsize=128)
@@ -95,8 +101,9 @@ def count_basis(classes: tuple[int, ...],
     """Shared count basis for a site partition and excitation numbers.
 
     The dimension is checked against ``MAX_DIM`` before any state is built;
-    the enumeration runs from the highest digit down and keeps only the
-    prefixes from which a requested weight is still reachable.
+    the enumeration runs from the highest digit down, keeps only the
+    prefixes from which a requested weight is still reachable and records
+    each one's digit and parent, from which ``counts`` is read once.
     """
     if not classes:
         raise ValueError("need at least one site")
@@ -111,18 +118,32 @@ def count_basis(classes: tuple[int, ...],
         raise DimensionLimitError(
             f"sector dimension {dim} exceeds maximum {MAX_DIM}"
         )
-    counts = np.zeros((1, 0), dtype=np.int64)
+    totals = np.arange(len(classes) + 1)
+    gap = np.append(wset, 2 * len(classes) + 1)[   # to the next weight
+        np.searchsorted(wset, totals)] - totals
+    levels = []   # (digit, parent) per prefix, from the highest class down
+    total = np.zeros(1, dtype=np.int64)
     room = len(classes)   # sites of the classes not yet enumerated
     for size in sizes[::-1]:
         room -= size
-        counts = np.column_stack((np.tile(np.arange(size + 1), len(counts)),
-                                  np.repeat(counts, size + 1, axis=0)))
-        total = counts.sum(axis=1, keepdims=True)
-        counts = counts[((total <= wset) & (wset <= total + room)).any(axis=1)]
-    radix = np.cumprod(np.concatenate(([1], sizes[:-1] + 1)))
-    return SectorBasis(classes=classes, weights=wset, sizes=sizes,
-                       radix=radix, states=counts @ radix, counts=counts,
-                       state_weights=counts.sum(axis=1))
+        reach = gap[total[:, None] + np.arange(size + 1)] <= room
+        parent, digit = np.nonzero(reach)
+        total = total[parent] + digit
+        levels.append((digit, parent))
+    counts = np.empty((len(total), len(sizes)), dtype=np.int64)
+    prefix = np.arange(len(total))
+    for cls, (digit, parent) in enumerate(reversed(levels)):
+        counts[:, cls] = digit[prefix]
+        prefix = parent[prefix]
+    multipliers = np.frombuffer(   # from a fixed seed
+        random.Random(0).randbytes(8 * len(sizes)), dtype="<i8")
+    codes = counts @ multipliers
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    if np.any(sorted_codes[1:] == sorted_codes[:-1]):
+        raise ValueError("state codes collide")
+    return SectorBasis(classes, wset, sizes, multipliers, codes, order,
+                       sorted_codes, counts, total)
 
 
 def sector_basis(n_sites: int, weights: tuple[int, ...]) -> SectorBasis:
@@ -191,7 +212,8 @@ def assemble_blocks(net: SpinNetwork, basis: SectorBasis,
     n_up, n_down = counts[rows, up], counts[rows, down]
     amplitude = np.sqrt((n_up + 1) * (sizes[up] - n_up)
                         * n_down * (sizes[down] - n_down + 1))
-    partners = basis.states[rows] + basis.radix[up] - basis.radix[down]
+    partners = (basis.codes[rows] + basis.multipliers[up]
+                - basis.multipliers[down])
     # Distinct class pairs link distinct (row, col) pairs: assigning adds to 0.
     matrix[:, rows, basis.index_of(partners)] = (0.5 * couplings[:, edge]
                                                   * amplitude)

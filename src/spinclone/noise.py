@@ -30,10 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import clone_fidelity, reduce_density_to_site
-from .hamiltonian import (MAX_DIM, DimensionLimitError, HamiltonianBlock,
-                          SectorBasis, build_block, sector_basis)
-from .topology import SpinNetwork, from_edge_list
+from .dynamics import (_check_densities, clone_fidelity,
+                       reduce_density_to_site)
+from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
+                          sector_basis)
+from .topology import (MAX_DIM, DimensionLimitError, SpinNetwork,
+                       from_edge_list)
 
 
 @dataclass(frozen=True)
@@ -44,15 +46,9 @@ class MixedState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = self.matrix
-        if m.shape != (len(self.basis), len(self.basis)):
+        if self.matrix.shape != (len(self.basis), len(self.basis)):
             raise ValueError("matrix shape does not match basis")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
-            raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(m).real - 1.0) > 1e-8:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(m).min() < -1e-9:
-            raise ValueError("density matrix not positive semidefinite")
+        _check_densities(self.matrix, hermitian=1e-9, trace=1e-8, psd=1e-9)
 
 
 @dataclass(frozen=True)

@@ -319,8 +319,8 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
     b_lo, b_hi = field
     if t_points < 2:
         raise ValueError("need at least two time points")
-    if not 0.0 <= t_lo < t_hi:
-        raise ValueError("time range must be non-negative and ascending")
+    if not 0.0 <= t_lo < t_hi < math.inf:
+        raise ValueError("time range needs finite 0 <= t_lo < t_hi")
     if not (math.isfinite(b_lo) and b_lo <= b_hi):
         raise ValueError("field interval needs finite b_lo <= b_hi")
     scan = ProtocolScan(net, anisotropy, theta, phi=phi)

@@ -7,17 +7,17 @@ change rather than a separate code path.
 """
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-# Configuration words are held in int64 bit masks.
-MAX_SITES = 62
+MAX_DIM = 4096   # bounds sites, sector states and Liouvillian entries
 
 
-class NetworkTooLargeError(ValueError):
-    """Raised when a requested graph exceeds the supported site count."""
+class DimensionLimitError(ValueError):
+    """Raised when a network, sector or Liouvillian exceeds ``MAX_DIM``."""
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,9 @@ class SpinNetwork:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("network needs at least one site")
-        if self.n_sites > MAX_SITES:
-            raise NetworkTooLargeError(
-                f"{self.n_sites} sites exceeds the supported maximum {MAX_SITES}"
-            )
+        if self.n_sites > MAX_DIM:
+            raise DimensionLimitError(
+                f"{self.n_sites} sites exceeds maximum {MAX_DIM}")
         if len(self.field_b) != self.n_sites:
             raise ValueError("field_b must hold one value per site")
         if not 0.0 <= self.anisotropy <= 1.0:
@@ -134,26 +133,19 @@ def tree(branching: int, levels: int, coupling: float = 1.0,
         raise ValueError("branching factor must be at least 2")
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    total = (branching ** (levels + 2) - 1) // (branching - 1)
-    if total > MAX_SITES:
-        raise NetworkTooLargeError(
-            f"tree({branching}, {levels}) has {total} sites, maximum is {MAX_SITES}"
-        )
-    edges = []
-    previous = [0]
-    next_index = 1
-    for _ in range(levels + 1):
-        current = []
-        for parent in previous:
-            for _ in range(branching):
-                edges.append((parent, next_index, coupling))
-                current.append(next_index)
-                next_index += 1
-        previous = current
+    leaves = branching ** (levels + 1)
+    total = (branching * leaves - 1) // (branching - 1)
+    if total > MAX_DIM:
+        raise DimensionLimitError(f"tree({branching}, {levels}) has "
+                                  f"{total} sites, maximum {MAX_DIM}")
+    # Breadth-first numbering: node p has children k p + 1 .. k p + k.
+    edges = [(parent, branching * parent + c, coupling)
+             for parent in range(total - leaves)
+             for c in range(1, branching + 1)]
     return from_edge_list(
         total, edges,
         input_sites=[0],
-        output_sites=previous,
+        output_sites=list(range(total - leaves, total)),
         anisotropy=anisotropy, field=field,
     )
 
@@ -208,7 +200,9 @@ def jitter(net: SpinNetwork, epsilon: float, seed: int) -> SpinNetwork:
 
 def twin_classes(net: SpinNetwork) -> np.ndarray:
     """Class id per site, numbered by smallest member: twins share role, field
-    and, exactly, every coupling to the other sites."""
+    and, exactly, every coupling to the other sites.  Twins' rows differ only
+    by swapping their entries at each other, so a site is compared only with
+    the unassigned sites whose rows hold the same multiset: O(n^2) memory."""
     n = net.n_sites
     rows = np.zeros((n, n + 2))   # couplings, then role and field
     for i, j, coupling in net.edges:
@@ -216,11 +210,18 @@ def twin_classes(net: SpinNetwork) -> np.ndarray:
     rows[list(net.input_sites), n] = 1.0
     rows[list(net.output_sites), n] = 2.0
     rows[:, n + 1] = net.field_b
-    same = rows[:, None, :] == rows[None, :, :]   # [i, j, k]
-    sites = np.arange(n)
-    same[sites, :, sites] = same[:, sites, sites] = True   # skip k = i, j
-    first = same.all(axis=2).argmax(axis=1)
-    return (np.cumsum(first == sites) - 1)[first]
+    multisets: dict[bytes, int] = {}   # + 0.0 maps a -0.0 field to 0.0
+    key = np.array([multisets.setdefault(row.tobytes(), len(multisets))
+                    for row in np.sort(rows, axis=1) + 0.0])
+    labels = np.full(n, -1)
+    for i in range(n):
+        if labels[i] < 0:
+            rest = np.nonzero((labels < 0) & (key == key[i]))[0][1:]
+            same = rows[rest] == rows[i]
+            same[:, i] = same[np.arange(len(rest)), rest] = True   # skip i, j
+            labels[i] = labels.max() + 1
+            labels[rest[same.all(axis=1)]] = labels[i]
+    return labels
 
 
 def to_text(net: SpinNetwork) -> str:
@@ -241,15 +242,15 @@ def from_text(text: str) -> SpinNetwork:
     """Inverse of :func:`to_text` (role comments are honored when present).
 
     Raises ``ValueError``, quoting the line, on any line that is not blank,
-    a comment or a record of exactly its :func:`to_text` shape, on a second
-    header, on a second field for one site and on a field for a site the
-    header does not count.
+    a comment or a record of exactly its :func:`to_text` shape after one
+    leading header, on a second role line of one kind or field for one
+    site, on a field for a site the header does not count, and on the line
+    at which :class:`SpinNetwork` first rejects the network.
     """
-    n_sites = None
-    anisotropy = 0.0
     edges: list[tuple[int, int, float]] = []
-    fields: dict[int, tuple[float, str]] = {}   # site -> (field, line)
-    roles = {"inputs": [], "outputs": []}
+    fields: dict[int, float] = {}
+    roles: dict[str, list[int]] = {}
+    records = []   # (line, edges, inputs, outputs) from the header on
     for raw in text.splitlines():
         line = raw.strip()
         parts = line.split()
@@ -259,29 +260,46 @@ def from_text(text: str) -> SpinNetwork:
         if parts[0] not in ("#", "sites", "edge", "field"):
             raise ValueError(f"unrecognized line: {line!r}")
         try:
+            if (not records) != (parts[0] == "sites"):
+                raise ValueError   # one header, ahead of every record
             if parts[0] == "#":
+                if parts[1] in roles:
+                    raise ValueError
                 roles[parts[1]] = [int(p) for p in parts[2:]]
             elif len(parts) != (3 if parts[0] == "field" else 4):
                 raise ValueError
             elif parts[0] == "sites":
-                if n_sites is not None or parts[2] != "lambda":
+                if parts[2] != "lambda":
                     raise ValueError
                 n_sites, anisotropy = int(parts[1]), float(parts[3])
             elif parts[0] == "edge":
                 edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
             else:
                 site = int(parts[1])
-                if site in fields:
+                if site in fields or not 0 <= site < n_sites:
                     raise ValueError
-                fields[site] = float(parts[2]), line
+                fields[site] = float(parts[2])
         except ValueError:
             raise ValueError(f"malformed line: {line!r}") from None
-    if n_sites is None:
+        if parts[0] != "field":
+            records.append((line, len(edges), roles.get("inputs", []),
+                            roles.get("outputs", [])))
+    if not records:
         raise ValueError("missing 'sites' header")
-    for site, (_, line) in fields.items():
-        if not 0 <= site < n_sites:
-            raise ValueError(f"field for a missing site: {line!r}")
-    field_b = tuple(fields.get(i, (0.0,))[0] for i in range(n_sites))
-    net = from_edge_list(n_sites, edges, roles["inputs"], roles["outputs"],
-                         anisotropy=anisotropy)
+
+    def build(k):
+        """The network of the first ``k + 1`` records, or the error that
+        rejects it."""
+        try:
+            return from_edge_list(n_sites, edges[:records[k][1]],
+                                  *records[k][2:], anisotropy=anisotropy)
+        except ValueError as error:
+            return error
+
+    net = build(len(records) - 1)
+    if isinstance(net, ValueError):   # quote the first rejected prefix's end
+        k = bisect.bisect_left(range(len(records)), True,
+                               key=lambda k: isinstance(build(k), ValueError))
+        raise type(net)(f"{build(k)}: {records[k][0]!r}") from None
+    field_b = tuple(fields.get(i, 0.0) for i in range(n_sites))
     return dataclasses.replace(net, field_b=field_b)

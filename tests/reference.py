@@ -97,11 +97,52 @@ def full_reduce(state, site, n_sites):
     return rho
 
 
+def configuration_words(basis):
+    """Full-space index of every state of a configuration basis (one site
+    per class): site k excited sets bit k."""
+    return basis.counts @ (1 << np.arange(basis.counts.shape[1]))
+
+
 def embed_full(basis, amplitudes, n_sites):
     """Lift a sector-basis amplitude vector to the full 2^n space."""
     full = np.zeros(2 ** n_sites, dtype=complex)
-    full[basis.states] = amplitudes
+    full[configuration_words(basis)] = amplitudes
     return full
+
+
+def restacked_counts(classes, weights):
+    """Count vectors of a site partition with an excitation number in
+    ``weights``, class 0 the lowest digit, by the enumeration that restacks
+    the whole count array at every class; the oracle for ``count_basis``."""
+    wset = sorted(set(weights))
+    sizes = np.bincount(classes)
+    counts = np.zeros((1, 0), dtype=np.int64)
+    room = len(classes)   # sites of the classes not yet enumerated
+    for size in sizes[::-1]:
+        room -= size
+        counts = np.column_stack((np.tile(np.arange(size + 1), len(counts)),
+                                  np.repeat(counts, size + 1, axis=0)))
+        total = counts.sum(axis=1, keepdims=True)
+        counts = counts[((total <= wset) & (wset <= total + room)).any(axis=1)]
+    return counts
+
+
+def dense_twin_classes(net):
+    """Twin class per site, numbered by smallest member, from one
+    n x n x (n + 2) comparison of every pair of rows; the oracle for
+    ``topology.twin_classes``."""
+    n = net.n_sites
+    rows = np.zeros((n, n + 2))   # couplings, then role and field
+    for i, j, coupling in net.edges:
+        rows[i, j] = rows[j, i] = coupling
+    rows[list(net.input_sites), n] = 1.0
+    rows[list(net.output_sites), n] = 2.0
+    rows[:, n + 1] = net.field_b
+    same = rows[:, None, :] == rows[None, :, :]   # [i, j, k]
+    sites = np.arange(n)
+    same[sites, :, sites] = same[:, sites, sites] = True   # skip k = i, j
+    first = same.all(axis=2).argmax(axis=1)
+    return (np.cumsum(first == sites) - 1)[first]
 
 
 @dataclass(frozen=True)
@@ -145,7 +186,8 @@ def orbit_isometry(basis, classes):
     configurations with equal excitation counts per class.  Orbits are
     ordered by the mixed-radix code of their counts, class 0 the lowest
     digit."""
-    occupancy = (basis.states[:, None] >> np.arange(len(classes))) & 1
+    words = configuration_words(basis)
+    occupancy = (words[:, None] >> np.arange(len(classes))) & 1
     sizes = np.bincount(classes)
     radix = np.cumprod(np.concatenate(([1], sizes[:-1] + 1)))
     code = occupancy @ radix[classes]

@@ -69,11 +69,10 @@ def test_criterion_3_scaling_laws():
     report(3, "1/sqrt(M) and 1/(M+1) scaling laws", analytic_ok and numeric_ok)
 
 
-@pytest.mark.parametrize("m", [8, 16, 32, 61])
+@pytest.mark.parametrize("m", [8, 16, 32, 61, 62, 63, 64, 100, 300, 1000])
 def test_criterion_3_scaling_laws_at_large_m(m):
     # On its twin classes star(M) scans 3 count states, so the closed forms
-    # are checked where the laws are asymptotic; 61 clones is the largest
-    # star within the 62-site limit.
+    # are checked where the laws are asymptotic.
     xy = ProtocolScan(star(m), 0.0, EQUATOR).mean_fidelity(t_c_xy(m),
                                                            b_opt_xy(m))
     heis = ProtocolScan(star(m), 1.0, EQUATOR).mean_fidelity(t_c_heis(m), 0.0)

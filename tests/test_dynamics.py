@@ -11,8 +11,8 @@ from spinclone import (QubitDensity, b_opt_xy, bipartite, build_block,
                        run_protocol, sector_basis, star, t_c_xy, tree)
 from spinclone.dynamics import (_check_densities, _check_norms, _propagate,
                                 _site_densities)
-from reference import (embed_full, full_evolve, full_hamiltonian,
-                       full_input_state, full_reduce)
+from reference import (configuration_words, embed_full, full_evolve,
+                       full_hamiltonian, full_input_state, full_reduce)
 from strategies import small_networks
 
 EQUATOR = math.pi / 2
@@ -27,7 +27,7 @@ def test_prepare_input_polar():
 def test_prepare_input_star_equator():
     basis, amplitudes = prepare_input(star(2), EQUATOR, 0.0)
     # Basis over weights {0, 1}: |000>, then single excitations.
-    lookup = dict(zip(basis.states.tolist(), amplitudes))
+    lookup = dict(zip(configuration_words(basis).tolist(), amplitudes))
     assert abs(lookup[0] - 1 / math.sqrt(2)) < 1e-12
     assert abs(lookup[1] - 1 / math.sqrt(2)) < 1e-12
     assert abs(lookup[2]) == 0.0
@@ -38,7 +38,7 @@ def test_prepare_input_two_inputs():
     # Explicit 2-qubit tensor product: amplitude 1/2 on the four input
     # configurations of bipartite(2, M).
     basis, amplitudes = prepare_input(bipartite(2, 3), EQUATOR, 0.0)
-    lookup = dict(zip(basis.states.tolist(), amplitudes))
+    lookup = dict(zip(configuration_words(basis).tolist(), amplitudes))
     for config in (0, 1, 2, 3):
         assert abs(lookup[config] - 0.5) < 1e-12
 
@@ -63,10 +63,11 @@ def test_two_site_swap():
     # XY pair at Jt = pi moves the excitation completely (global phase free).
     net = from_edge_list(2, [(0, 1, 1.0)], [0], [1])
     basis = sector_basis(2, (0, 1))
+    words = configuration_words(basis).tolist()
     amplitudes = np.zeros(3, dtype=complex)
-    amplitudes[basis.index_of(np.array([1]))[0]] = 1.0
+    amplitudes[words.index(1)] = 1.0
     after = _propagate(build_block(net, (0, 1)), amplitudes, math.pi)
-    swapped = basis.index_of(np.array([2]))[0]
+    swapped = words.index(2)
     assert abs(abs(after[swapped]) - 1.0) < 1e-12
 
 
@@ -118,9 +119,10 @@ def test_reduce_product_state():
 
 def test_reduce_bell_pair():
     basis = sector_basis(2, (0, 1, 2))
+    words = configuration_words(basis).tolist()
     amplitudes = np.zeros(4, dtype=complex)
-    amplitudes[basis.index_of(np.array([1]))[0]] = 1 / math.sqrt(2)
-    amplitudes[basis.index_of(np.array([2]))[0]] = 1 / math.sqrt(2)
+    amplitudes[words.index(1)] = 1 / math.sqrt(2)
+    amplitudes[words.index(2)] = 1 / math.sqrt(2)
     _check_norms(amplitudes)
     for rho in _site_densities(basis, amplitudes[None], [0, 1])[0]:
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
@@ -176,7 +178,10 @@ def test_density_validation():
     _check_densities(good)
     for bad in (np.array([[0.5, 0.4], [0.2, 0.5]]),    # not Hermitian
                 np.diag([0.8, 0.8]),                   # trace 1.6
-                np.array([[1.2, 0.0], [0.0, -0.2]])):  # negative eigenvalue
+                np.array([[1.2, 0.0], [0.0, -0.2]]),   # negative eigenvalue
+                # NaN compares false with every bound.
+                np.array([[0.5, math.nan], [math.nan, 0.5]]),
+                np.diag([math.nan, 0.5])):
         with pytest.raises(ValueError):
             QubitDensity(matrix=bad.astype(complex))
         # The batched check rejects a stack with one bad matrix anywhere.
@@ -186,11 +191,24 @@ def test_density_validation():
             _check_densities(stack)
 
 
+@pytest.mark.parametrize("theta,t", [(EQUATOR, math.nan), (EQUATOR, math.inf),
+                                     (math.nan, 1.0)],
+                         ids=["nan_time", "infinite_time", "nan_theta"])
+def test_protocol_rejects_nan(theta, t):
+    # NaN compares false with every bound, so each check must fail on it.
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="state norm differs from 1"):
+            run_protocol(star(2), 0.0, 0.0, theta, 0.0, t)
+
+
 def test_norm_check_covers_every_row():
     rows = np.zeros((4, 3), dtype=complex)
     rows[:, 0] = 1.0
     _check_norms(rows)
     rows[2, 1] = 1e-4
+    with pytest.raises(ValueError, match="state norm differs from 1"):
+        _check_norms(rows)
+    rows[2, 1] = math.nan
     with pytest.raises(ValueError, match="state norm differs from 1"):
         _check_norms(rows)
 

@@ -2,18 +2,63 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinclone import (DimensionLimitError, bipartite, build_block,
                        from_edge_list, sector_basis, star, tree)
 from spinclone.dynamics import _propagate
-from reference import full_hamiltonian
+from spinclone.hamiltonian import count_basis, sector_dimension
+from reference import full_hamiltonian, restacked_counts
 
 
 def test_basis_ordering_and_size():
+    # Lexicographic with class 0 the lowest digit: lexsort's last key, the
+    # highest class, is its primary one.
     basis = sector_basis(4, (0, 1, 2))
-    assert list(basis.states) == sorted(basis.states)
+    assert np.array_equal(np.lexsort(basis.counts.T), np.arange(len(basis)))
     assert len(basis) == 1 + 4 + 6
     assert basis.weights == (0, 1, 2)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6),
+       data=st.data())
+def test_count_basis_matches_restacked_enumeration(sizes, data):
+    # Same states in the same order as the enumeration that restacks the
+    # count array at every class, with distinct codes whose lookup and
+    # raising pairs land on the right rows.
+    classes = tuple(np.repeat(np.arange(len(sizes)), sizes).tolist())
+    weights = tuple(data.draw(st.sets(st.integers(0, len(classes)),
+                                      min_size=1)))
+    basis = count_basis(classes, weights)
+    counts = restacked_counts(classes, weights)
+    assert np.array_equal(basis.counts, counts)
+    assert np.array_equal(basis.state_weights, counts.sum(axis=1))
+    assert len(basis) == sector_dimension(sizes, weights)
+    assert len(np.unique(basis.codes)) == len(basis)
+    assert np.array_equal(basis.index_of(basis.codes), np.arange(len(basis)))
+    rows = {tuple(c): k for k, c in enumerate(counts.tolist())}
+    for cls, size in enumerate(sizes):
+        lower, upper, elements = basis.raising(cls)
+        expected = [(k, rows[c[:cls] + (c[cls] + 1,) + c[cls + 1:]])
+                    for k, c in enumerate(map(tuple, counts.tolist()))
+                    if c[cls] < size
+                    and c[:cls] + (c[cls] + 1,) + c[cls + 1:] in rows]
+        assert list(zip(lower.tolist(), upper.tolist())) == expected
+        n = counts[lower, cls]
+        assert np.array_equal(elements, np.sqrt((n + 1) * (size - n)))
+
+
+@pytest.mark.parametrize("sizes,weights,expected", [
+    ([1] * 1001, (0, 1), 1002),
+    ([1] * 40, tuple(range(41)), 2 ** 40),
+    ([4, 500], (0, 1, 2, 3, 4), 15),
+    ([1] * 504, (0, 1, 2, 3, 4), sum(math.comb(504, w) for w in range(5))),
+    ([2, 3], (1, 9, -1), 2),
+])
+def test_sector_dimension_closed_forms(sizes, weights, expected):
+    assert sector_dimension(sizes, weights) == expected
 
 
 def test_basis_rejects_empty_weights():
@@ -24,6 +69,12 @@ def test_basis_rejects_empty_weights():
 def test_single_excitation_dimension():
     basis = sector_basis(40, (1,))
     assert len(basis) == 40
+    # Past 64 sites: the vacuum, then site k excited, at 1001 sites.
+    basis = sector_basis(1001, (0, 1))
+    assert np.array_equal(basis.counts[1:], np.eye(1001, dtype=np.int64))
+    assert not basis.counts[0].any()
+    lower, upper, _ = basis.raising(1000)
+    assert (lower.tolist(), upper.tolist()) == ([0], [1001])
 
 
 def test_dimension_checked_before_enumeration():

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from spinclone import (GatePulse, b_opt_xy, build_block,
                        circuit_baseline, circuit_ideal_fidelity,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
-                       pcc_circuit_schedule, prepare_input, star,
+                       pcc_circuit_schedule, prepare_input, sector_basis, star,
                        stochastic_evolve, t_c_xy)
 from spinclone.dynamics import (_propagate, clone_fidelity,
                                 reduce_density_to_site)
 from spinclone.noise import (KICK_ENTRIES, MixedState, cnot_pulses,
                              cry_pulses, schedule_duration)
-from reference import (full_dephasing_evolve, full_hamiltonian,
-                       full_input_state, schedule_unitary,
+from reference import (configuration_words, full_dephasing_evolve,
+                       full_hamiltonian, full_input_state, schedule_unitary,
                        stochastic_stepwise)
 from strategies import small_networks as connected_networks
 
@@ -94,7 +94,8 @@ def test_lindblad_matches_full_space_oracle(net, gamma, t, theta, phi):
     oracle = full_dephasing_evolve(full_hamiltonian(net),
                                    np.outer(psi, psi.conj()), gamma, t)
     lifted = np.zeros_like(oracle)
-    lifted[np.ix_(basis.states, basis.states)] = out
+    words = configuration_words(basis)
+    lifted[np.ix_(words, words)] = out
     assert np.max(np.abs(lifted - oracle)) <= 1e-10
 
 
@@ -277,6 +278,23 @@ def test_noisy_network_regression_point():
     value = noisy_network_fidelity(star(2), 0.0, b_opt_xy(2), EQUATOR, 1e-3,
                                    t_c_xy(2))
     assert abs(value - 0.8531609) <= 1e-6
+
+
+def test_mixed_state_validation():
+    # Each check keeps its bound (1e-9 Hermitian, 1e-8 trace, 1e-9 positive)
+    # and fails on NaN.
+    basis = sector_basis(2, (0, 1, 2))
+    MixedState(basis=basis, matrix=np.diag([1.0 - 5e-9, 5e-9, 0.0, 0.0]))
+    MixedState(basis=basis, matrix=np.diag([1.0 + 5e-9, 0.0, 0.0, 0.0]))
+    for bad in (np.diag([0.5, 0.5 + 2e-8, 0.0, 0.0]),
+                np.diag([1.0 + 2e-9, -2e-9, 0.0, 0.0]),
+                np.eye(4) / 4 + np.triu(np.full((4, 4), 2e-9), 1),
+                np.diag([1.0, math.nan, 0.0, 0.0]),
+                np.eye(4) / 4 + np.triu(np.full((4, 4), math.nan), 1)):
+        with pytest.raises(ValueError, match="density matrix"):
+            MixedState(basis=basis, matrix=bad)
+    with pytest.raises(ValueError, match="shape"):
+        MixedState(basis=basis, matrix=np.eye(3) / 3)
 
 
 def test_gate_pulse_validation():

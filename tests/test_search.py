@@ -7,18 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
-                       disorder_study, from_edge_list, heis_star_fidelity,
-                       jitter, optimize, prepare_input, run_protocol, star,
-                       t_c_xy, tree, xy_star_fidelity)
+                       disorder_study, heis_star_fidelity, jitter, optimize,
+                       prepare_input, run_protocol, star, t_c_xy, tree,
+                       xy_star_fidelity)
 from spinclone import search
 from spinclone.dynamics import OutputReadout, count_input
 from spinclone.hamiltonian import (assemble_blocks, count_basis,
                                    sector_basis, sector_dimension)
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
-from reference import (golden_max, orbit_isometry, peak_indices_argsort,
-                       stacked_components_alloc)
-from strategies import small_networks
+from reference import (configuration_words, golden_max, orbit_isometry,
+                       peak_indices_argsort, stacked_components_alloc)
+from strategies import small_networks, twinned_networks
 
 EQUATOR = math.pi / 2
 
@@ -28,19 +28,23 @@ STAR_SCAN = {"t_range": (0.0, 10.0), "t_points": 600, "field": (0.0, 2.0)}
 FIXED_B0 = {"t_range": (0.0, 10.0), "t_points": 600, "field": (0.0, 0.0)}
 
 
-@pytest.mark.parametrize("t_range,t_points,field", [
-    ((1.0, 1.0), 10, (0.0, 1.0)),
-    ((2.0, 1.0), 10, (0.0, 1.0)),
-    ((-1.0, 1.0), 10, (0.0, 1.0)),
-    ((0.0, 1.0), 1, (0.0, 1.0)),
-    ((0.0, 1.0), 0, (0.0, 1.0)),
-    ((0.0, 1.0), 10, (1.0, 0.5)),
-    ((0.0, 1.0), 10, (-math.inf, 1.0)),
-    ((0.0, 1.0), 10, (math.nan, 1.0)),
-], ids=["degenerate_time", "descending_time", "negative_time", "one_point",
-        "no_point", "descending_field", "unbounded_below", "nan_field"])
-def test_optimize_rejects_bad_grid(t_range, t_points, field):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("t_range,t_points,field,message", [
+    ((1.0, 1.0), 10, (0.0, 1.0), "time range"),
+    ((2.0, 1.0), 10, (0.0, 1.0), "time range"),
+    ((-1.0, 1.0), 10, (0.0, 1.0), "time range"),
+    ((0.0, math.inf), 10, (0.0, 1.0), "time range"),
+    ((0.0, 1.0), 1, (0.0, 1.0), "time points"),
+    ((0.0, 1.0), 0, (0.0, 1.0), "time points"),
+    ((0.0, 1.0), 10, (1.0, 0.5), "field interval"),
+    ((0.0, 1.0), 10, (-math.inf, 1.0), "field interval"),
+    ((0.0, 1.0), 10, (math.nan, 1.0), "field interval"),
+], ids=["degenerate_time", "descending_time", "negative_time",
+        "unbounded_time", "one_point", "no_point", "descending_field",
+        "unbounded_below", "nan_field"])
+def test_optimize_rejects_bad_grid(t_range, t_points, field, message):
+    # Each rejection names what it rejects, so that no numpy error raised
+    # further in passes for it.
+    with pytest.raises(ValueError, match=message):
         optimize(star(2), 0.0, EQUATOR, t_range, t_points, field=field)
 
 
@@ -50,42 +54,6 @@ def test_scan_matches_run_protocol():
     for t, b in [(0.0, 0.0), (1.7, 0.45), (13.2, 0.08)]:
         direct = run_protocol(net, 0.7, b, 1.1, 0.4, t).mean_fidelity
         assert abs(scan.mean_fidelity(t, b) - direct) <= 1e-12
-
-
-@st.composite
-def twinned_networks(draw):
-    """A random connected graph of 2-4 nodes, each blown up into 1-3 twins.
-
-    Copies of a node inherit its role and couplings; copies of one node are
-    either mutually uncoupled or all coupled with one common strength.
-    Returns the network and the planted classes as lists of sites.
-    """
-    n_nodes = draw(st.integers(2, 4))
-    coupling = st.floats(0.2, 2.0)
-    links = {(draw(st.integers(0, k - 1)), k): draw(coupling)
-             for k in range(1, n_nodes)}
-    links.update({(i, j): draw(coupling) for i in range(n_nodes)
-                  for j in range(i + 1, n_nodes)
-                  if (i, j) not in links and draw(st.booleans())})
-    roles = ["input", "output"] + [draw(st.sampled_from(
-        ["input", "output", "neither"])) for _ in range(n_nodes - 2)]
-    roles = draw(st.permutations(roles))
-    planted, start = [], 0
-    for _ in range(n_nodes):
-        copies = draw(st.integers(1, 3))
-        planted.append(list(range(start, start + copies)))
-        start += copies
-    edges = [(a, b, c) for (i, j), c in links.items()
-             for a in planted[i] for b in planted[j]]
-    for members in planted:
-        if len(members) > 1 and draw(st.booleans()):
-            inner = draw(coupling)
-            edges += [(a, b, inner) for a in members for b in members if a < b]
-    inputs = [s for k, r in enumerate(roles) if r == "input" for s in planted[k]]
-    outputs = [s for k, r in enumerate(roles) if r == "output"
-               for s in planted[k]]
-    assume(len(inputs) <= 3)
-    return from_edge_list(start, edges, inputs, outputs), planted
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -122,7 +90,7 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     amplitudes = count_input(configured, basis, theta, phi)
     assert np.max(np.abs(amplitudes - orbits.T @ psi)) <= 1e-12
 
-    words = config_basis.states.tolist()
+    words = configuration_words(config_basis).tolist()
     where = {w: k for k, w in enumerate(words)}
     n_out = len(net.output_sites)
     c2, s2 = math.cos(theta / 2) ** 2, math.sin(theta / 2) ** 2
@@ -156,15 +124,36 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     # More configurations than MAX_DIM; the scan builds none of them.
     (bipartite(4, 57), 559737, 15),
     (star(61), 63, 3),
+    (star(1000), 1002, 3),
+    (tree(3, 3), 122, 68),
+    (bipartite(4, 500), sum(math.comb(504, w) for w in range(5)), 15),
 ], ids=["bipartite_4_5", "bipartite_3_4",
         *[f"bipartite_2_{m}" for m in range(3, 8)],
         *[f"star_{m}" for m in (2, 5, 7)],
         "tree_2_2", "tree_3_2", "jittered_star_4", "bipartite_4_57",
-        "star_61"])
+        "star_61", "star_1000", "tree_3_3", "bipartite_4_500"])
 def test_reduced_sector_dims(net, full, reduced):
     scan = ProtocolScan(net, 0.0, EQUATOR)
     configurations = sector_dimension([1] * net.n_sites, scan.basis.weights)
     assert (configurations, scan.dim) == (full, reduced)
+
+
+@pytest.mark.parametrize("net", [tree(2, 4), tree(2, 5), bipartite(2, 63)],
+                         ids=["tree_2_4", "tree_2_5", "bipartite_2_63"])
+def test_large_scan_matches_configurations(net):
+    # Past 62 sites (64 configuration bits for the two-input coupler) the
+    # twin-class scan agrees with the configuration-basis protocol.
+    scan = ProtocolScan(net, 0.3, 1.1, phi=0.3)
+    direct = run_protocol(net, 0.3, 0.4, 1.1, 0.3, 1.3).mean_fidelity
+    assert abs(scan.mean_fidelity(1.3, 0.4) - direct) <= 1e-10
+
+
+@pytest.mark.parametrize("net", [tree(3, 3), tree(2, 5), bipartite(4, 500)],
+                         ids=["tree_3_3", "tree_2_5", "bipartite_4_500"])
+def test_optimize_large_networks(net):
+    result = optimize(net, 0.0, EQUATOR, (0.0, 50.0), 5001)
+    assert 0.5 < result.fidelity < 1.0
+    assert result.sector_dim[1] == ProtocolScan(net, 0.0, EQUATOR).dim
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,4 +1,6 @@
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from spinclone import (NetworkTooLargeError, bipartite, from_edge_list,
+from spinclone import (DimensionLimitError, bipartite, from_edge_list,
                        from_text, jitter, star, to_text, tree)
-from spinclone.topology import coupling_factors, twin_classes
-from strategies import small_networks
+from spinclone.topology import MAX_DIM, coupling_factors, twin_classes
+from reference import dense_twin_classes
+from strategies import small_networks, twinned_networks
 
 
 def test_star_two_clones():
@@ -52,8 +55,6 @@ def test_tree_shapes(k, j, sites, leaves):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("j", [0, 1, 2])
 def test_tree_leaf_count_law(k, j):
-    if k ** (j + 2) - 1 > 61 * (k - 1):
-        pytest.skip("exceeds site budget")
     assert len(tree(k, j).output_sites) == k ** (j + 1)
 
 
@@ -61,10 +62,18 @@ def test_tree_zero_levels_matches_star():
     assert {e[:2] for e in tree(2, 0).edges} == {e[:2] for e in star(2).edges}
 
 
-def test_tree_overflow():
-    for error in (NetworkTooLargeError, ValueError):
-        with pytest.raises(error):
-            tree(3, 3)
+def test_tree_size_bound():
+    # 2^32 - 1 sites: rejected from the count alone, before any edge.
+    for error in (DimensionLimitError, ValueError):
+        started = time.perf_counter()
+        with pytest.raises(error, match=r"tree\(2, 30\) has 4294967295"):
+            tree(2, 30)
+        assert time.perf_counter() - started < 1.0
+    assert tree(3, 3).n_sites == 121
+    # Every network shares the one bound.
+    assert star(MAX_DIM - 1).n_sites == MAX_DIM
+    with pytest.raises(DimensionLimitError, match=str(MAX_DIM + 1)):
+        star(MAX_DIM)
 
 
 def test_bipartite_counts():
@@ -190,14 +199,36 @@ HEADER = "sites 3 lambda 0.0"
 @pytest.mark.parametrize("line", [
     "sites 3", "edge 0 1", "field 2", "sites 3 lambda 0.0 extra",
     "sites 3 kappa 0.0", "edge 0 1 1.0 9 9", "field 5 0.5", "field -1 0.7",
-    "field 0 0.25", "# inputs a", HEADER])
+    "field 0 0.25", "# inputs a", HEADER,
+    # Lines that break a rule of the network itself.
+    "edge 0 5 1.0", "edge 0 2 -1.0", "edge 1 1 1.0", "edge 0 1 1.0",
+    "# inputs 7", "# inputs 1", "# outputs 2", "sites 3 lambda 2.0",
+    "sites 5000 lambda 0.0", "sites 0 lambda 0.0"])
 def test_from_text_rejects_malformed_line(line):
-    # Every line but a malformed header follows a header and a field for
-    # site 0, so that the header itself and "field 0" are second ones.
+    # Every line but a bad header follows a header, an edge (0, 1), outputs
+    # and a field for site 0, so that the header, "edge 0 1", "# outputs"
+    # and "field 0" lines are second ones, and "# inputs 1" overlaps the
+    # outputs.
     bad_header = line.startswith("sites") and line != HEADER
-    text = line if bad_header else f"{HEADER}\nfield 0 0.5\n{line}"
+    text = (line if bad_header else
+            f"{HEADER}\nedge 0 1 1.0\n# outputs 1\nfield 0 0.5\n{line}")
     with pytest.raises(ValueError, match=repr(line)):
         from_text(text)
+
+
+def test_from_text_quotes_the_rejected_line():
+    # The first line the network rejects is quoted, not the last line read,
+    # and the size error keeps its type.
+    for bad in ("edge 0 5 1.0", "# inputs 2"):
+        text = f"{HEADER}\n# outputs 2\n{bad}\nedge 1 2 1.0\nfield 1 0.5"
+        with pytest.raises(ValueError, match=repr(bad)):
+            from_text(text)
+    with pytest.raises(DimensionLimitError, match="5000 sites"):
+        from_text("sites 5000 lambda 0.0")
+    with pytest.raises(ValueError, match="missing 'sites' header"):
+        from_text("# comment\n")
+    with pytest.raises(ValueError, match=repr("edge 0 1 1.0")):
+        from_text(f"edge 0 1 1.0\n{HEADER}")   # the header comes first
 
 
 def test_twin_classes():
@@ -212,3 +243,32 @@ def test_twin_classes():
         net, field_b=(0.0, 0.0, 1e-15, 0.0))).tolist() == [0, 1, 2, 1]
     assert twin_classes(dataclasses.replace(
         net, output_sites=(1, 2))).tolist() == [0, 1, 1, 2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(net=small_networks(max_sites=7), drawn=twinned_networks(),
+       fields=st.lists(st.sampled_from([0.0, -0.0, 0.5]), min_size=12,
+                       max_size=12))
+def test_twin_classes_match_dense_oracle(net, drawn, fields):
+    # On random graphs, planted twins and either with per-site fields drawn
+    # from few values (-0.0 equals 0.0), the classes equal the oracle's.
+    for graph in (net, drawn[0]):
+        for shifted in (graph, dataclasses.replace(
+                graph, field_b=tuple(fields[:graph.n_sites]))):
+            assert np.array_equal(twin_classes(shifted),
+                                  dense_twin_classes(shifted))
+
+
+@pytest.mark.parametrize("net,n_classes", [
+    (star(1000), 2), (jitter(star(1000), 0.1, 0), 1001), (tree(2, 8), 767),
+], ids=["star_1000", "jittered_star_1000", "tree_2_8"])
+def test_twin_classes_memory_at_1000_sites(net, n_classes):
+    # O(n^2) memory: the n x n x (n + 2) comparison would take 1 GB here.
+    tracemalloc.start()
+    try:
+        classes = twin_classes(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+    assert classes.max() + 1 == n_classes
