@@ -9,9 +9,8 @@ cloning circuits.
 from .analytic import (NoPccReference, NtomReference, NTOM_REFERENCE,
                        b_opt_xy, heis_star_fidelity, pcc_reference, t_c_heis,
                        t_c_xy, xy_star_fidelity)
-from .dynamics import (CloneResult, QubitDensity, clone_fidelity,
-                       prepare_input, protocol_fidelities,
-                       reduce_density_to_site, run_protocol)
+from .dynamics import (CloneResult, density_fidelities, prepare_input,
+                       protocol_fidelities, run_protocol)
 from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
                           sector_basis)
 from .noise import (GatePulse, MixedState, circuit_baseline,

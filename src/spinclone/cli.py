@@ -23,8 +23,10 @@ from . import __version__
 from .analytic import (NTOM_REFERENCE, NoPccReference, b_opt_xy,
                        heis_star_fidelity, pcc_reference, t_c_heis, t_c_xy,
                        xy_star_fidelity)
-from .dynamics import protocol_fidelities, run_protocol
-from .noise import circuit_baseline, circuit_ideal_fidelity, noisy_network_fidelity
+from .dynamics import prepare_input, protocol_fidelities, run_protocol
+from .hamiltonian import build_block
+from .noise import (MixedState, circuit_baseline, circuit_ideal_fidelity,
+                    lindblad_evolve, noisy_network_fidelity, stochastic_evolve)
 from .search import disorder_study, optimize
 from .topology import bipartite, star, to_text, tree
 
@@ -265,10 +267,6 @@ def cmd_fig3(args) -> tuple:
 
 def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
     """Trace distance between the two dephasing solvers on the 1->2 star."""
-    from .dynamics import prepare_input
-    from .hamiltonian import build_block
-    from .noise import MixedState, lindblad_evolve, stochastic_evolve
-
     net = star(2).with_params(anisotropy=0.0, field=b_opt_xy(2))
     basis, amplitudes = prepare_input(net, math.pi / 2, 0.0)
     block = build_block(net, basis.weights)

@@ -11,6 +11,11 @@ assembled and diagonalized once, and every input is a polynomial in
 ``cos(theta/2)`` and ``sin(theta/2)`` over ``n_inputs + 1`` fixed
 configuration patterns, which one matrix product evolves together.
 :func:`run_protocol` is its one-angle case.
+
+Pure states and density matrices share one single-site reduction: the same
+stacked index arrays and the same checked 2x2 assembly, with only the sums
+differing.  :func:`density_fidelities` scores the clones of a density matrix,
+as the dephasing layer needs.
 """
 from __future__ import annotations
 
@@ -49,29 +54,11 @@ def _check_densities(m: np.ndarray, hermitian: float = 1e-10,
 
 
 @dataclass(frozen=True)
-class QubitDensity:
-    """2x2 reduced state of one site, row/column order (|0>, |1>)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = self.matrix
-        if m.shape != (2, 2):
-            raise ValueError("density matrix must be 2x2")
-        _check_densities(m)
-
-
-@dataclass(frozen=True)
 class CloneResult:
     """Per-site and mean clone fidelities of one protocol run."""
 
     per_site_fidelity: dict[int, float]
     mean_fidelity: float
-    time: float
-    theta: float
-    phi: float
-    anisotropy: float
-    field: float
 
 
 def _input_patterns(net: SpinNetwork, basis: SectorBasis) -> np.ndarray:
@@ -136,22 +123,6 @@ def _propagate(block: HamiltonianBlock, amplitudes: np.ndarray,
     return v @ (phases * (v.conj().T @ amplitudes).T).T
 
 
-def site_pairs(basis: SectorBasis, site: int):
-    """Index machinery for reducing a configuration-basis state to one site.
-
-    Returns ``(empty, occupied, idx0, idx1)``: ascending positions of the
-    configurations with the site empty/occupied, and index pairs coupling a
-    configuration with the site empty to its partner with the site occupied
-    (all other sites equal).  Pairs exist only when the partner weight is
-    present in the basis.
-    """
-    if not 0 <= site < len(basis.classes):
-        raise ValueError("site index out of range")
-    occupied = basis.counts[:, site] != 0
-    return (np.nonzero(~occupied)[0], np.nonzero(occupied)[0],
-            *basis.raising(site)[:2])
-
-
 class OutputReadout:
     """Mean clone fidelity read off count-basis amplitudes ``a``.
 
@@ -184,21 +155,29 @@ class OutputReadout:
             np.exp(1j * self.phi) * gbar * field_phase)
 
 
-def _site_densities(basis: SectorBasis, amplitudes: np.ndarray,
-                    sites) -> np.ndarray:
-    """(n_states, n_sites, 2, 2) reduced states of ``sites`` for every row of
-    the (n_states, dim) ``amplitudes``, each checked as a density matrix."""
-    empty, occupied, idx0, idx1 = (
-        np.stack(part) for part in zip(*(site_pairs(basis, s) for s in sites)))
-    # take() keeps each row's entries contiguous, so every row is summed in
-    # the same order whatever the number of rows.
-    def pick(index):
-        return np.take(amplitudes, index, axis=-1)
+def _site_indices(basis: SectorBasis, sites) -> tuple[np.ndarray, ...]:
+    """(n_sites, k) index arrays ``empty, occupied, idx0, idx1`` that reduce
+    a configuration-basis state to each of ``sites``: the positions with the
+    site empty/occupied, and the pairs coupling a configuration with the site
+    empty to its partner with the site occupied (all other sites equal,
+    partner weight present in the basis)."""
+    if not len(sites):
+        raise ValueError("no sites to reduce")
+    if not all(0 <= s < len(basis.classes) for s in sites):
+        raise ValueError("site index out of range")
 
-    p0 = np.sum(np.abs(pick(empty)) ** 2, axis=-1)
-    p1 = np.sum(np.abs(pick(occupied)) ** 2, axis=-1)
-    coherence = np.sum(pick(idx0) * np.conj(pick(idx1)), axis=-1)
-    matrices = np.empty(p0.shape + (2, 2), dtype=np.complex128)
+    def indices(site):
+        occupied = basis.counts[:, site] != 0
+        return (np.nonzero(~occupied)[0], np.nonzero(occupied)[0],
+                *basis.raising(site)[:2])
+
+    return tuple(np.stack(part) for part in zip(*map(indices, sites)))
+
+
+def _reduced_states(p0, p1, coherence) -> np.ndarray:
+    """Stacked 2x2 states ``[[p0, coherence], [conj, p1]]``, row/column
+    order (|0>, |1>), each checked as a density matrix."""
+    matrices = np.empty(np.shape(p0) + (2, 2), dtype=np.complex128)
     matrices[..., 0, 0] = p0
     matrices[..., 0, 1] = coherence
     matrices[..., 1, 0] = np.conj(coherence)
@@ -207,17 +186,32 @@ def _site_densities(basis: SectorBasis, amplitudes: np.ndarray,
     return matrices
 
 
-def reduce_density_to_site(matrix: np.ndarray, basis: SectorBasis,
-                           site: int) -> QubitDensity:
-    """Partial trace of a density matrix given on a sector basis."""
-    empty, occupied, idx0, idx1 = site_pairs(basis, site)
-    diag = np.real(np.diag(matrix))
-    p0 = float(diag[empty].sum())
-    p1 = float(diag[occupied].sum())
-    coherence = matrix[idx0, idx1].sum()
-    reduced = np.array([[p0, coherence], [np.conj(coherence), p1]],
-                       dtype=np.complex128)
-    return QubitDensity(matrix=reduced)
+def _site_densities(basis: SectorBasis, amplitudes: np.ndarray,
+                    sites) -> np.ndarray:
+    """(n_states, n_sites, 2, 2) reduced states of ``sites`` for every row of
+    the (n_states, dim) ``amplitudes``, each checked as a density matrix."""
+    empty, occupied, idx0, idx1 = _site_indices(basis, sites)
+    # take() keeps each row's entries contiguous, so every row is summed in
+    # the same order whatever the number of rows.
+    def pick(index):
+        return np.take(amplitudes, index, axis=-1)
+
+    return _reduced_states(np.sum(np.abs(pick(empty)) ** 2, axis=-1),
+                           np.sum(np.abs(pick(occupied)) ** 2, axis=-1),
+                           np.sum(pick(idx0) * np.conj(pick(idx1)), axis=-1))
+
+
+def density_fidelities(matrix: np.ndarray, basis: SectorBasis, sites,
+                       theta: float, phi: float) -> np.ndarray:
+    """Clone fidelity of each of ``sites`` for a density matrix given on a
+    configuration basis; the reduction and checks of the pure-state protocol,
+    with the sums read off the diagonal and ``matrix[idx0, idx1]``."""
+    empty, occupied, idx0, idx1 = _site_indices(basis, sites)
+    diagonal = np.real(np.diag(matrix))
+    densities = _reduced_states(diagonal[empty].sum(axis=-1),
+                                diagonal[occupied].sum(axis=-1),
+                                matrix[idx0, idx1].sum(axis=-1))
+    return _overlaps(densities, theta, phi)
 
 
 def _overlaps(matrices: np.ndarray, thetas, phi: float) -> np.ndarray:
@@ -229,11 +223,6 @@ def _overlaps(matrices: np.ndarray, thetas, phi: float) -> np.ndarray:
                     np.exp(1j * phi) * np.sin(thetas / 2.0)], axis=-1)
     psi = psi[..., None, :]
     return np.real(psi.conj() @ matrices @ np.swapaxes(psi, -1, -2))[..., 0, 0]
-
-
-def clone_fidelity(rho: QubitDensity, theta: float, phi: float) -> float:
-    """Overlap of a clone with cos(t/2)|0> + e^{i phi} sin(t/2)|1>."""
-    return float(_overlaps(rho.matrix, theta, phi))
 
 
 def protocol_fidelities(net: SpinNetwork, anisotropy: float, field: float,
@@ -271,6 +260,4 @@ def run_protocol(net: SpinNetwork, anisotropy: float, field: float,
     fidelities = protocol_fidelities(net, anisotropy, field, [theta], phi, t)[0]
     return CloneResult(per_site_fidelity=dict(zip(net.output_sites,
                                                   fidelities.tolist())),
-                       mean_fidelity=float(np.mean(fidelities)),
-                       time=t, theta=theta, phi=phi,
-                       anisotropy=anisotropy, field=field)
+                       mean_fidelity=float(np.mean(fidelities)))

@@ -6,9 +6,11 @@ equation
 
     drho/dt = -i [H, rho] + (Gamma/4) sum_i (sz_i rho sz_i - rho),
 
-which damps single-qubit coherences at the rate ``Gamma / 2``.  The same
-normalization is used for the free-evolution protocol and for the
-gate-compiled circuit baseline, so their comparison does not depend on it.
+which damps single-qubit coherences at the rate ``Gamma / 2``.  The
+free-evolution protocol and the gate-compiled circuit baseline share this
+normalization and score their clones with one reader,
+:func:`~spinclone.dynamics.density_fidelities`, so their comparison depends
+on neither.
 
 In the configuration basis the dissipator acts elementwise: it multiplies
 ``rho_ab`` by ``-(Gamma/2) hamming(a, b)``.  The Liouvillian is therefore one
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dynamics import (_check_densities, clone_fidelity,
-                       reduce_density_to_site)
+from .dynamics import _check_densities, density_fidelities, prepare_input
 from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
                           sector_basis)
 from .topology import (MAX_DIM, DimensionLimitError, SpinNetwork,
@@ -209,20 +210,14 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
 def noisy_network_fidelity(net: SpinNetwork, anisotropy: float, field: float,
                            theta: float, gamma: float, t: float) -> float:
     """Mean clone fidelity of the free-evolution protocol under dephasing."""
-    from .dynamics import prepare_input
-
     configured = net.with_params(anisotropy=anisotropy, field=field)
     basis, amplitudes = prepare_input(configured, theta, 0.0)
     block = build_block(configured, basis.weights)
     rho0 = MixedState(basis=basis,
                       matrix=np.outer(amplitudes, amplitudes.conj()))
     evolved = lindblad_evolve(rho0, block, gamma, t)
-    values = [
-        clone_fidelity(reduce_density_to_site(evolved.matrix, basis, s),
-                       theta, 0.0)
-        for s in net.output_sites
-    ]
-    return float(np.mean(values))
+    return float(np.mean(density_fidelities(evolved.matrix, basis,
+                                            net.output_sites, theta, 0.0)))
 
 
 # --- gate compilation -------------------------------------------------------
@@ -386,8 +381,5 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
                 rotations[key] = u, u.conj().T
             u, u_dagger = rotations[key]
             rho = u @ rho @ u_dagger
-    values = [
-        clone_fidelity(reduce_density_to_site(rho, basis, q), theta, 0.0)
-        for q in range(n_qubits)
-    ]
-    return float(np.mean(values))
+    return float(np.mean(density_fidelities(rho, basis, range(n_qubits),
+                                            theta, 0.0)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ class SpinNetwork:
                 f"{self.n_sites} sites exceeds maximum {MAX_DIM}")
         if len(self.field_b) != self.n_sites:
             raise ValueError("field_b must hold one value per site")
+        if not all(map(math.isfinite, self.field_b)):
+            raise ValueError("field_b must be finite")
         if not 0.0 <= self.anisotropy <= 1.0:
             raise ValueError("anisotropy must lie in [0, 1]")
         seen = set()
@@ -58,8 +61,9 @@ class SpinNetwork:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-            if coupling <= 0.0:
-                raise ValueError(f"non-positive coupling on edge {key}")
+            if not 0.0 < coupling < math.inf:   # NaN fails too
+                raise ValueError(f"coupling {coupling!r} on edge {key} must "
+                                 f"be finite and > 0")
         sites = range(self.n_sites)
         if not all(s in sites for s in self.input_sites + self.output_sites):
             raise ValueError("site role index out of range")
@@ -88,43 +92,37 @@ def from_edge_list(n_sites: int,
                    edges: list[tuple[int, int, float]],
                    input_sites: list[int],
                    output_sites: list[int],
-                   anisotropy: float = 0.0,
-                   field: float = 0.0) -> SpinNetwork:
-    """Generic builder; normalizes edge orientation to ``i < j``."""
+                   anisotropy: float = 0.0) -> SpinNetwork:
+    """Generic builder, zero field; normalizes edge orientation to ``i < j``."""
     normalized = tuple(
         (min(i, j), max(i, j), float(c)) for i, j, c in edges
     )
     return SpinNetwork(
         n_sites=n_sites,
         edges=normalized,
-        field_b=tuple([float(field)] * n_sites),
+        field_b=(0.0,) * n_sites,
         anisotropy=float(anisotropy),
         input_sites=tuple(input_sites),
         output_sites=tuple(output_sites),
     )
 
 
-def star(n_clones: int, coupling: float = 1.0,
-         anisotropy: float = 0.0, field: float = 0.0) -> SpinNetwork:
-    """Central site 0 coupled to ``n_clones`` outer sites.
+def star(n_clones: int) -> SpinNetwork:
+    """Central site 0 coupled to ``n_clones`` outer sites by unit couplings.
 
     The center carries the input state and doubles as the ancilla; the outer
     sites are the blank qubits that receive the copies.
     """
     if n_clones < 1:
         raise ValueError("a star cloner needs at least one outer spin")
-    edges = [(0, i, coupling) for i in range(1, n_clones + 1)]
-    return from_edge_list(
-        n_clones + 1, edges,
-        input_sites=[0],
-        output_sites=list(range(1, n_clones + 1)),
-        anisotropy=anisotropy, field=field,
-    )
+    edges = [(0, i, 1.0) for i in range(1, n_clones + 1)]
+    return from_edge_list(n_clones + 1, edges, input_sites=[0],
+                          output_sites=list(range(1, n_clones + 1)))
 
 
-def tree(branching: int, levels: int, coupling: float = 1.0,
-         anisotropy: float = 0.0, field: float = 0.0) -> SpinNetwork:
-    """Rooted tree: ``levels`` intermediate levels, ``branching`` children per node.
+def tree(branching: int, levels: int) -> SpinNetwork:
+    """Rooted tree of unit couplings: ``levels`` intermediate levels,
+    ``branching`` children per node.
 
     The input sits at the root; the ``branching**(levels + 1)`` leaves are the
     blank qubits.  ``tree(k, 0)`` collapses to ``star(k)``.
@@ -139,20 +137,16 @@ def tree(branching: int, levels: int, coupling: float = 1.0,
         raise DimensionLimitError(f"tree({branching}, {levels}) has "
                                   f"{total} sites, maximum {MAX_DIM}")
     # Breadth-first numbering: node p has children k p + 1 .. k p + k.
-    edges = [(parent, branching * parent + c, coupling)
+    edges = [(parent, branching * parent + c, 1.0)
              for parent in range(total - leaves)
              for c in range(1, branching + 1)]
-    return from_edge_list(
-        total, edges,
-        input_sites=[0],
-        output_sites=list(range(total - leaves, total)),
-        anisotropy=anisotropy, field=field,
-    )
+    return from_edge_list(total, edges, input_sites=[0],
+                          output_sites=list(range(total - leaves, total)))
 
 
-def bipartite(n_inputs: int, n_outputs: int, coupling: float = 1.0,
-              anisotropy: float = 0.0, field: float = 0.0) -> SpinNetwork:
-    """Complete bipartite coupler: every input coupled to every output.
+def bipartite(n_inputs: int, n_outputs: int) -> SpinNetwork:
+    """Complete bipartite coupler: every input coupled to every output by a
+    unit coupling.
 
     Inputs occupy sites ``0 .. n_inputs - 1``, outputs the remaining sites.
     ``bipartite(1, m)`` carries the same adjacency as ``star(m)``.
@@ -161,17 +155,11 @@ def bipartite(n_inputs: int, n_outputs: int, coupling: float = 1.0,
         raise ValueError("need at least one input")
     if n_outputs <= n_inputs:
         raise ValueError("cloning direction requires more outputs than inputs")
-    edges = [
-        (i, n_inputs + j, coupling)
-        for i in range(n_inputs)
-        for j in range(n_outputs)
-    ]
+    edges = [(i, n_inputs + j, 1.0)
+             for i in range(n_inputs) for j in range(n_outputs)]
     return from_edge_list(
-        n_inputs + n_outputs, edges,
-        input_sites=list(range(n_inputs)),
-        output_sites=list(range(n_inputs, n_inputs + n_outputs)),
-        anisotropy=anisotropy, field=field,
-    )
+        n_inputs + n_outputs, edges, input_sites=list(range(n_inputs)),
+        output_sites=list(range(n_inputs, n_inputs + n_outputs)))
 
 
 def coupling_factors(epsilon: float, seed: int, n_edges: int) -> np.ndarray:
@@ -244,8 +232,10 @@ def from_text(text: str) -> SpinNetwork:
     Raises ``ValueError``, quoting the line, on any line that is not blank,
     a comment or a record of exactly its :func:`to_text` shape after one
     leading header, on a second role line of one kind or field for one
-    site, on a field for a site the header does not count, and on the line
-    at which :class:`SpinNetwork` first rejects the network.
+    site, on a non-finite field or one for a site the header does not count,
+    on a header counting more than ``MAX_DIM`` sites (as
+    :class:`DimensionLimitError`), and on the line at which
+    :class:`SpinNetwork` first rejects the network.
     """
     edges: list[tuple[int, int, float]] = []
     fields: dict[int, float] = {}
@@ -275,12 +265,16 @@ def from_text(text: str) -> SpinNetwork:
             elif parts[0] == "edge":
                 edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
             else:
-                site = int(parts[1])
-                if site in fields or not 0 <= site < n_sites:
+                site, value = int(parts[1]), float(parts[2])
+                if (site in fields or not 0 <= site < n_sites
+                        or not math.isfinite(value)):
                     raise ValueError
-                fields[site] = float(parts[2])
+                fields[site] = value
         except ValueError:
             raise ValueError(f"malformed line: {line!r}") from None
+        if parts[0] == "sites" and n_sites > MAX_DIM:   # before any site list
+            raise DimensionLimitError(
+                f"{n_sites} sites exceeds maximum {MAX_DIM}: {line!r}")
         if parts[0] != "field":
             records.append((line, len(edges), roles.get("inputs", []),
                             roles.get("outputs", [])))

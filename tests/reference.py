@@ -97,6 +97,18 @@ def full_reduce(state, site, n_sites):
     return rho
 
 
+def full_reduce_density(basis, matrix, site, n_sites):
+    """One-site reduced state of a density matrix given on a configuration
+    basis: embedded in the full 2^n space, then traced over the sites above
+    and below ``site`` by a reshape."""
+    words = configuration_words(basis)
+    full = np.zeros((2 ** n_sites, 2 ** n_sites), dtype=complex)
+    full[np.ix_(words, words)] = matrix
+    above, below = 2 ** (n_sites - 1 - site), 2 ** site
+    return np.einsum("aibajb->ij",
+                     full.reshape(above, 2, below, above, 2, below))
+
+
 def configuration_words(basis):
     """Full-space index of every state of a configuration basis (one site
     per class): site k excited sets bit k."""

@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinclone import (QubitDensity, b_opt_xy, bipartite, build_block,
-                       clone_fidelity, from_edge_list, prepare_input,
-                       protocol_fidelities, reduce_density_to_site,
+from spinclone import (b_opt_xy, bipartite, build_block, density_fidelities,
+                       from_edge_list, prepare_input, protocol_fidelities,
                        run_protocol, sector_basis, star, t_c_xy, tree)
 from spinclone.dynamics import (_check_densities, _check_norms, _propagate,
                                 _site_densities)
 from reference import (configuration_words, embed_full, full_evolve,
-                       full_hamiltonian, full_input_state, full_reduce)
+                       full_hamiltonian, full_input_state, full_reduce,
+                       full_reduce_density)
 from strategies import small_networks
 
 EQUATOR = math.pi / 2
+ONE_SITE = sector_basis(1, (0, 1))   # |0>, |1>: a 2x2 matrix reduces to itself
 
 
 def test_prepare_input_polar():
@@ -146,9 +147,18 @@ def test_reduce_density_rejects_site_out_of_range(site):
     basis, amplitudes = prepare_input(star(2), EQUATOR, 0.0)
     matrix = np.outer(amplitudes, amplitudes.conj())
     with pytest.raises(ValueError, match="site index out of range"):
-        reduce_density_to_site(matrix, basis, site)
+        density_fidelities(matrix, basis, [1, site], EQUATOR, 0.0)
     with pytest.raises(ValueError, match="site index out of range"):
         _site_densities(basis, amplitudes[None], [site])
+
+
+def test_reduction_needs_a_site():
+    basis, amplitudes = prepare_input(star(2), EQUATOR, 0.0)
+    with pytest.raises(ValueError, match="no sites to reduce"):
+        density_fidelities(np.outer(amplitudes, amplitudes.conj()), basis, [],
+                           EQUATOR, 0.0)
+    with pytest.raises(ValueError, match="no sites to reduce"):
+        _site_densities(basis, amplitudes[None], [])
 
 
 def test_star_clone_value_at_optimum():
@@ -156,21 +166,50 @@ def test_star_clone_value_at_optimum():
     basis, amplitudes = prepare_input(net, EQUATOR, 0.0)
     evolved = _propagate(build_block(net, basis.weights), amplitudes,
                          t_c_xy(2))
-    rho = QubitDensity(matrix=_site_densities(basis, evolved[None], [1])[0, 0])
-    value = clone_fidelity(rho, EQUATOR, 0.0)
+    [value] = density_fidelities(np.outer(evolved, evolved.conj()), basis,
+                                 [1], EQUATOR, 0.0)
     assert abs(value - 0.853553) < 1e-6
 
 
 def test_clone_fidelity_basics():
     theta, phi = 1.2, 0.8
     psi = np.array([math.cos(theta / 2), np.exp(1j * phi) * math.sin(theta / 2)])
-    pure = QubitDensity(matrix=np.outer(psi, psi.conj()))
-    assert abs(clone_fidelity(pure, theta, phi) - 1.0) < 1e-12
-    mixed = QubitDensity(matrix=np.eye(2) / 2)
+    pure = np.outer(psi, psi.conj())
+    assert abs(density_fidelities(pure, ONE_SITE, [0], theta, phi)[0]
+               - 1.0) < 1e-12
+    mixed = np.eye(2) / 2
     for th in (0.0, 0.7, EQUATOR):
-        assert abs(clone_fidelity(mixed, th, 0.1) - 0.5) < 1e-12
-    blank = QubitDensity(matrix=np.diag([1.0, 0.0]).astype(complex))
-    assert abs(clone_fidelity(blank, EQUATOR, 0.0) - 0.5) < 1e-12
+        assert abs(density_fidelities(mixed, ONE_SITE, [0], th, 0.1)[0]
+                   - 0.5) < 1e-12
+    blank = np.diag([1.0, 0.0]).astype(complex)
+    assert abs(density_fidelities(blank, ONE_SITE, [0], EQUATOR, 0.0)[0]
+               - 0.5) < 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       field=st.floats(-2.0, 2.0), theta=st.floats(0.0, math.pi),
+       phi=st.floats(0.0, 2 * math.pi),
+       mixture=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.05, 1.0)),
+                        min_size=1, max_size=4))
+def test_density_fidelities_match_full_space(net, anisotropy, field, theta,
+                                             phi, mixture):
+    # A random mixture of evolved states, scored at every site against the
+    # partial trace of its full-space embedding.
+    configured = net.with_params(anisotropy=anisotropy, field=field)
+    basis, amplitudes = prepare_input(configured, theta, phi)
+    block = build_block(configured, basis.weights)
+    total = sum(weight for _, weight in mixture)
+    matrix = 0.0
+    for t, weight in mixture:
+        state = _propagate(block, amplitudes, t)
+        matrix = matrix + weight / total * np.outer(state, state.conj())
+    values = density_fidelities(matrix, basis, range(net.n_sites), theta, phi)
+    psi = np.array([math.cos(theta / 2),
+                    np.exp(1j * phi) * math.sin(theta / 2)])
+    for site, value in enumerate(values):
+        rho = full_reduce_density(basis, matrix, site, net.n_sites)
+        assert abs(value - (psi.conj() @ rho @ psi).real) <= 1e-12
 
 
 def test_density_validation():
@@ -183,7 +222,13 @@ def test_density_validation():
                 np.array([[0.5, math.nan], [math.nan, 0.5]]),
                 np.diag([math.nan, 0.5])):
         with pytest.raises(ValueError):
-            QubitDensity(matrix=bad.astype(complex))
+            _check_densities(bad.astype(complex))
+        # The reader assembles each state from the diagonal and the upper
+        # coherence, and checks it: every Hermitian bad matrix fails there.
+        if np.array_equal(bad, bad.T, equal_nan=True):
+            with pytest.raises(ValueError, match="density matrix"):
+                density_fidelities(bad.astype(complex), ONE_SITE, [0],
+                                   EQUATOR, 0.0)
         # The batched check rejects a stack with one bad matrix anywhere.
         stack = good.copy()
         stack[3, 0] = bad

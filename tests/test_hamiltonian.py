@@ -97,7 +97,7 @@ def test_two_site_weight_zero_diagonal():
     # independent full 4x4 construction.
     lam, field = 0.7, 0.3
     net = from_edge_list(2, [(0, 1, 1.0)], [0], [1],
-                         anisotropy=lam, field=field)
+                         anisotropy=lam).with_params(field=field)
     block = build_block(net, (0,))
     assert block.matrix.shape == (1, 1)
     expected = lam / 4.0 + field

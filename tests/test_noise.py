@@ -11,8 +11,7 @@ from spinclone import (GatePulse, b_opt_xy, build_block,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
                        pcc_circuit_schedule, prepare_input, sector_basis, star,
                        stochastic_evolve, t_c_xy)
-from spinclone.dynamics import (_propagate, clone_fidelity,
-                                reduce_density_to_site)
+from spinclone.dynamics import _propagate, density_fidelities
 from spinclone.noise import (KICK_ENTRIES, MixedState, cnot_pulses,
                              cry_pulses, schedule_duration)
 from reference import (configuration_words, full_dephasing_evolve,
@@ -75,8 +74,8 @@ def small_networks(draw):
     n_inputs = draw(st.integers(1, n_sites - 1))
     return from_edge_list(n_sites, edges, list(range(n_inputs)),
                           list(range(n_inputs, n_sites)),
-                          anisotropy=draw(st.floats(0.0, 1.0)),
-                          field=draw(st.floats(-1.0, 1.0)))
+                          anisotropy=draw(st.floats(0.0, 1.0))).with_params(
+                              field=draw(st.floats(-1.0, 1.0)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -222,9 +221,8 @@ def test_lindblad_rejects_malformed_inputs(name, kwargs):
 
 
 def _mean_clone_fidelity(matrix, net, basis, theta, phi):
-    return np.mean([
-        clone_fidelity(reduce_density_to_site(matrix, basis, s), theta, phi)
-        for s in net.output_sites])
+    return np.mean(density_fidelities(matrix, basis, net.output_sites, theta,
+                                      phi))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 import tracemalloc
 
@@ -16,7 +17,7 @@ from strategies import small_networks, twinned_networks
 
 
 def test_star_two_clones():
-    net = star(2, 1.0)
+    net = star(2)
     assert net.n_sites == 3
     assert {(i, j) for i, j, _ in net.edges} == {(0, 1), (0, 2)}
     assert net.input_sites == (0,)
@@ -24,13 +25,13 @@ def test_star_two_clones():
 
 
 def test_star_counts():
-    net = star(7, 1.0)
+    net = star(7)
     assert net.n_sites == 8
     assert len(net.edges) == 7
 
 
 def test_star_single_clone_is_two_site_transfer():
-    net = star(1, 1.0)
+    net = star(1)
     assert net.n_sites == 2
     assert len(net.edges) == 1
 
@@ -121,7 +122,7 @@ def test_jitter_zero_is_identity():
 
 
 def test_jitter_range_and_structure():
-    net = star(2, 2.0)
+    net = from_edge_list(3, [(0, 1, 2.0), (0, 2, 2.0)], [0], [1, 2])
     shaken = jitter(net, 0.1, seed=123)
     assert [e[:2] for e in shaken.edges] == [e[:2] for e in net.edges]
     assert shaken.input_sites == net.input_sites
@@ -142,7 +143,8 @@ def test_jitter_rejects_bad_epsilon():
 
 
 def test_jitter_draws_coupling_factors():
-    net = tree(2, 1, coupling=1.5)
+    net = from_edge_list(4, [(0, 1, 1.5), (0, 2, 0.5), (1, 3, 2.5)], [0],
+                         [2, 3])
     factors = coupling_factors(0.2, 31, len(net.edges))
     assert np.array_equal(jitter(net, 0.2, 31).coupling_array(),
                           net.coupling_array() * factors)
@@ -156,6 +158,9 @@ def test_with_params():
     net = star(2).with_params(anisotropy=1.0, field=0.25)
     assert net.anisotropy == 1.0
     assert net.field_b == (0.25, 0.25, 0.25)
+    for field in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="field_b must be finite"):
+            star(2).with_params(field=field)
 
 
 def test_text_round_trip():
@@ -187,7 +192,7 @@ def test_text_round_trip_on_random_networks(net, anisotropy, fields, epsilon,
 
 
 def test_text_header_format():
-    lines = to_text(star(2, 1.0)).splitlines()
+    lines = to_text(star(2)).splitlines()
     assert lines[0] == "sites 3 lambda 0.0"
     assert sum(1 for ln in lines if ln.startswith("edge ")) == 2
     assert sum(1 for ln in lines if ln.startswith("field ")) == 3
@@ -203,7 +208,10 @@ HEADER = "sites 3 lambda 0.0"
     # Lines that break a rule of the network itself.
     "edge 0 5 1.0", "edge 0 2 -1.0", "edge 1 1 1.0", "edge 0 1 1.0",
     "# inputs 7", "# inputs 1", "# outputs 2", "sites 3 lambda 2.0",
-    "sites 5000 lambda 0.0", "sites 0 lambda 0.0"])
+    "sites 5000 lambda 0.0", "sites 0 lambda 0.0",
+    # Non-finite couplings and fields: NaN compares false with every bound.
+    "edge 0 2 nan", "edge 0 2 inf", "edge 0 2 -inf", "field 1 nan",
+    "field 2 inf", "field 1 -inf"])
 def test_from_text_rejects_malformed_line(line):
     # Every line but a bad header follows a header, an edge (0, 1), outputs
     # and a field for site 0, so that the header, "edge 0 1", "# outputs"
@@ -229,6 +237,22 @@ def test_from_text_quotes_the_rejected_line():
         from_text("# comment\n")
     with pytest.raises(ValueError, match=repr("edge 0 1 1.0")):
         from_text(f"edge 0 1 1.0\n{HEADER}")   # the header comes first
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        from_text(f"{HEADER}\nedge 0 1 nan")
+
+
+def test_from_text_rejects_oversized_header_early():
+    # The count is checked before any per-site list is built: ten million
+    # sites would take 240 MB.
+    header = "sites 10000000 lambda 0.0"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionLimitError, match=repr(header)):
+            from_text(header)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_twin_classes():

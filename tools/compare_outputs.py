@@ -6,8 +6,10 @@ Usage::
 
 Extracts ``src/`` at ``<rev>`` with ``git archive`` into a temporary
 directory, then runs the five CLI commands with ``--format json`` at every
-seed, each in its own subprocess, once on that tree and once on the working
-tree's ``src/``.  Every written file (CSV, JSON mirror, network dump,
+seed, plus ``fig3`` on the Gamma grid that the benchmark's ``dephasing``
+workload draws for that seed (``perfbench/workloads.gamma_values``), each in
+its own subprocess, once on that tree and once on the working tree's
+``src/``.  Every written file (CSV, JSON mirror, network dump,
 manifest) and every command's stdout is compared byte for byte; only the
 manifests' ``duration_s`` line is ignored.  Prints each file that differs
 and exits 1 if any does.
@@ -22,6 +24,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.workloads import gamma_values  # noqa: E402
+
 COMMANDS = ("fig2", "table1", "fig3", "tree", "disorder")
 
 
@@ -33,20 +38,28 @@ def parse_seeds(spec: str) -> list[int]:
     return [int(s) for s in spec.split(",")]
 
 
+def runs(seed: int) -> list[tuple[str, list[str]]]:
+    """(name, trailing CLI arguments) of every run at one seed: each command,
+    then ``fig3`` on the benchmark's ``dephasing`` grid as ``fig3_bench``."""
+    grid = ",".join(repr(g) for g in gamma_values(seed))
+    return ([(command, [command]) for command in COMMANDS]
+            + [("fig3_bench", ["--gamma-grid", grid, "fig3"])])
+
+
 def run_all(src: Path, out: Path, seeds: list[int]) -> None:
-    """Every command at every seed on ``src``, into ``out/<command>_<seed>``
-    with the command's stdout saved as ``stdout.txt`` there."""
+    """Every run at every seed on ``src``, into ``out/<name>_<seed>`` with
+    the command's stdout saved as ``stdout.txt`` there."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out.mkdir(parents=True)   # the cwd, so that no other tree is importable
     for seed in seeds:
-        for command in COMMANDS:
-            run_dir = out / f"{command}_{seed}"
+        for name, arguments in runs(seed):
+            run_dir = out / f"{name}_{seed}"
             done = subprocess.run(
                 [sys.executable, "-m", "spinclone.cli", "--seed", str(seed),
-                 "--format", "json", "--out-dir", str(run_dir), command],
+                 "--format", "json", "--out-dir", str(run_dir), *arguments],
                 env=env, cwd=out, capture_output=True, text=True)
             if done.returncode not in (0, 1):
-                raise SystemExit(f"{command} at seed {seed} on {src} failed:\n"
+                raise SystemExit(f"{name} at seed {seed} on {src} failed:\n"
                                  f"{done.stderr}")
             run_dir.mkdir(parents=True, exist_ok=True)
             (run_dir / "stdout.txt").write_text(done.stdout)
