@@ -14,10 +14,14 @@ class NoPccReference(LookupError):
     """No stored optimal-PCC fidelity for the requested (N, M) pair."""
 
 
-def heis_star_fidelity(n_clones: int, theta: float) -> float:
-    """Maximum mean clone fidelity of the Heisenberg (lambda=1) star at B=0."""
+def _require_clones(n_clones: int) -> None:
     if n_clones < 1:
         raise ValueError("need at least one clone")
+
+
+def heis_star_fidelity(n_clones: int, theta: float) -> float:
+    """Maximum mean clone fidelity of the Heisenberg (lambda=1) star at B=0."""
+    _require_clones(n_clones)
     m = n_clones
     return (4.0 + (3.0 + m) * (m + (m - 1.0) * math.cos(theta))
             - (m - 1.0) * math.cos(2.0 * theta)) / (2.0 * (1.0 + m) ** 2)
@@ -25,13 +29,13 @@ def heis_star_fidelity(n_clones: int, theta: float) -> float:
 
 def t_c_heis(n_clones: int) -> float:
     """Optimal evolution time of the Heisenberg star, in J t units."""
+    _require_clones(n_clones)
     return 2.0 * math.pi / (n_clones + 1.0)
 
 
 def xy_star_fidelity(n_clones: int, theta: float) -> float:
     """Maximum mean clone fidelity of the XY (lambda=0) star at optimal B."""
-    if n_clones < 1:
-        raise ValueError("need at least one clone")
+    _require_clones(n_clones)
     m = n_clones
     root = math.sqrt(m)
     return (1.0 + root + 2.0 * m + 2.0 * (m - 1.0) * math.cos(theta)
@@ -40,11 +44,13 @@ def xy_star_fidelity(n_clones: int, theta: float) -> float:
 
 def t_c_xy(n_clones: int) -> float:
     """Optimal evolution time of the XY star, in J t units."""
+    _require_clones(n_clones)
     return math.pi / math.sqrt(n_clones)
 
 
 def b_opt_xy(n_clones: int) -> float:
     """Optimal uniform field of the XY star, in B / J units."""
+    _require_clones(n_clones)
     return 0.5 * math.sqrt(n_clones)
 
 

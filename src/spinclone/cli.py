@@ -266,14 +266,21 @@ def cmd_fig3(args) -> tuple:
 
 
 def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
-    """Trace distance between the two dephasing solvers on the 1->2 star."""
+    """Trace distance between the two dephasing solvers on the 1->2 star.
+
+    The trajectories take steps of ``dt = 1e-2`` (222 over ``t_c_xy(2)``).
+    Their exact average, the split-step map, differs from the master
+    equation by a deterministic bias that grows linearly in ``dt``: a trace
+    distance of 1.1e-4 at Gamma = 0.1 and 4.4e-4 at Gamma = 1.0.  Sampling
+    error of 1000 trajectories, about 5e-3, dominates it.
+    """
     net = star(2).with_params(anisotropy=0.0, field=b_opt_xy(2))
     basis, amplitudes = prepare_input(net, math.pi / 2, 0.0)
     block = build_block(net, basis.weights)
     rho0 = MixedState(basis=basis,
                       matrix=np.outer(amplitudes, amplitudes.conj()))
     master = lindblad_evolve(rho0, block, gamma, t_c_xy(2))
-    sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2),
+    sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2), dt=1e-2,
                                 n_traj=n_traj, seed=seed)
     gaps = np.linalg.eigvalsh(master.matrix - sampled.matrix)
     return 0.5 * float(np.sum(np.abs(gaps)))

@@ -357,6 +357,7 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
     full duration of each XY pulse; single-qubit rotations are instantaneous
     and noise-free.
     """
+    _require("gamma", gamma)
     n_qubits, schedule = pcc_circuit_schedule(n_clones)
     basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))
     amplitudes = np.zeros(len(basis), dtype=np.complex128)

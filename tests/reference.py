@@ -286,6 +286,30 @@ def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
     return rho, states
 
 
+def split_step_average(rho, block, gamma, t, dt):
+    """Exact average over the kicks of ``noise.stochastic_evolve``'s steps.
+
+    Each step maps ``rho -> D * (U rho U^dagger)`` elementwise, with ``U``
+    the block propagator over the step and ``D_ab = exp(-Gamma dt
+    hamming(a, b) / 2)`` the mean of the kick phases; the steps are split
+    into full steps and one remainder as the trajectories split them.  Its
+    distance to the master equation is the trajectories' deterministic bias.
+    """
+    z = 1.0 - 2.0 * block.basis.counts   # sz per site
+    hamming = (z.shape[1] - z @ z.T) / 2.0
+    n_full = int(math.floor(t / dt + 1e-12))
+    remainder = t - n_full * dt
+    rho = np.asarray(rho, dtype=np.complex128)
+    for duration, n_steps in ((dt, n_full), (remainder, 1)):
+        if duration <= 1e-15:
+            continue
+        u = scipy.linalg.expm(-1j * duration * block.matrix)
+        damping = np.exp(-0.5 * gamma * duration * hamming)
+        for _ in range(n_steps):
+            rho = damping * (u @ rho @ u.conj().T)
+    return rho
+
+
 def stacked_components_alloc(spectra, t_rows, t_cols=(0.0,)):
     """``search._Spectra.stacked_components`` as it was before its workspace:
     fresh arrays for every phase, synthesis and readout step.  The oracle

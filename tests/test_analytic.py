@@ -26,6 +26,18 @@ def test_xy_known_values():
     assert abs(b_opt_xy(4) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("helper", [
+    t_c_xy, t_c_heis, b_opt_xy,
+    lambda m: xy_star_fidelity(m, EQUATOR),
+    lambda m: heis_star_fidelity(m, EQUATOR)],
+    ids=["t_c_xy", "t_c_heis", "b_opt_xy", "xy_star_fidelity",
+         "heis_star_fidelity"])
+@pytest.mark.parametrize("m", [0, -1])
+def test_helpers_need_a_clone(helper, m):
+    with pytest.raises(ValueError, match="need at least one clone"):
+        helper(m)
+
+
 @pytest.mark.parametrize("m", range(1, 65))
 def test_equatorial_simplifications_agree(m):
     # Transcription tripwire: the full formulas must match the independently

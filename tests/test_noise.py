@@ -3,20 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinclone import (GatePulse, b_opt_xy, build_block,
+from spinclone import (GatePulse, b_opt_xy, bipartite, build_block,
                        circuit_baseline, circuit_ideal_fidelity,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
-                       pcc_circuit_schedule, prepare_input, sector_basis, star,
-                       stochastic_evolve, t_c_xy)
+                       pcc_circuit_schedule, prepare_input, run_protocol,
+                       sector_basis, star, stochastic_evolve, t_c_xy, tree)
 from spinclone.dynamics import _propagate, density_fidelities
 from spinclone.noise import (KICK_ENTRIES, MixedState, cnot_pulses,
                              cry_pulses, schedule_duration)
 from reference import (configuration_words, full_dephasing_evolve,
                        full_hamiltonian, full_input_state, schedule_unitary,
-                       stochastic_stepwise)
+                       split_step_average, stochastic_stepwise)
 from strategies import small_networks as connected_networks
 
 EQUATOR = math.pi / 2
@@ -25,6 +25,10 @@ EQUATOR = math.pi / 2
 def _pure(basis, amplitudes):
     return MixedState(basis=basis,
                       matrix=np.outer(amplitudes, amplitudes.conj()))
+
+
+def _trace_distance(a, b):
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)))
 
 
 def _star_setup(m, gamma_field=None):
@@ -153,7 +157,7 @@ def test_stochastic_single_qubit_three_sigma():
 @pytest.mark.parametrize("n_traj,gamma,t", [
     (2, 0.05, 0.5),
     (999, 0.05, 0.5),          # odd: the antithetic half is one row short
-    (1000, 0.1, t_c_xy(2)),    # fig3's cross-check, with a remainder step
+    (1000, 0.1, t_c_xy(2)),    # 2221 steps and a remainder step
     (1000, 0.1, 0.0237),       # 23 steps and a remainder step
     (1000, 0.0, 0.5),          # no kicks drawn
 ])
@@ -220,6 +224,13 @@ def test_lindblad_rejects_malformed_inputs(name, kwargs):
         lindblad_evolve(_pure(basis, amplitudes), block, **args)
 
 
+@pytest.mark.parametrize("name,kwargs", [
+    case for case in MALFORMED_T_GAMMA if case[0] == "gamma"])
+def test_circuit_rejects_malformed_gamma(name, kwargs):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        circuit_baseline(2, EQUATOR, **kwargs)
+
+
 def _mean_clone_fidelity(matrix, net, basis, theta, phi):
     return np.mean(density_fidelities(matrix, basis, net.output_sites, theta,
                                       phi))
@@ -255,8 +266,57 @@ def test_solver_agreement_on_star(gamma):
     master = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t_c_xy(2))
     sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2),
                                 n_traj=1000, seed=11)
-    gaps = np.linalg.eigvalsh(master.matrix - sampled.matrix)
-    assert 0.5 * np.sum(np.abs(gaps)) <= 0.01
+    assert _trace_distance(master.matrix, sampled.matrix) <= 0.01
+
+
+def _split_step_bias(gamma, dt):
+    _, basis, amplitudes, block = _star_setup(2)
+    master = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t_c_xy(2))
+    averaged = split_step_average(np.outer(amplitudes, amplitudes.conj()),
+                                  block, gamma, t_c_xy(2), dt)
+    return _trace_distance(master.matrix, averaged)
+
+
+@pytest.mark.parametrize("gamma,bound", [(0.1, 2e-4), (1.0, 1e-3)])
+def test_split_step_bias_of_the_cross_check(gamma, bound):
+    # The exact average of fig3's trajectories (dt = 1e-2 on the star(2)
+    # cross-check) misses the master equation by a deterministic bias of
+    # first order in dt, far below the 0.01 bound and the sampling error.
+    coarse = _split_step_bias(gamma, 1e-2)
+    assert coarse <= bound
+    assert 8.0 <= coarse / _split_step_bias(gamma, 1e-3) <= 12.0
+
+
+def test_trajectories_average_to_the_split_step_map():
+    # At a step this coarse the bias (0.016) exceeds the sampling error of
+    # 20000 trajectories, which land on the split-step map, not the master.
+    _, basis, amplitudes, block = _star_setup(2)
+    gamma, dt, t = 3.0, 0.2, t_c_xy(2)
+    master = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t).matrix
+    averaged = split_step_average(np.outer(amplitudes, amplitudes.conj()),
+                                  block, gamma, t, dt)
+    sampled = stochastic_evolve(amplitudes, block, gamma, t, dt=dt,
+                                n_traj=20000, seed=0).matrix
+    assert (_trace_distance(sampled, averaged) <= 0.01
+            < _trace_distance(sampled, master))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=connected_networks().filter(lambda n: len(n.input_sites) == 1),
+       anisotropy=st.floats(0.0, 1.0), field=st.floats(-2.0, 2.0),
+       gamma=st.floats(0.0, 5.0), t=st.floats(0.0, 5.0))
+@example(net=star(3), anisotropy=0.0, field=b_opt_xy(3), gamma=0.3,
+         t=t_c_xy(3))
+@example(net=tree(2, 1), anisotropy=0.4, field=0.7, gamma=1.3, t=2.1)
+@example(net=bipartite(1, 4), anisotropy=1.0, field=-0.5, gamma=4.0, t=0.9)
+def test_equator_dephasing_closed_form(net, anisotropy, field, gamma, t):
+    # One input at the equator: each clone's coherence pairs weight 0 with
+    # weight 1, Hamming distance 1, so dephasing damps it by exactly
+    # exp(-Gamma t / 2) and F(Gamma) = 1/2 + exp(-Gamma t / 2) (F(0) - 1/2).
+    ideal = run_protocol(net, anisotropy, field, EQUATOR, 0.0, t).mean_fidelity
+    noisy = noisy_network_fidelity(net, anisotropy, field, EQUATOR, gamma, t)
+    assert abs(noisy - 0.5 - math.exp(-gamma * t / 2.0) * (ideal - 0.5)) \
+        <= 1e-12
 
 
 def test_noisy_network_reduces_to_ideal():
