@@ -26,7 +26,7 @@ from .analytic import (NTOM_REFERENCE, NoPccReference, b_opt_xy,
 from .dynamics import prepare_input, protocol_fidelities, run_protocol
 from .hamiltonian import build_block
 from .noise import (MixedState, circuit_baseline, circuit_ideal_fidelity,
-                    lindblad_evolve, noisy_network_fidelity, stochastic_evolve)
+                    lindblad_evolve, stochastic_evolve)
 from .search import disorder_study, optimize
 from .topology import bipartite, star, to_text, tree
 
@@ -218,11 +218,6 @@ def cmd_fig3(args) -> tuple:
         raise ValueError(f"--n-traj must be at least 1, got {args.n_traj}")
     gammas = [0.0] + _parse_gamma_grid(args.gamma_grid)
 
-    def network_point(item):
-        m, gamma = item
-        return noisy_network_fidelity(star(m), 0.0, b_opt_xy(m), math.pi / 2,
-                                      gamma, t_c_xy(m))
-
     def circuit_point(item):
         m, gamma = item
         return circuit_baseline(m, math.pi / 2, gamma)
@@ -230,9 +225,16 @@ def cmd_fig3(args) -> tuple:
     rows = []
     curves: dict[tuple[str, int], list[float]] = {}
     for m in (2, 3):
-        items = [(m, g) for g in gammas]
-        net_vals = _parallel_map(network_point, items, args.threads)
-        circ_vals = _parallel_map(circuit_point, items, args.threads)
+        # One input at the equator: each clone's coherence pairs weight 0
+        # with weight 1, Hamming distance 1, so dephasing damps it by exactly
+        # exp(-Gamma t / 2): F(Gamma) = 1/2 + exp(-Gamma t / 2) (F(0) - 1/2).
+        t_c = t_c_xy(m)
+        ideal = run_protocol(star(m), 0.0, b_opt_xy(m), math.pi / 2, 0.0,
+                             t_c).mean_fidelity
+        net_vals = [0.5 + math.exp(-g * t_c / 2.0) * (ideal - 0.5)
+                    for g in gammas]
+        circ_vals = _parallel_map(circuit_point, [(m, g) for g in gammas],
+                                  args.threads)
         curves[("network", m)] = net_vals
         curves[("circuit", m)] = circ_vals
         rows += [["network", m, g, f] for g, f in zip(gammas, net_vals)]

@@ -2,13 +2,18 @@
 
 Everything here works on the full 2^n space with dense Kronecker products
 and generic tensor reshapes, deliberately sharing no machinery with the
-package's sector-restricted implementation.
+package's sector-restricted implementation, with one exception:
+``stochastic_stepwise`` takes its step unitary from ``noise._expm``, so that
+it checks the chunked trajectory kernel bit for bit (``_expm`` itself is
+pinned against ``scipy.linalg.expm`` in ``test_noise``).
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from spinclone.noise import _expm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -252,9 +257,9 @@ def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
     """Trajectory average one step at a time, one kick draw per step.
 
     The original per-step loop of ``noise.stochastic_evolve``, kept as the
-    oracle for its chunked kernel: same random stream, same arithmetic.
-    Returns the averaged density matrix and the (n_traj, dim) final
-    trajectory states.
+    oracle for its chunked kernel: same random stream, same arithmetic, and
+    the same step unitary, from the package's ``noise._expm``.  Returns the
+    averaged density matrix and the (n_traj, dim) final trajectory states.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     z = 1.0 - 2.0 * block.basis.counts   # sz per site
@@ -268,7 +273,7 @@ def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
     def run_segment(states, duration, n_steps):
         if n_steps == 0 or duration == 0.0:
             return states
-        u = scipy.linalg.expm(-1j * duration * block.matrix)
+        u = _expm(-1j * duration * block.matrix)
         scale = math.sqrt(gamma * duration)
         for _ in range(n_steps):
             states = states @ u.T

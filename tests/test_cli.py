@@ -309,6 +309,30 @@ def test_entry_point_runs_as_module(tmp_path):
                 if ln.startswith("[ok]")]) == 4
 
 
+NO_SCIPY_SCRIPT = """
+import sys
+import spinclone.cli as cli
+assert "scipy" not in sys.modules, "import"
+for command in cli.COMMANDS:
+    extra = ["--t-points", "2001"] if command == "table1" else []
+    cli.main(["--out-dir", sys.argv[1] + "/" + command, *extra, command])
+    assert "scipy" not in sys.modules, command
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # Importing scipy.linalg costs every process about 0.2 s and 24 MB of
+    # resident memory; only the tests' oracles use it.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert {path.parent.name for path in tmp_path.glob("*/*.manifest")} \
+        == {"fig2", "table1", "fig3", "tree", "disorder"}
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -3,16 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spinclone.noise
 from spinclone import (GatePulse, b_opt_xy, bipartite, build_block,
                        circuit_baseline, circuit_ideal_fidelity,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
                        pcc_circuit_schedule, prepare_input, run_protocol,
                        sector_basis, star, stochastic_evolve, t_c_xy, tree)
+from spinclone.cli import main
 from spinclone.dynamics import _propagate, density_fidelities
-from spinclone.noise import (KICK_ENTRIES, MixedState, cnot_pulses,
+from spinclone.noise import (KICK_ENTRIES, MixedState, _expm, cnot_pulses,
                              cry_pulses, schedule_duration)
 from reference import (configuration_words, full_dephasing_evolve,
                        full_hamiltonian, full_input_state, schedule_unitary,
@@ -64,6 +67,41 @@ def test_lindblad_trace_and_positivity():
     assert np.linalg.eigvalsh(out.matrix).min() >= -1e-9
 
 
+@pytest.mark.parametrize("grid", ["1e-4:1e-1:10", "0.5,1,2,4"])
+def test_expm_matches_scipy_on_fig3(tmp_path, monkeypatch, grid):
+    # Every Liouvillian and trajectory step that fig3 exponentiates; the
+    # second grid holds the pair Liouvillian's exceptional point Gamma = 2J.
+    arguments = []
+
+    def recording(a):
+        arguments.append(a.copy())
+        return _expm(a)
+
+    monkeypatch.setattr(spinclone.noise, "_expm", recording)
+    main(["--out-dir", str(tmp_path), "--gamma-grid", grid, "--n-traj", "2",
+          "fig3"])
+    assert len(arguments) > 20
+    for a in arguments:
+        assert np.max(np.abs(_expm(a) - scipy.linalg.expm(a))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, 36])
+def test_expm_matches_scipy_on_random_matrices(dim):
+    rng = np.random.default_rng(dim)
+    for norm in (1e-3, 0.1, 1.0, 5.0, 5.4, 20.0, 200.0):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal(
+            (dim, dim))
+        a *= norm / np.linalg.norm(a, 1)
+        expected = scipy.linalg.expm(a)
+        assert (np.linalg.norm(_expm(a) - expected, 1)
+                <= 1e-12 * np.linalg.norm(expected, 1))
+
+
+def test_expm_of_zero_is_identity():
+    assert np.array_equal(_expm(np.zeros((5, 5))), np.eye(5))
+    assert np.array_equal(_expm(np.zeros((3, 3), dtype=complex)), np.eye(3))
+
+
 @st.composite
 def small_networks(draw):
     """Connected graphs of 2-4 sites: a random spanning tree plus extra edges."""
@@ -85,6 +123,7 @@ def small_networks(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=small_networks(), gamma=st.floats(0.0, 2.0), t=st.floats(0.0, 5.0),
        theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi))
+@example(net=star(1), gamma=2.0, t=1.0, theta=EQUATOR, phi=0.0)
 def test_lindblad_matches_full_space_oracle(net, gamma, t, theta, phi):
     basis, amplitudes = prepare_input(net, theta, phi)
     block = build_block(net, basis.weights)
