@@ -13,14 +13,13 @@ coherence sum and ``chi = arg(gbar) + phi``.  Its maximum over a field
 interval is therefore known at every time, and the one optimizer,
 :func:`optimize`, searches in time only: a dense scan of that maximum, then
 golden-section refinement of the best peaks, all of them in lockstep.
-Every evaluation is batched through one phase builder: a uniform grid takes
-its phases ``e^{-iEt}`` as products of row and column phases, about
-``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, and a batch of
-arbitrary times is its one-column case.  Each evaluator writes its phases,
-amplitudes and readout into one workspace of its own, grown to the largest
-batch it has seen, so a dense scan allocates only its results.  The peaks
-are picked from the ``5 PEAKS + 1`` largest scan values alone, which is
-exact (see :func:`_peak_indices`).
+Every evaluation sums fixed Bohr-frequency harmonics ``e^{-i(E_k - E_l)t}``
+(:class:`_Spectra`).  A uniform grid takes its phases ``e^{-iEt}`` as
+products of row and column phases, about ``2 sqrt(T)`` exponentials per
+eigenvalue for ``T`` times, so each harmonic is a row factor times a column
+factor and each component one small matrix product; a batch of arbitrary
+times is its one-column case.  The peaks are picked from the ``5 PEAKS + 1``
+largest scan values alone, which is exact (see :func:`_peak_indices`).
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -32,6 +31,7 @@ configurations as the independent oracle.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +52,9 @@ CHUNK = 8192
 # Matrix entries per chunk of disorder realizations assembled at once, so a
 # study's memory does not grow with its sample count.
 STACK_ENTRIES = 1 << 16
+
+# Pair-factor entries per block of the harmonic sums, bounding their memory.
+PAIR_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,106 +84,102 @@ class DisorderSummary:
     sector_dim: int   # configurations each realization is evaluated on
 
 
+# A weight's states, the index of its first eigenstate, its eigenvalues E
+# (R, n) and eigenvectors V (R, n, n), and the input's c = V^T psi (R, n).
+_Sector = namedtuple("_Sector", "states start e v c")
+
+
 class _Spectra:
-    """Stacked evaluator of the zero-field fidelity components: the blocks of
-    ``net`` on ``basis`` for each row of the (R, n_edges) array
-    ``couplings``, diagonalized with one ``eigh`` per weight, with the input
-    expanded in their eigenvectors and read out by :class:`OutputReadout`,
-    all through one workspace of its own."""
+    """Zero-field fidelity components of the blocks of ``net`` on ``basis``
+    at each row of the (R, n_edges) array ``couplings``, in Bohr-frequency
+    form.  With one ``eigh`` per weight, ``base = const + 2 Re sum`` and
+    ``gbar = sum`` of ``c_k (V^T X V)_kl conj(c_l) e^{-i(E_k - E_l)t}`` over
+    the pairs ``k, l = first, second``: first ``split`` pairs ``k < l`` of a
+    weight with ``X = D``, the readout's diagonal (``const`` holds their
+    ``k = l`` terms), then pairs of adjacent weights with ``X = W``, its
+    coherence weights at ``(lower, upper)``."""
 
     def __init__(self, net: SpinNetwork, basis: SectorBasis,
                  couplings: np.ndarray, theta: float, phi: float):
         self.basis, self.dim, self.phi = basis, len(basis), float(phi)
-        self._realizations = len(couplings)
-        self._readout = OutputReadout(net, basis, theta, self.phi)
+        self._readout = r = OutputReadout(net, basis, theta, self.phi)
         psi = count_input(net, basis, theta, self.phi)
         blocks = assemble_blocks(net, basis, couplings)
-        self._sectors = []
+        sectors, start = {}, 0
         for w in basis.weights:
             idx = np.nonzero(basis.state_weights == w)[0]
             vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
-            coeffs = np.swapaxes(vecs, 1, 2) @ psi[idx]
-            consecutive = idx[-1] - idx[0] < len(idx)
-            run = slice(idx[0], idx[-1] + 1) if consecutive else None
-            self._sectors.append((idx, run, vals[:, :, None],
-                                  vecs.astype(np.complex128),
-                                  coeffs[:, :, None]))
-        # Workspace rows, each one complex per time and realization: the
-        # amplitudes first, then a sector's weighted phases and, unless its
-        # states are consecutive amplitude rows, its phases; or the float
-        # |amps|^2; or, from row max(dim, pairs) on, the two coherence
-        # factors, whose product overwrites the spent amplitudes.
-        pairs = len(self._readout.lower)
-        self._rows = max(
-            self.dim + max(len(idx) * (1 if run is not None else 2)
-                           for idx, run, *_ in self._sectors),
-            self.dim + (self.dim + 1) // 2, max(self.dim, pairs) + 2 * pairs)
-        self._work = np.empty(0, dtype=np.complex128)
+            sectors[w] = _Sector(idx, start, vals, vecs, psi[idx] @ vecs)
+            start += len(idx)
+        self._energies = np.concatenate([s.e for s in sectors.values()], 1)
+
+        def harmonics(low, high, x, keep):
+            """Pairs and ``c_k x_kl conj(c_l)`` at the entries ``keep``."""
+            k, l = np.nonzero(keep)
+            return (low.start + k, high.start + l,
+                    low.c[:, k] * x[:, k, l] * np.conj(high.c[:, l]))
+
+        const, terms = 0.0, []
+        for s in sectors.values():
+            m = np.swapaxes(s.v, 1, 2) @ (r.diagonal[s.states, None] * s.v)
+            const = const + np.einsum("rk,rkk->r", abs(s.c) ** 2, m)
+            terms.append(harmonics(s, s, 2.0 * m,
+                                   np.triu(np.ones(m.shape[1:], bool), 1)))
+        self._const, self._split = const, sum(len(t[0]) for t in terms)
+        for w in basis.weights:
+            if w + 1 not in sectors:
+                continue
+            low, high = sectors[w], sectors[w + 1]
+            on = basis.state_weights[r.lower] == w
+            couple = np.zeros((len(low.states), len(high.states)))
+            couple[np.searchsorted(low.states, r.lower[on]),   # once each
+                   np.searchsorted(high.states, r.upper[on])] = r.weight[on]
+            g = np.swapaxes(low.v, 1, 2) @ (couple @ high.v)
+            terms.append(harmonics(low, high, g, np.ones(g.shape[1:], bool)))
+        self._first, self._second, self._coeffs = (
+            np.concatenate(part, axis=-1) for part in zip(*terms))
 
     def stacked_components(self, t_rows: np.ndarray, t_cols=(0.0,)):
         """``(base, gbar)``, each (R, T), at the ``T = len(t_rows) *
         len(t_cols)`` times ``t_rows[j] + t_cols[m]`` in row-major order.
 
-        The phase ``e^{-iE(t_rows[j] + t_cols[m])}`` is the product of a row
-        and a column phase.  A batch of arbitrary times is the one-column
-        case at offset 0, whose phase is exactly ``1 + 0j``.  Every large
-        intermediate goes into the workspace through ``out=``, by the same
-        ufuncs in the same operand order as into fresh arrays, and no
-        complex product overwrites its own operand (numpy rounds a
-        one-element product in place differently), so the results match
-        fresh arrays bit for bit.
+        Each phase is a row phase times a column phase, so each component
+        is one (R, rows, P) @ (R, P, cols) product of pair factors, summed
+        over blocks of at most ``PAIR_ENTRIES`` factor entries.  A batch of
+        arbitrary times is the one-column case at offset 0.
         """
-        realizations, count = self._realizations, len(t_rows) * len(t_cols)
-        size = realizations * count
-        if len(self._work) < self._rows * size:
-            self._work = np.empty(self._rows * size, dtype=np.complex128)
-
-        def carve(rows, start, dtype=np.complex128):
-            """(R, rows, T) view of the workspace from row ``start`` on, in
-            rows of ``dtype``."""
-            flat = self._work.view(dtype)[start * size:(start + rows) * size]
-            return flat.reshape(realizations, rows, count)
-
-        amps = carve(self.dim, 0)
-        grid = amps.reshape(realizations, self.dim, len(t_rows), len(t_cols))
-        for idx, run, vals, vecs, coeffs in self._sectors:
-            # Consecutive states are synthesized in place; others past the
-            # weighted phases, then scattered.
-            if run is None:
-                target = carve(len(idx), self.dim + len(idx))
-                phase = target.reshape(grid.shape[:1] + (len(idx),)
-                                       + grid.shape[2:])
-            else:
-                target, phase = amps[:, run], grid[:, run]
-            np.multiply(np.exp(-1j * (vals * t_rows))[..., None],
-                        np.exp(-1j * (vals * t_cols))[..., None, :],
-                        out=phase)
-            weighted = np.multiply(coeffs, target,
-                                   out=carve(len(idx), self.dim))
-            np.matmul(vecs, weighted, out=target)
-            if run is None:
-                amps[:, idx, :] = target
-        r = self._readout
-        squares = carve(self.dim, 2 * self.dim, np.float64)
-        np.abs(amps, out=squares)
-        base = r.diagonal @ np.square(squares, out=squares)
-        # mode="clip" takes straight into out; "raise" would buffer a copy.
-        pairs, top = len(r.lower), max(self.dim, len(r.lower))
-        lower = np.take(amps, r.lower, axis=1, out=carve(pairs, top),
-                        mode="clip")
-        upper = np.take(amps, r.upper, axis=1, out=carve(pairs, top + pairs),
-                        mode="clip")
-        np.conjugate(upper, out=upper)
-        return base, r.weight @ np.multiply(lower, upper,
-                                            out=carve(pairs, 0))
+        energies = self._energies[:, None, :]
+        rows = np.exp(-1j * (np.asarray(t_rows)[:, None] * energies))
+        cols = np.exp(-1j * (np.asarray(t_cols)[:, None] * energies))
+        rows_conj, cols_conj = np.conj(rows), np.conj(cols)
+        block = max(1, PAIR_ENTRIES // (len(rows) * (rows.shape[1]
+                                                     + cols.shape[1])))
+        # At least one block, so that no pairs still give the full shape.
+        for lo in range(0, max(len(self._first), 1), block):
+            f, s = self._first[lo:lo + block], self._second[lo:lo + block]
+            left = np.take(rows, f, axis=2)
+            left *= np.take(rows_conj, s, axis=2)
+            right = np.take(cols, f, axis=2)
+            right *= np.take(cols_conj, s, axis=2)
+            right *= self._coeffs[:, None, lo:lo + block]
+            cut = min(max(self._split - lo, 0), len(f))
+            # Re(x + iy)(u + iv) = x u - y v: the base is one real product of
+            # the interleaved floats of left and of conj(right).
+            parts = (left[:, :, :cut].view(np.float64) @ np.swapaxes(
+                         np.conj(right[:, :, :cut]).view(np.float64), 1, 2),
+                     left[:, :, cut:] @ np.swapaxes(right[:, :, cut:], 1, 2))
+            base, gbar = (parts if lo == 0
+                          else (base + parts[0], gbar + parts[1]))
+        base += self._const[:, None, None]
+        return base.reshape(len(rows), -1), gbar.reshape(len(rows), -1)
 
 
 class ProtocolScan(_Spectra):
     """Precomputed fast evaluator of the mean clone fidelity.
 
     The one-realization case of the stacked evaluator, on the ``dim`` count
-    states of the twin classes: any batch of times is a phase application
-    plus two weighted reductions, and the field enters in closed form.
+    states of the twin classes: any batch of times is two small products of
+    pair factors, and the field enters in closed form.
     Results agree with :func:`spinclone.dynamics.run_protocol` to round-off.
     """
 

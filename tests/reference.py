@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from spinclone.dynamics import OutputReadout, count_input
+from spinclone.hamiltonian import assemble_blocks
 from spinclone.noise import _expm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -315,21 +317,33 @@ def split_step_average(rho, block, gamma, t, dt):
     return rho
 
 
-def stacked_components_alloc(spectra, t_rows, t_cols=(0.0,)):
-    """``search._Spectra.stacked_components`` as it was before its workspace:
-    fresh arrays for every phase, synthesis and readout step.  The oracle
-    for the workspace version, which must match it bit for bit."""
-    realizations = spectra._realizations
-    count = len(t_rows) * len(t_cols)
-    amps = np.empty((realizations, spectra.dim, count), dtype=np.complex128)
-    for idx, _, vals, vecs, coeffs in spectra._sectors:
-        phase = (np.exp(-1j * (vals * t_rows))[..., None]
-                 * np.exp(-1j * (vals * t_cols))[..., None, :])
-        amps[:, idx, :] = vecs @ (coeffs * phase.reshape(
-            realizations, len(idx), count))
-    r = spectra._readout
-    return (r.diagonal @ np.abs(amps) ** 2,
-            r.weight @ (amps[:, r.lower] * np.conj(amps[:, r.upper])))
+def synthesized_components(net, basis, couplings, theta, phi, t_rows,
+                           t_cols=(0.0,)):
+    """``(base, gbar)`` of ``search._Spectra.stacked_components`` by
+    amplitude synthesis, as the package computed them before the
+    Bohr-frequency form: the blocks of ``net`` (at zero field) on ``basis``
+    for each row of ``couplings``, one ``eigh`` per weight, the amplitudes
+    ``V (e^{-iEt} V^T psi)`` at every time ``t_rows[j] + t_cols[m]``
+    (row-major), each phase the product of a row and a column phase, then
+    ``D |a|^2`` and ``sum weight a[lower] conj(a[upper])``."""
+    configured = net.with_params(field=0.0)
+    readout = OutputReadout(configured, basis, theta, phi)
+    psi = count_input(configured, basis, theta, phi)
+    blocks = assemble_blocks(configured, basis, np.atleast_2d(couplings))
+    t_rows, t_cols = np.asarray(t_rows), np.asarray(t_cols)
+    amps = np.empty((len(blocks), len(basis), len(t_rows) * len(t_cols)),
+                    dtype=complex)
+    for w in basis.weights:
+        idx = np.nonzero(basis.state_weights == w)[0]
+        vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
+        coeffs = np.swapaxes(vecs, 1, 2) @ psi[idx]
+        phases = (np.exp(-1j * vals[:, :, None, None] * t_rows[:, None])
+                  * np.exp(-1j * vals[:, :, None, None] * t_cols))
+        amps[:, idx] = vecs @ (coeffs[:, :, None]
+                               * phases.reshape(len(blocks), len(idx), -1))
+    return (readout.diagonal @ np.abs(amps) ** 2,
+            readout.weight @ (amps[:, readout.lower]
+                              * np.conj(amps[:, readout.upper])))
 
 
 def peak_indices_argsort(values, peaks):

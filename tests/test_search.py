@@ -17,7 +17,7 @@ from spinclone.hamiltonian import (assemble_blocks, count_basis,
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
 from reference import (configuration_words, golden_max, orbit_isometry,
-                       peak_indices_argsort, stacked_components_alloc)
+                       peak_indices_argsort, synthesized_components)
 from strategies import small_networks, twinned_networks
 
 EQUATOR = math.pi / 2
@@ -242,19 +242,16 @@ BATCHES = st.one_of(
               st.floats(1e-3, 1.0)).map(_grid_batch))
 
 
-def _assert_matches_oracle_without_aliasing(spectra, batches):
-    # Every batch matches the allocating oracle bit for bit, and no later
-    # call, larger or smaller, changes an earlier result.
-    kept = []
+def _assert_matches_synthesis(spectra, net, couplings, theta, phi, batches):
+    # Every batch agrees with amplitude synthesis on the same basis, which
+    # diagonalizes its own blocks.
     for rows, cols in batches:
         got = spectra.stacked_components(rows, cols)
-        want = stacked_components_alloc(spectra, rows, cols)
+        want = synthesized_components(net, spectra.basis, couplings, theta,
+                                      phi, rows, cols)
         for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        kept.append((got, [a.copy() for a in got]))
-    for got, copies in kept:
-        for a, b in zip(got, copies):
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -262,43 +259,65 @@ def _assert_matches_oracle_without_aliasing(spectra, batches):
        theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
        epsilon=st.floats(0.0, 0.5),
        seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3),
-       t=st.floats(0.0, 50.0), batches=st.lists(BATCHES, max_size=5))
-def test_workspace_evaluator_matches_allocating_oracle(net, anisotropy, theta,
-                                                       phi, epsilon, seeds, t,
-                                                       batches):
-    # Stacked jittered realizations on configurations, and the one-row
-    # scan on twin-class counts, through the same sequence of batches.  It
-    # opens with one time, where the weight-0 sector's products have one
-    # element, the case numpy rounds differently when done in place.
-    batches = [(np.array([t]), (0.0,))] + batches
+       batches=st.lists(BATCHES, min_size=1, max_size=4))
+def test_frequency_form_matches_synthesis(net, anisotropy, theta, phi,
+                                          epsilon, seeds, batches):
+    # Stacked jittered realizations on configurations, and the one-row scan
+    # on twin-class counts.
     configured = net.with_params(anisotropy=anisotropy, field=0.0)
     basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
     couplings = configured.coupling_array() * np.array(
         [coupling_factors(epsilon, s, len(net.edges)) for s in seeds])
     stacked = search._Spectra(configured, basis, couplings, theta, phi)
-    _assert_matches_oracle_without_aliasing(stacked, batches)
+    _assert_matches_synthesis(stacked, configured, couplings, theta, phi,
+                              batches)
     scan = ProtocolScan(net, anisotropy, theta, phi=phi)
-    _assert_matches_oracle_without_aliasing(scan, batches)
+    _assert_matches_synthesis(scan, configured,
+                              configured.coupling_array()[None], theta, phi,
+                              batches)
 
 
-def test_workspace_survives_interleaved_scan_chunks():
-    # table1's largest network: full and partial grid chunks interleaved
-    # with the refinement's small arbitrary batches, growing and shrinking.
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(drawn=twinned_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       batches=st.lists(BATCHES, min_size=1, max_size=4))
+def test_frequency_form_matches_synthesis_on_twins(drawn, anisotropy, theta,
+                                                   phi, batches):
+    # Count states of planted twin classes, several states per weight.
+    net, _ = drawn
+    configured = net.with_params(anisotropy=anisotropy, field=0.0)
+    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    _assert_matches_synthesis(scan, configured,
+                              configured.coupling_array()[None], theta, phi,
+                              batches)
+
+
+def test_pair_blocks_match_one_block(monkeypatch):
+    # A bound of 7 pairs per block splits one grid chunk of table1's largest
+    # network into 9 blocks, one of them straddling the base and coherence
+    # pairs; tree(3, 3), whose 67-state weight alone has 2211 pairs, still
+    # scans to the same optimum.
     scan = ProtocolScan(bipartite(4, 5), 0.0, EQUATOR)
-    batches = []
-    for n in (20, search.CHUNK, 1, 2545, 10, search.CHUNK):
-        t = np.linspace(100.0, 300.0, n)
-        width = math.isqrt(n - 1) + 1
-        batches += [(t[::width], np.arange(width) * (200.0 / max(n - 1, 1))),
-                    (t[:20], (0.0,))]
-    _assert_matches_oracle_without_aliasing(scan, batches)
+    t = np.linspace(0.0, 3000.0, search.CHUNK)
+    width = math.isqrt(search.CHUNK - 1) + 1
+    rows, cols = t[::width], np.arange(width) * (t[1] - t[0])
+    whole = scan.stacked_components(rows, cols)
+    tree_whole = optimize(tree(3, 3), 0.0, EQUATOR, (0.0, 50.0), 501)
+    monkeypatch.setattr(search, "PAIR_ENTRIES", 7 * (len(rows) + len(cols)))
+    assert len(scan._first) == 60 and 0 < scan._split % 7
+    blocked = scan.stacked_components(rows, cols)
+    for a, b in zip(blocked, whole):
+        assert np.max(np.abs(a - b)) <= 1e-14
+    tree_blocked = optimize(tree(3, 3), 0.0, EQUATOR, (0.0, 50.0), 501)
+    assert abs(tree_blocked.fidelity - tree_whole.fidelity) <= 1e-12
+    assert abs(tree_blocked.t_c - tree_whole.t_c) <= 1e-6
 
 
 def test_dense_scan_allocates_only_its_results():
-    # Once the first chunk has sized the workspace, a chunk of table1's
-    # 150001-point bipartite(4, 5) scan allocates its (base, gbar) and the
-    # field maximum's temporaries, about 0.33 MB, instead of about 6 MB of
-    # phases, amplitudes and coherence factors.
+    # After the first, a chunk of table1's 150001-point bipartite(4, 5) scan
+    # allocates its pair factors, its (base, gbar) and the field maximum's
+    # temporaries, instead of about 6 MB of phases, amplitudes and
+    # coherence factors.
     scan = ProtocolScan(bipartite(4, 5), 0.0, EQUATOR)
     t = np.linspace(0.0, 3000.0, 150001)
     chunks = [t[lo:lo + search.CHUNK] for lo in range(0, len(t), search.CHUNK)]

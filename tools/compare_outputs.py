@@ -11,12 +11,14 @@ workload draws for that seed (``perfbench/workloads.gamma_values``), each in
 its own subprocess, once on that tree and once on the working tree's
 ``src/``.  Every written file (CSV, JSON mirror, network dump,
 manifest) and every command's stdout is compared byte for byte; only the
-manifests' ``duration_s`` line is ignored.  Prints each file that differs
-and exits 1 if any does.
+manifests' ``duration_s`` line is ignored.  Prints each file that differs,
+for a CSV with the largest absolute difference in each column that
+differs, and exits 1 if any does.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -74,6 +76,31 @@ def comparable(path: Path) -> bytes:
     return data
 
 
+def column_differences(old: Path, new: Path) -> str:
+    """The largest absolute difference in each column that differs between
+    two CSV files, as ``column gap`` items; ``(text)`` for a column with a
+    non-numeric difference."""
+    with old.open(newline="") as a, new.open(newline="") as b:
+        old_rows, new_rows = list(csv.reader(a)), list(csv.reader(b))
+    shape = [len(row) for row in old_rows]
+    if not old_rows or old_rows[0] != new_rows[0] or shape != [
+            len(row) for row in new_rows]:
+        return "header or shape differs"
+    items = []
+    for k, column in enumerate(old_rows[0]):
+        cells = [(x[k], y[k]) for x, y in zip(old_rows[1:], new_rows[1:])
+                 if x[k] != y[k]]
+        if not cells:
+            continue
+        try:
+            gap = max(abs(float(x) - float(y)) for x, y in cells)
+        except ValueError:
+            items.append(f"{column} (text)")
+        else:
+            items.append(f"{column} {gap:.3g}")
+    return ", ".join(items)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against")
@@ -99,7 +126,11 @@ def main(argv=None) -> int:
             if comparable(tmp / "old_out" / name)
             != comparable(tmp / "new_out" / name))
         for name in differing:
-            print(f"differs: {name}")
+            detail = ""
+            if name.suffix == ".csv" and name in old & new:
+                detail = "; max |diff|: " + column_differences(
+                    tmp / "old_out" / name, tmp / "new_out" / name)
+            print(f"differs: {name}{detail}")
         print(f"{len(old | new)} files compared over {len(seeds)} seeds, "
               f"{len(differing)} differ")
     return 1 if differing else 0
