@@ -9,7 +9,6 @@ tolerance checks fails, so they can gate CI runs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -92,6 +91,7 @@ def _run(command, args) -> int:
 def _parallel_map(func, items, threads: int):
     if threads <= 1:
         return [func(item) for item in items]
+    import concurrent.futures   # pulls in logging; only threads need it
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(func, items))
 

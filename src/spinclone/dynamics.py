@@ -84,6 +84,8 @@ def _input_coefficients(thetas: np.ndarray, phi: float,
     """(n_theta, n_in + 1) amplitude ``c^(n_in-k) s^k`` of an input
     configuration with ``k`` excited inputs, ``c = cos(theta/2)`` and
     ``s = e^{i phi} sin(theta/2)``."""
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta must be finite")
     k = np.arange(n_in + 1)
     c = np.cos(thetas / 2.0)[:, None]
     s = (np.sin(thetas / 2.0) * np.exp(1j * phi))[:, None]
@@ -124,7 +126,8 @@ def _propagate(block: HamiltonianBlock, amplitudes: np.ndarray,
 
 
 class OutputReadout:
-    """Mean clone fidelity read off count-basis amplitudes ``a``.
+    """Mean clone fidelity read off count-basis amplitudes ``a`` of an input
+    at ``phi = 0``, its value at every ``phi`` (see :mod:`spinclone.search`).
 
     ``base = diagonal . |a|^2`` with ``diagonal = sum_a (c^2 (s_a - n_a) +
     s^2 n_a) / n_out`` over the output classes; ``gbar = sum weight a[lower]
@@ -132,27 +135,24 @@ class OutputReadout:
     ``weight = sqrt((n_a + 1)(s_a - n_a)) / n_out``.
     """
 
-    def __init__(self, net: SpinNetwork, basis: SectorBasis, theta: float,
-                 phi: float):
+    def __init__(self, net: SpinNetwork, basis: SectorBasis, theta: float):
         outputs = net.output_sites
-        n_out = max(len(outputs), 1)
+        if not outputs:
+            raise ValueError("network has no output sites")
+        n_out = len(outputs)
         c2 = math.cos(theta / 2.0) ** 2
         s2 = math.sin(theta / 2.0) ** 2
         classes = list(dict.fromkeys(basis.classes[o] for o in outputs))
-        empty = np.zeros(0, dtype=np.int64)
         self.lower, self.upper, elements = map(np.concatenate, zip(
-            *[basis.raising(a) for a in classes], (empty, empty, empty)))
+            *[basis.raising(a) for a in classes]))
         self.weight = elements / n_out
         occupied = basis.counts[:, classes].sum(axis=1)
         self.diagonal = (c2 * (n_out - occupied) + s2 * occupied) / n_out
         self.cs = math.cos(theta / 2.0) * math.sin(theta / 2.0)
-        self.phi = phi
 
     def fidelity(self, base, gbar, field_phase):
-        """``base + 2cs Re[e^{i phi} gbar field_phase]``, ``field_phase =
-        e^{-iBt}``: the single harmonic in the field."""
-        return base + 2.0 * self.cs * np.real(
-            np.exp(1j * self.phi) * gbar * field_phase)
+        """``base + 2cs Re[gbar field_phase]``, ``field_phase = e^{-iBt}``."""
+        return base + 2.0 * self.cs * np.real(gbar * field_phase)
 
 
 def _site_indices(basis: SectorBasis, sites) -> tuple[np.ndarray, ...]:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _check_densities, density_fidelities, prepare_input
+from .dynamics import (_check_densities, _input_coefficients,
+                       density_fidelities, prepare_input)
 from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
                           sector_basis)
 from .topology import (MAX_DIM, DimensionLimitError, SpinNetwork,
@@ -396,8 +397,8 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
     n_qubits, schedule = pcc_circuit_schedule(n_clones)
     basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))
     amplitudes = np.zeros(len(basis), dtype=np.complex128)
-    amplitudes[0] = math.cos(theta / 2.0)
-    amplitudes[1] = math.sin(theta / 2.0)       # configuration |1> on qubit 0
+    # |0...0> and configuration |1> on qubit 0, the input's one excitation.
+    amplitudes[:2] = _input_coefficients(np.array([float(theta)]), 0.0, 1)[0]
     rho = np.outer(amplitudes, amplitudes.conj())
     z = 1.0 - 2.0 * basis.counts   # sz per site
     propagators = {}   # one per distinct (pair, duration); pulses repeat

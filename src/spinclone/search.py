@@ -9,11 +9,11 @@ adjacent sectors, hence at fixed time the field enters as one harmonic,
     F(t, B) = base(t) + 2 c s |gbar(t)| cos(chi(t) - B t),
 
 with ``c = cos(theta/2)``, ``s = sin(theta/2)``, ``gbar`` the site-mean
-coherence sum and ``chi = arg(gbar) + phi``.  Its maximum over a field
-interval is therefore known at every time, and the one optimizer,
-:func:`optimize`, searches in time only: a dense scan of that maximum, then
-golden-section refinement of the best peaks, all of them in lockstep.
-Every evaluation sums fixed Bohr-frequency harmonics ``e^{-i(E_k - E_l)t}``
+coherence sum and ``chi = arg(gbar)``.  Its maximum over a field interval is
+therefore known at every time, and the one optimizer, :func:`optimize`,
+searches in time only: a dense scan of that maximum, then golden-section
+refinement of the best peaks, all of them in lockstep.  Every evaluation
+sums fixed Bohr-frequency harmonics ``e^{-i(E_k - E_l)t}``
 (:class:`_Spectra`).  A uniform grid takes its phases ``e^{-iEt}`` as
 products of row and column phases, about ``2 sqrt(T)`` exponentials per
 eigenvalue for ``T`` times, so each harmonic is a row factor times a column
@@ -25,8 +25,9 @@ Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
 with H, fixes the input and permutes the outputs, so the state is fixed by
 its excitation count per class.  Disorder realizations take the same
-evaluator, stacked, with one site per class.  ``run_protocol`` stays on
-configurations as the independent oracle.
+evaluator, stacked, with one site per class.  The input's azimuth cancels
+from every clone's overlap with its target, so scans load it at 0;
+``run_protocol`` takes it, on configurations, as the independent oracle.
 """
 from __future__ import annotations
 
@@ -49,11 +50,9 @@ PEAKS = 10
 TIE_TOLERANCE = 1e-7
 CHUNK = 8192
 
-# Matrix entries per chunk of disorder realizations assembled at once, so a
-# study's memory does not grow with its sample count.
-STACK_ENTRIES = 1 << 16
-
-# Pair-factor entries per block of the harmonic sums, bounding their memory.
+# Entries of one working array: pair factors per block of the harmonic sums,
+# and matrix entries per chunk of disorder realizations assembled at once, so
+# that memory grows with neither the sector nor the sample count.
 PAIR_ENTRIES = 1 << 18
 
 
@@ -100,10 +99,10 @@ class _Spectra:
     coherence weights at ``(lower, upper)``."""
 
     def __init__(self, net: SpinNetwork, basis: SectorBasis,
-                 couplings: np.ndarray, theta: float, phi: float):
-        self.basis, self.dim, self.phi = basis, len(basis), float(phi)
-        self._readout = r = OutputReadout(net, basis, theta, self.phi)
-        psi = count_input(net, basis, theta, self.phi)
+                 couplings: np.ndarray, theta: float):
+        self.basis, self.dim = basis, len(basis)
+        psi = count_input(net, basis, theta, 0.0)   # first: names a bad theta
+        self._readout = r = OutputReadout(net, basis, theta)
         blocks = assemble_blocks(net, basis, couplings)
         sectors, start = {}, 0
         for w in basis.weights:
@@ -154,8 +153,7 @@ class _Spectra:
         rows_conj, cols_conj = np.conj(rows), np.conj(cols)
         block = max(1, PAIR_ENTRIES // (len(rows) * (rows.shape[1]
                                                      + cols.shape[1])))
-        # At least one block, so that no pairs still give the full shape.
-        for lo in range(0, max(len(self._first), 1), block):
+        for lo in range(0, len(self._first), block):
             f, s = self._first[lo:lo + block], self._second[lo:lo + block]
             left = np.take(rows, f, axis=2)
             left *= np.take(rows_conj, s, axis=2)
@@ -183,13 +181,12 @@ class ProtocolScan(_Spectra):
     Results agree with :func:`spinclone.dynamics.run_protocol` to round-off.
     """
 
-    def __init__(self, net: SpinNetwork, anisotropy: float, theta: float,
-                 phi: float = 0.0):
+    def __init__(self, net: SpinNetwork, anisotropy: float, theta: float):
         configured = net.with_params(anisotropy=anisotropy, field=0.0)
         basis = count_basis(tuple(twin_classes(configured).tolist()),
                             tuple(range(len(net.input_sites) + 1)))
         super().__init__(configured, basis, configured.coupling_array()[None],
-                         theta, phi)
+                         theta)
         self.n_eval = 0
 
     def components(self, t_values,
@@ -241,7 +238,7 @@ class ProtocolScan(_Spectra):
         best = base + 2.0 * self._readout.cs * np.abs(gbar)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             period = 2.0 * math.pi / np.abs(t)
-            aligned = (np.angle(gbar) + self.phi) / t
+            aligned = np.angle(gbar) / t
             fields = aligned + np.ceil((b_lo - aligned) / period) * period
         # t = 0 (or overflow) leaves a nan field, which compares endpoints.
         off = np.nonzero(~(fields <= b_hi))[0]
@@ -303,8 +300,8 @@ def _peak_indices(values: np.ndarray) -> list[int]:
 
 def optimize(net: SpinNetwork, anisotropy: float, theta: float,
              t_range: tuple[float, float], t_points: int,
-             field: tuple[float, float] = (0.0, math.inf),
-             phi: float = 0.0) -> OptimizationResult:
+             field: tuple[float, float] = (0.0, math.inf)
+             ) -> OptimizationResult:
     """Maximize the mean clone fidelity over time and a field interval.
 
     The field is maximized in closed form at every time (see
@@ -322,7 +319,7 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
         raise ValueError("time range needs finite 0 <= t_lo < t_hi")
     if not (math.isfinite(b_lo) and b_lo <= b_hi):
         raise ValueError("field interval needs finite b_lo <= b_hi")
-    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    scan = ProtocolScan(net, anisotropy, theta)
     t_values = np.linspace(t_lo, t_hi, t_points)
     values = np.empty(t_points)
     for lo in range(0, t_points, CHUNK):
@@ -345,24 +342,24 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
 
 
 def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,
-                        anisotropy: float, theta: float, t: float, b: float,
-                        phi: float = 0.0) -> np.ndarray:
+                        anisotropy: float, theta: float, t: float,
+                        b: float) -> np.ndarray:
     """Mean clone fidelity at ``(t, B)`` of ``jitter(net_template, epsilon,
     s)`` for every ``s`` in ``seeds``, evaluated stacked in chunks of at most
-    ``STACK_ENTRIES`` matrix entries (one ``eigh`` per weight and chunk) on
+    ``PAIR_ENTRIES`` matrix entries (one ``eigh`` per weight and chunk) on
     configurations, the count basis with one site per class.
     """
     net = net_template.with_params(anisotropy=anisotropy, field=0.0)
     basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
     field_phase = np.exp(-1j * (t * b))
     template = net.coupling_array()
-    chunk = max(1, STACK_ENTRIES // len(basis) ** 2)
+    chunk = max(1, PAIR_ENTRIES // len(basis) ** 2)
     values = np.empty(len(seeds))
     for lo in range(0, len(seeds), chunk):
         part = seeds[lo:lo + chunk]
         couplings = template * np.array(
             [coupling_factors(epsilon, int(s), len(template)) for s in part])
-        spectra = _Spectra(net, basis, couplings, theta, phi)
+        spectra = _Spectra(net, basis, couplings, theta)
         base, gbar = spectra.stacked_components(np.array([t]))
         values[lo:lo + len(part)] = spectra._readout.fidelity(
             base[:, 0], gbar[:, 0], field_phase)

@@ -325,9 +325,11 @@ def synthesized_components(net, basis, couplings, theta, phi, t_rows,
     for each row of ``couplings``, one ``eigh`` per weight, the amplitudes
     ``V (e^{-iEt} V^T psi)`` at every time ``t_rows[j] + t_cols[m]``
     (row-major), each phase the product of a row and a column phase, then
-    ``D |a|^2`` and ``sum weight a[lower] conj(a[upper])``."""
+    ``D |a|^2`` and ``sum weight a[lower] conj(a[upper])``.  The input is
+    loaded at azimuth ``phi`` and ``gbar`` turned back by ``e^{i phi}``:
+    phase covariance makes that the scans' ``phi = 0`` value."""
     configured = net.with_params(field=0.0)
-    readout = OutputReadout(configured, basis, theta, phi)
+    readout = OutputReadout(configured, basis, theta)
     psi = count_input(configured, basis, theta, phi)
     blocks = assemble_blocks(configured, basis, np.atleast_2d(couplings))
     t_rows, t_cols = np.asarray(t_rows), np.asarray(t_cols)
@@ -342,8 +344,8 @@ def synthesized_components(net, basis, couplings, theta, phi, t_rows,
         amps[:, idx] = vecs @ (coeffs[:, :, None]
                                * phases.reshape(len(blocks), len(idx), -1))
     return (readout.diagonal @ np.abs(amps) ** 2,
-            readout.weight @ (amps[:, readout.lower]
-                              * np.conj(amps[:, readout.upper])))
+            np.exp(1j * phi) * (readout.weight @ (
+                amps[:, readout.lower] * np.conj(amps[:, readout.upper]))))
 
 
 def peak_indices_argsort(values, peaks):

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinclone import (b_opt_xy, bipartite, build_block, density_fidelities,
-                       from_edge_list, prepare_input, protocol_fidelities,
-                       run_protocol, sector_basis, star, t_c_xy, tree)
+from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
+                       circuit_baseline, density_fidelities, disorder_study,
+                       from_edge_list, noisy_network_fidelity, optimize,
+                       prepare_input, protocol_fidelities, run_protocol,
+                       sector_basis, star, t_c_xy, tree)
 from spinclone.dynamics import (_check_densities, _check_norms, _propagate,
                                 _site_densities)
 from reference import (configuration_words, embed_full, full_evolve,
@@ -236,13 +238,18 @@ def test_density_validation():
             _check_densities(stack)
 
 
-@pytest.mark.parametrize("theta,t", [(EQUATOR, math.nan), (EQUATOR, math.inf),
-                                     (math.nan, 1.0)],
-                         ids=["nan_time", "infinite_time", "nan_theta"])
-def test_protocol_rejects_nan(theta, t):
-    # NaN compares false with every bound, so each check must fail on it.
+NORM = "state norm differs from 1"
+
+
+@pytest.mark.parametrize("theta,t,message", [
+    (EQUATOR, math.nan, NORM), (EQUATOR, math.inf, NORM),
+    (math.nan, 1.0, "theta must be finite")],
+    ids=["nan_time", "infinite_time", "nan_theta"])
+def test_protocol_rejects_nan(theta, t, message):
+    # NaN compares false with every bound, so each check must fail on it; a
+    # NaN angle is named where the input is built.
     with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match="state norm differs from 1"):
+        with pytest.raises(ValueError, match=message):
             run_protocol(star(2), 0.0, 0.0, theta, 0.0, t)
 
 
@@ -266,6 +273,24 @@ def test_protocol_fidelities_shape_and_no_outputs():
     with pytest.raises(ValueError, match="no output sites"):
         protocol_fidelities(from_edge_list(2, [(0, 1, 1.0)], [0], []), 0.0,
                             0.0, [EQUATOR], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda theta: protocol_fidelities(star(2), 0.0, 0.0, [0.3, theta], 0.0,
+                                      1.0),
+    lambda theta: ProtocolScan(star(2), 0.0, theta),
+    lambda theta: optimize(star(2), 0.0, theta, (0.0, 5.0), 10),
+    lambda theta: disorder_study(star(2), 0.1, 5, 0.0, theta, 1.0, 0.5, 0),
+    lambda theta: noisy_network_fidelity(star(2), 0.0, 0.0, theta, 0.1, 1.0),
+    lambda theta: circuit_baseline(2, theta, 0.1),
+], ids=["protocol_fidelities", "scan", "optimize",
+        "disorder", "noisy_network", "circuit"])
+def test_non_finite_theta_is_named(call, theta):
+    # Where the input is built, not as a numpy reduction or a density check
+    # failing further in.
+    with pytest.raises(ValueError, match="^theta must be finite"):
+        call(theta)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
-                       disorder_study, heis_star_fidelity, jitter, optimize,
-                       prepare_input, run_protocol, star, t_c_xy, tree,
-                       xy_star_fidelity)
+                       disorder_study, from_edge_list, heis_star_fidelity,
+                       jitter, optimize, prepare_input, run_protocol, star,
+                       t_c_xy, tree, xy_star_fidelity)
 from spinclone import search
 from spinclone.dynamics import OutputReadout, count_input
 from spinclone.hamiltonian import (assemble_blocks, count_basis,
@@ -50,10 +50,42 @@ def test_optimize_rejects_bad_grid(t_range, t_points, field, message):
 
 def test_scan_matches_run_protocol():
     net = bipartite(2, 3)
-    scan = ProtocolScan(net, 0.7, 1.1, phi=0.4)
+    scan = ProtocolScan(net, 0.7, 1.1)
     for t, b in [(0.0, 0.0), (1.7, 0.45), (13.2, 0.08)]:
         direct = run_protocol(net, 0.7, b, 1.1, 0.4, t).mean_fidelity
         assert abs(scan.mean_fidelity(t, b) - direct) <= 1e-12
+
+
+@pytest.mark.parametrize("networks", [
+    small_networks(), twinned_networks().map(lambda drawn: drawn[0])],
+    ids=["small", "twinned"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       t=st.floats(0.0, 20.0), b=st.floats(-2.0, 2.0))
+def test_scan_is_phase_covariant(networks, data, anisotropy, theta, phi, t,
+                                 b):
+    # The scan takes no azimuth and loads the input at 0; the oracle loads it
+    # at phi, and the clone fidelity does not depend on it.
+    net = data.draw(networks)
+    direct = run_protocol(net, anisotropy, b, theta, phi, t).mean_fidelity
+    scan = ProtocolScan(net, anisotropy, theta)
+    assert abs(scan.mean_fidelity(t, b) - direct) <= 1e-12
+
+
+NO_OUTPUTS = from_edge_list(2, [(0, 1, 1.0)], [0], [])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: optimize(NO_OUTPUTS, 0.0, EQUATOR, (0.0, 5.0), 10),
+    lambda: ProtocolScan(NO_OUTPUTS, 1.0, 0.2).mean_fidelity(1.0, 0.2),
+    lambda: disorder_study(NO_OUTPUTS, 0.1, 5, 1.0, 0.2, 1.0, 0.2, seed=0),
+], ids=["optimize", "scan", "disorder"])
+def test_network_without_outputs_is_rejected(call):
+    # The scans refuse it with the oracle's message, instead of scoring no
+    # clones.
+    with pytest.raises(ValueError, match="^network has no output sites$"):
+        call()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -64,7 +96,7 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
     net, planted = drawn
     classes = twin_classes(net)
     assert all(len(set(classes[members])) == 1 for members in planted)
-    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    scan = ProtocolScan(net, anisotropy, theta)
     direct = run_protocol(net, anisotropy, b, theta, phi, t).mean_fidelity
     assert abs(scan.mean_fidelity(t, b) - direct) <= 1e-12
 
@@ -101,7 +133,7 @@ def test_orbit_scan_on_planted_twins(drawn, anisotropy, theta, phi, t, b):
             diagonal[k] += (s2 if w >> o & 1 else c2) / n_out
             if not w >> o & 1 and w | 1 << o in where:
                 pairs[k, where[w | 1 << o]] += 1.0 / n_out
-    readout = OutputReadout(net, basis, theta, phi)
+    readout = OutputReadout(net, basis, theta)
     projected = orbits.T @ (diagonal[:, None] * orbits)
     assert np.max(np.abs(projected - np.diag(readout.diagonal))) <= 1e-12
     counted = np.zeros((len(basis), len(basis)))
@@ -143,7 +175,7 @@ def test_reduced_sector_dims(net, full, reduced):
 def test_large_scan_matches_configurations(net):
     # Past 62 sites (64 configuration bits for the two-input coupler) the
     # twin-class scan agrees with the configuration-basis protocol.
-    scan = ProtocolScan(net, 0.3, 1.1, phi=0.3)
+    scan = ProtocolScan(net, 0.3, 1.1)
     direct = run_protocol(net, 0.3, 0.4, 1.1, 0.3, 1.3).mean_fidelity
     assert abs(scan.mean_fidelity(1.3, 0.4) - direct) <= 1e-10
 
@@ -158,19 +190,19 @@ def test_optimize_large_networks(net):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
-       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       theta=st.floats(0.0, math.pi),
        times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4),
        b_lo=st.floats(-2.0, 2.0),
        kind=st.sampled_from(["degenerate", "finite", "unbounded"]),
        width=st.floats(0.0, 3.0))
-def test_field_maximum_over_interval(net, anisotropy, theta, phi, times, b_lo,
+def test_field_maximum_over_interval(net, anisotropy, theta, times, b_lo,
                                      kind, width):
     # The closed-form maximum dominates every sampled field of the interval
     # and is attained at the reported field, which lies in the interval; the
     # values-only call agrees exactly, with and without t = 0.
     b_hi = {"degenerate": b_lo, "finite": b_lo + width,
             "unbounded": math.inf}[kind]
-    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    scan = ProtocolScan(net, anisotropy, theta)
     times = np.array([0.0] + times)
     best, fields = scan.field_optimum(times, b_lo, b_hi)
     for batch in (times, times[1:]):
@@ -186,12 +218,12 @@ def test_field_maximum_over_interval(net, anisotropy, theta, phi, times, b_lo,
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
-       theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
+       theta=st.floats(0.0, math.pi),
        centers=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=9),
        spacing=st.floats(1e-3, 0.5), b_lo=st.floats(-2.0, 2.0),
        kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
        width=st.floats(0.0, 3.0))
-def test_lockstep_refinement_matches_scalar_oracle(net, anisotropy, theta, phi,
+def test_lockstep_refinement_matches_scalar_oracle(net, anisotropy, theta,
                                                    centers, spacing, b_lo,
                                                    kind, width):
     # Every bracket of the lockstep search reaches the value that the
@@ -199,7 +231,7 @@ def test_lockstep_refinement_matches_scalar_oracle(net, anisotropy, theta, phi,
     # time inside the bracket; the first bracket is clipped at t = 0.
     b_hi = {"fixed": b_lo, "bounded": b_lo + width,
             "unbounded": math.inf}[kind]
-    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    scan = ProtocolScan(net, anisotropy, theta)
     centers = np.array([0.0] + centers)
     lo, hi = np.maximum(0.0, centers - spacing), centers + spacing
     times, maxima = search._golden_refine(
@@ -268,10 +300,10 @@ def test_frequency_form_matches_synthesis(net, anisotropy, theta, phi,
     basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
     couplings = configured.coupling_array() * np.array(
         [coupling_factors(epsilon, s, len(net.edges)) for s in seeds])
-    stacked = search._Spectra(configured, basis, couplings, theta, phi)
+    stacked = search._Spectra(configured, basis, couplings, theta)
     _assert_matches_synthesis(stacked, configured, couplings, theta, phi,
                               batches)
-    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    scan = ProtocolScan(net, anisotropy, theta)
     _assert_matches_synthesis(scan, configured,
                               configured.coupling_array()[None], theta, phi,
                               batches)
@@ -286,7 +318,7 @@ def test_frequency_form_matches_synthesis_on_twins(drawn, anisotropy, theta,
     # Count states of planted twin classes, several states per weight.
     net, _ = drawn
     configured = net.with_params(anisotropy=anisotropy, field=0.0)
-    scan = ProtocolScan(net, anisotropy, theta, phi=phi)
+    scan = ProtocolScan(net, anisotropy, theta)
     _assert_matches_synthesis(scan, configured,
                               configured.coupling_array()[None], theta, phi,
                               batches)
@@ -360,7 +392,7 @@ def test_top_k_peak_choice_on_short_scans(n):
 
 def test_field_maximum_at_time_zero_ignores_the_field():
     # At t = 0 every field gives the input's fidelity; b_lo is reported.
-    scan = ProtocolScan(bipartite(2, 3), 0.4, 1.1, phi=0.3)
+    scan = ProtocolScan(bipartite(2, 3), 0.4, 1.1)
     for b_lo, b_hi in [(0.0, math.inf), (0.5, 0.5), (-1.0, 2.0)]:
         best, fields = scan.field_optimum([0.0], b_lo, b_hi)
         assert fields[0] == b_lo
@@ -493,7 +525,7 @@ def test_disorder_deterministic():
 def test_stacked_disorder_matches_run_protocol(net, anisotropy, theta, phi, t,
                                                b, epsilon, seeds):
     values = disorder_fidelities(net, epsilon, np.array(seeds), anisotropy,
-                                 theta, t, b, phi=phi)
+                                 theta, t, b)
     assert values.shape == (len(seeds),)
     for value, s in zip(values, seeds):
         direct = run_protocol(jitter(net, epsilon, s), anisotropy, b, theta,
@@ -517,7 +549,7 @@ def test_stacked_disorder_across_chunks(monkeypatch):
     seeds = np.arange(7)
     args = (star(2), 0.1, seeds, 0.0, EQUATOR, t_c_xy(2), b_opt_xy(2))
     whole = disorder_fidelities(*args)
-    monkeypatch.setattr(search, "STACK_ENTRIES", 48)
+    monkeypatch.setattr(search, "PAIR_ENTRIES", 48)
     chunked = disorder_fidelities(*args)
     assert np.max(np.abs(chunked - whole)) <= 1e-15
     for value, s in zip(chunked, seeds):
