@@ -202,6 +202,8 @@ def _parse_gamma_grid(spec: str) -> list[float]:
             numbers = [float(v) for v in spec.split(",")]
         if not all(math.isfinite(v) and v >= 0.0 for v in numbers):
             raise ValueError("every gamma must be finite and >= 0")
+        if ":" in spec and min(numbers) == 0.0:
+            raise ValueError("a log-spaced grid needs start > 0 and stop > 0")
         values = (np.logspace(math.log10(numbers[0]), math.log10(numbers[1]),
                               int(count)).tolist() if ":" in spec else numbers)
     except ValueError as error:
@@ -249,8 +251,9 @@ def cmd_fig3(args) -> tuple:
                     for m in (2, 3))
     margin = min(curves[("network", m)][k] - curves[("circuit", m)][k]
                  for m in (2, 3))
-    rise = max(v[i + 1] - v[i] for v in curves.values()
-               for i in range(len(v) - 1))
+    by_gamma = np.argsort(gammas, kind="stable")
+    rise = max(v[i] - v[j] for v in curves.values()
+               for j, i in zip(by_gamma, by_gamma[1:]))
     checks = [
         (f"circuit gamma=0 at ideal value: max deviation {ideal_gap:.3g}, "
          f"bound 1e-9", ideal_gap < 1e-9),

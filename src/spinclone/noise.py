@@ -25,10 +25,17 @@ independent cross-check.
 The circuit baseline compiles cloning gate sequences to schedules of XY
 coupling pulses (two pulses per two-qubit gate) plus instantaneous
 single-qubit rotations; dephasing acts on every qubit for the full pulsed
-duration.
+duration.  A pulse's Liouvillian is ``L_pair x 1 + 1 x L_rest`` with
+commuting terms, so its propagator factorizes exactly: the pair's 16 x 16
+exponential, one per distinct duration (the XY block is symmetric in its
+two sites), acts on the pair indices of ``rho``, and the spectators' factor
+is the damping ``exp(-Gamma t hamming / 2)``.  Everything that depends on
+neither Gamma nor the input (schedule, basis, embedded rotations, gather
+indices) is compiled once per clone count.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -380,10 +387,51 @@ def _rotation_matrix(pulse: GatePulse) -> np.ndarray:
                      [-1j * np.sin(half), np.cos(half)]])
 
 
-def _pair_block(n_qubits: int, a: int, b: int) -> HamiltonianBlock:
-    net = from_edge_list(n_qubits, [(a, b, 1.0)], input_sites=[0],
-                         output_sites=[q for q in range(n_qubits) if q != 0])
-    return build_block(net, tuple(range(n_qubits + 1)))
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@functools.cache
+def _compiled_circuit(n_clones: int) -> tuple:
+    """The Gamma- and theta-independent part of :func:`circuit_baseline`.
+
+    Returns ``(basis, pair, pair_z, steps)``: the configuration basis, the
+    XY Hamiltonian of one pair and its sz per site, and one step per
+    schedule element, in order.  A rotation's step is ``(u, u^dagger)``
+    embedded in the register.  A pulse's step is ``(duration, gather,
+    hamming)``: ``gather[p, q, s, r]`` is the position in the raveled
+    ``rho`` of the element between pair states ``p``, ``q`` and spectator
+    states ``s``, ``r``, and ``hamming[s, r]`` is the spectators' Hamming
+    distance.  Every array is read-only, so the threads of ``--threads``
+    can share them.
+    """
+    n_qubits, schedule = pcc_circuit_schedule(n_clones)
+    basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))
+    pair = build_block(from_edge_list(2, [(0, 1, 1.0)], input_sites=[0],
+                                      output_sites=[1]), (0, 1, 2))
+    pair_z = 1.0 - 2.0 * pair.basis.counts
+    _read_only(pair.matrix, pair_z)
+    steps = []
+    for pulse in schedule:
+        if pulse.kind != "xy_pulse":
+            u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis)
+            steps.append((u, u.conj().T))
+            _read_only(*steps[-1])
+            continue
+        spectators = [q for q in range(n_qubits) if q not in pulse.sites]
+        bits = basis.counts[:, spectators]
+        index = np.empty((4, 2 ** len(spectators)), dtype=np.int64)
+        index[pair.basis.index_of(basis.counts[:, pulse.sites]
+                                  @ pair.basis.multipliers),
+              bits @ (1 << np.arange(len(spectators)))] = np.arange(len(basis))
+        spectator_bits = bits[index[0]]
+        hamming = np.sum(spectator_bits[:, None] != spectator_bits[None],
+                         axis=2, dtype=np.float64)
+        gather = index[:, None, :, None] * len(basis) + index[None, :, None]
+        _read_only(gather, hamming)
+        steps.append((pulse.value, gather, hamming))
+    return basis, pair.matrix, pair_z, tuple(steps)
 
 
 def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
@@ -391,32 +439,28 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
 
     Dephasing of strength ``gamma`` acts on every register qubit for the
     full duration of each XY pulse; single-qubit rotations are instantaneous
-    and noise-free.
+    and noise-free.  Each pulse applies its pair's propagator and its
+    spectators' damping, the exact factors of its Liouvillian's exponential.
     """
     _require("gamma", gamma)
-    n_qubits, schedule = pcc_circuit_schedule(n_clones)
-    basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))
+    basis, pair, pair_z, steps = _compiled_circuit(n_clones)
     amplitudes = np.zeros(len(basis), dtype=np.complex128)
     # |0...0> and configuration |1> on qubit 0, the input's one excitation.
     amplitudes[:2] = _input_coefficients(np.array([float(theta)]), 0.0, 1)[0]
     rho = np.outer(amplitudes, amplitudes.conj())
-    z = 1.0 - 2.0 * basis.counts   # sz per site
-    propagators = {}   # one per distinct (pair, duration); pulses repeat
-    rotations = {}     # one (u, u^dagger) per distinct (kind, site, angle)
-    for pulse in schedule:
-        if pulse.kind == "xy_pulse":
-            key = (pulse.sites, pulse.value)
-            if key not in propagators:
-                block = _pair_block(n_qubits, *pulse.sites)
-                propagators[key] = _propagator(block.matrix, z, gamma,
-                                               pulse.value)
-            rho = _apply(propagators[key], rho)
-        else:
-            key = (pulse.kind, pulse.sites, pulse.value)
-            if key not in rotations:
-                u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis)
-                rotations[key] = u, u.conj().T
-            u, u_dagger = rotations[key]
+    factors = {}   # one pair propagator per distinct duration
+    for step in steps:
+        if len(step) == 2:
+            u, u_dagger = step
             rho = u @ rho @ u_dagger
-    return float(np.mean(density_fidelities(rho, basis, range(n_qubits),
+            continue
+        duration, gather, hamming = step
+        if duration not in factors:
+            factors[duration] = _propagator(pair, pair_z, gamma, duration)
+        flat = rho.reshape(-1)
+        block = factors[duration] @ flat[gather].reshape(16, -1)
+        flat[gather] = (block.reshape(gather.shape)
+                        * np.exp((-0.5 * gamma * duration) * hamming))
+    return float(np.mean(density_fidelities(rho, basis,
+                                            range(len(basis.classes)),
                                             theta, 0.0)))

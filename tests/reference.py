@@ -2,10 +2,12 @@
 
 Everything here works on the full 2^n space with dense Kronecker products
 and generic tensor reshapes, deliberately sharing no machinery with the
-package's sector-restricted implementation, with one exception:
+package's sector-restricted implementation, with two exceptions:
 ``stochastic_stepwise`` takes its step unitary from ``noise._expm``, so that
-it checks the chunked trajectory kernel bit for bit (``_expm`` itself is
-pinned against ``scipy.linalg.expm`` in ``test_noise``).
+it checks the chunked trajectory kernel bit for bit, and
+``full_space_circuit`` exponentiates its Liouvillians with
+``noise._propagator`` (``_expm`` itself is pinned against
+``scipy.linalg.expm`` in ``test_noise``).
 """
 import math
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ import scipy.linalg
 
 from spinclone.dynamics import OutputReadout, count_input
 from spinclone.hamiltonian import assemble_blocks
-from spinclone.noise import _expm
+from spinclone.noise import _expm, _propagator, pcc_circuit_schedule
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -85,6 +87,41 @@ def schedule_unitary(n_qubits, schedule):
             generator = 0.5 * site_operator(op, pulse.sites[0], n_qubits)
         total = scipy.linalg.expm(-1j * pulse.value * generator) @ total
     return total
+
+
+def full_space_circuit(n_clones, theta, gamma):
+    """Mean clone fidelity of the compiled cloning circuit under dephasing,
+    as ``noise.circuit_baseline`` computed it before its pulses factorized:
+    on the full 2^n space, each XY pulse as the exponential of its whole
+    4^n-dimensional Liouvillian and each rotation as an embedded unitary,
+    every qubit read as a clone of the input ``(cos theta/2, sin theta/2)``.
+    """
+    n_qubits, schedule = pcc_circuit_schedule(n_clones)
+    dim = 2 ** n_qubits
+    z = 1.0 - 2.0 * ((np.arange(dim)[:, None] >> np.arange(n_qubits)) & 1)
+    single = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)])
+    psi = np.zeros(dim, dtype=complex)
+    psi[:2] = single
+    rho = np.outer(psi, psi.conj())
+    for pulse in schedule:
+        if pulse.kind == "xy_pulse":
+            a, b = pulse.sites
+            h = 0.25 * (product_operator({a: SX, b: SX}, n_qubits)
+                        + product_operator({a: SY, b: SY}, n_qubits))
+            propagator = _propagator(h, z, gamma, pulse.value)
+            rho = (propagator @ rho.ravel()).reshape(dim, dim)
+        else:
+            op = SZ if pulse.kind == "z_rotation" else SX
+            generator = site_operator(op, pulse.sites[0], n_qubits)
+            u = scipy.linalg.expm(-0.5j * pulse.value * generator)
+            rho = u @ rho @ u.conj().T
+    fidelities = []
+    for site in range(n_qubits):
+        above, below = 2 ** (n_qubits - 1 - site), 2 ** site
+        reduced = np.einsum("aibajb->ij",
+                            rho.reshape(above, 2, below, above, 2, below))
+        fidelities.append((single @ reduced @ single).real)
+    return float(np.mean(fidelities))
 
 
 def full_evolve(h, state, t):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import spinclone.noise
 from spinclone.cli import main
 
 
@@ -122,6 +123,16 @@ def test_disorder_command_byte_deterministic(tmp_path):
     assert (tmp_path / "c" / "disorder.csv").read_bytes() == serial
 
 
+def test_fig3_command_byte_deterministic(tmp_path):
+    # Run b's circuit points compile and share one cache across two threads.
+    args = ("--gamma-grid", "1e-3,1e-2", "--n-traj", 200)
+    assert run(tmp_path / "a", *args, "fig3") == 0
+    spinclone.noise._compiled_circuit.cache_clear()
+    assert run(tmp_path / "b", *args, "--threads", 2, "fig3") == 0
+    assert ((tmp_path / "b" / "fig3.csv").read_bytes()
+            == (tmp_path / "a" / "fig3.csv").read_bytes())
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_threads_below_one_rejected(tmp_path, threads):
     with pytest.raises(ValueError, match="--threads"):
@@ -189,7 +200,8 @@ def test_too_few_time_points_rejected(tmp_path, t_points):
     (["--gamma-grid", "1e-4:1e-1:0"], "--gamma-grid"),
     (["--gamma-grid", "0"], "--gamma-grid"),
     (["--gamma-grid", "1e-4:1e-1"], "--gamma-grid"),
-    (["--gamma-grid", "0:1:3"], "--gamma-grid"),
+    (["--gamma-grid", "0:1:3"],
+     "--gamma-grid '0:1:3': a log-spaced grid needs start > 0 and stop > 0"),
     (["--gamma-grid", "1e-3:1e-1:-2"], "--gamma-grid"),
     (["--gamma-grid", "a,b"], "--gamma-grid"),
     (["--gamma-grid=-1e-3,1e-2"], "--gamma-grid"),
@@ -204,6 +216,15 @@ def test_fig3_rejects_bad_input_before_writing(tmp_path, argv, name):
         run(tmp_path / "out", *argv, "fig3")
     # Not even the output directory is created.
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["0.1,0.01", "1e-1:1e-3:3"])
+def test_fig3_descending_grid_passes(tmp_path, capsys, grid):
+    # Monotonicity is checked along Gamma, whatever order the grid is in.
+    assert run(tmp_path, "--gamma-grid", grid, "fig3") == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "curves monotone nonincreasing" in ln)
+    assert line.startswith("[ok]")
 
 
 def test_fig3_cross_check_passes_at_seed_4(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,8 +20,9 @@ from spinclone.dynamics import _propagate, density_fidelities
 from spinclone.noise import (KICK_ENTRIES, MixedState, _expm, cnot_pulses,
                              cry_pulses, schedule_duration)
 from reference import (configuration_words, full_dephasing_evolve,
-                       full_hamiltonian, full_input_state, schedule_unitary,
-                       split_step_average, stochastic_stepwise)
+                       full_hamiltonian, full_input_state, full_space_circuit,
+                       schedule_unitary, split_step_average,
+                       stochastic_stepwise)
 from strategies import small_networks as connected_networks
 
 EQUATOR = math.pi / 2
@@ -461,3 +464,47 @@ def test_circuit_monotone_in_noise(m):
     grid = np.logspace(-4, -1, 10)
     values = [circuit_baseline(m, EQUATOR, g) for g in grid]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.sampled_from([2, 3]), theta=st.floats(0.0, math.pi),
+       gamma=st.floats(0.0, 10.0))
+@example(m=2, theta=EQUATOR, gamma=0.0)
+@example(m=3, theta=EQUATOR, gamma=0.0)
+@example(m=3, theta=1.0, gamma=0.5)
+@example(m=3, theta=EQUATOR, gamma=1.0)
+@example(m=2, theta=EQUATOR, gamma=2.0)   # the pair's exceptional point
+@example(m=3, theta=EQUATOR, gamma=2.0)
+@example(m=3, theta=2.5, gamma=4.0)
+def test_circuit_matches_full_space_oracle(m, theta, gamma):
+    # Each pulse as the pair's 16 x 16 propagator times the spectators'
+    # damping against the whole Liouvillian's exponential.
+    assert abs(circuit_baseline(m, theta, gamma)
+               - full_space_circuit(m, theta, gamma)) <= 1e-12
+
+
+def test_threads_compile_and_share_one_circuit():
+    # More threads than cores race to fill the cache, then read it at once.
+    items = [(m, g) for m in (2, 3) for g in (0.0, 0.1, 2.0)] * 4
+    serial = [circuit_baseline(m, EQUATOR, g) for m, g in items]
+    spinclone.noise._compiled_circuit.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(circuit_baseline, m, EQUATOR, g)
+                       for m, g in items]
+            threaded = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_compiled_circuit_is_read_only():
+    basis, pair, pair_z, steps = spinclone.noise._compiled_circuit(3)
+    arrays = [pair, pair_z] + [item for step in steps for item in step
+                               if isinstance(item, np.ndarray)]
+    assert len(arrays) == 2 + 2 * len(steps)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = array.flat[0]

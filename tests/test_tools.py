@@ -2,7 +2,8 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-from compare_outputs import column_differences  # noqa: E402
+from compare_outputs import (column_differences,  # noqa: E402
+                             first_line_difference)
 
 
 def test_column_differences_report_the_largest_gap(tmp_path):
@@ -14,3 +15,16 @@ def test_column_differences_report_the_largest_gap(tmp_path):
     assert column_differences(old, new) == "Jt_c 0.01, note (text)"
     assert column_differences(old, old) == ""
     assert column_differences(old, other) == "header or shape differs"
+
+
+def test_first_line_difference_quotes_both_sides(tmp_path):
+    old, new, longer = (tmp_path / name for name in ("a.manifest",
+                                                     "b.manifest",
+                                                     "stdout.txt"))
+    old.write_text("command=fig3\nduration_s=0.5\n[ok] gap 5.55e-16\n")
+    new.write_text("command=fig3\nduration_s=0.7\n[ok] gap 2.22e-16\n")
+    longer.write_text("command=fig3\n[ok] gap 5.55e-16\n[ok] more\n")
+    assert first_line_difference(old, new) == (
+        "line 2: '[ok] gap 5.55e-16' -> '[ok] gap 2.22e-16'")
+    assert first_line_difference(old, old) == ""
+    assert first_line_difference(old, longer) == "line 3: None -> '[ok] more'"

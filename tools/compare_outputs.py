@@ -13,7 +13,8 @@ its own subprocess, once on that tree and once on the working tree's
 manifest) and every command's stdout is compared byte for byte; only the
 manifests' ``duration_s`` line is ignored.  Prints each file that differs,
 for a CSV with the largest absolute difference in each column that
-differs, and exits 1 if any does.
+differs, for a stdout or manifest with the first line that differs on each
+side, and exits 1 if any does.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +103,18 @@ def column_differences(old: Path, new: Path) -> str:
     return ", ".join(items)
 
 
+def first_line_difference(old: Path, new: Path) -> str:
+    """The first line that differs between two text outputs (a manifest's
+    ``duration_s`` line skipped), as ``line <n>: <old> -> <new>`` with each
+    side quoted, ``None`` past a side's last line."""
+    old_lines = comparable(old).decode().splitlines()
+    new_lines = comparable(new).decode().splitlines()
+    for n, (a, b) in enumerate(zip_longest(old_lines, new_lines), start=1):
+        if a != b:
+            return f"line {n}: {a!r} -> {b!r}"
+    return ""
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against")
@@ -129,6 +143,10 @@ def main(argv=None) -> int:
             detail = ""
             if name.suffix == ".csv" and name in old & new:
                 detail = "; max |diff|: " + column_differences(
+                    tmp / "old_out" / name, tmp / "new_out" / name)
+            elif name in old & new and (name.suffix == ".manifest"
+                                        or name.name == "stdout.txt"):
+                detail = "; first difference at " + first_line_difference(
                     tmp / "old_out" / name, tmp / "new_out" / name)
             print(f"differs: {name}{detail}")
         print(f"{len(old | new)} files compared over {len(seeds)} seeds, "
