@@ -88,14 +88,6 @@ def _run(command, args) -> int:
     return 0 if all(ok for _, ok in checks) else 1
 
 
-def _parallel_map(func, items, threads: int):
-    if threads <= 1:
-        return [func(item) for item in items]
-    import concurrent.futures   # pulls in logging; only threads need it
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
-
-
 def cmd_fig2(args) -> tuple:
     """Equatorial-sweep fidelity curves for two clones, plus the clone-count
     scaling at theta = pi/2 (analytic and numeric columns side by side)."""
@@ -147,7 +139,10 @@ def cmd_fig2(args) -> tuple:
 def cmd_table1(args) -> tuple:
     """Bipartite N -> M maximization over the quoted (t, B) ranges, with the
     published values and deviations as comparison columns."""
-    def scan_row(ref):
+    rows = []
+    networks = {}
+    params = {"t_points": args.t_points}
+    for ref in NTOM_REFERENCE:
         net = bipartite(ref.n_inputs, ref.n_outputs)
         # The published scans bound the field below by J/B <= 100
         # (J/B <= 60 at nine sites); the time grid density comes from
@@ -158,13 +153,6 @@ def cmd_table1(args) -> tuple:
                           t_points=args.t_points, field=(min_field, math.inf))
         at_ref = run_protocol(net, 0.0, 1.0 / ref.j_over_b, math.pi / 2, 0.0,
                               ref.jt_c).mean_fidelity
-        return net, result, at_ref
-
-    results = _parallel_map(scan_row, NTOM_REFERENCE, args.threads)
-    rows = []
-    networks = {}
-    params = {"t_points": args.t_points}
-    for ref, (net, result, at_ref) in zip(NTOM_REFERENCE, results):
         name = f"bipartite_{ref.n_inputs}_{ref.n_outputs}"
         params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
         networks[name] = net
@@ -220,10 +208,6 @@ def cmd_fig3(args) -> tuple:
         raise ValueError(f"--n-traj must be at least 1, got {args.n_traj}")
     gammas = [0.0] + _parse_gamma_grid(args.gamma_grid)
 
-    def circuit_point(item):
-        m, gamma = item
-        return circuit_baseline(m, math.pi / 2, gamma)
-
     rows = []
     curves: dict[tuple[str, int], list[float]] = {}
     for m in (2, 3):
@@ -235,8 +219,7 @@ def cmd_fig3(args) -> tuple:
                              t_c).mean_fidelity
         net_vals = [0.5 + math.exp(-g * t_c / 2.0) * (ideal - 0.5)
                     for g in gammas]
-        circ_vals = _parallel_map(circuit_point, [(m, g) for g in gammas],
-                                  args.threads)
+        circ_vals = [circuit_baseline(m, math.pi / 2, g) for g in gammas]
         curves[("network", m)] = net_vals
         curves[("circuit", m)] = circ_vals
         rows += [["network", m, g, f] for g, f in zip(gammas, net_vals)]
@@ -318,19 +301,14 @@ def cmd_tree(args) -> tuple:
 
 def cmd_disorder(args) -> tuple:
     """Coupling-disorder averages for small stars at the ideal XY point."""
-    def one(m):
-        return disorder_study(star(m), DISORDER_EPSILON, DISORDER_SAMPLES,
-                              0.0, math.pi / 2, t_c_xy(m), b_opt_xy(m),
-                              seed=args.seed + m)
-
-    summaries = _parallel_map(one, DISORDER_STARS, args.threads)
-    rows = [
-        [m, DISORDER_EPSILON, s.samples, s.mean_fidelity, s.std_fidelity,
-         s.ideal_fidelity, s.relative_drop]
-        for m, s in zip(DISORDER_STARS, summaries)
-    ]
+    rows = []
     params = {"epsilon": DISORDER_EPSILON, "samples": DISORDER_SAMPLES}
-    for m, s in zip(DISORDER_STARS, summaries):
+    for m in DISORDER_STARS:
+        s = disorder_study(star(m), DISORDER_EPSILON, DISORDER_SAMPLES, 0.0,
+                           math.pi / 2, t_c_xy(m), b_opt_xy(m),
+                           seed=args.seed + m)
+        rows.append([m, DISORDER_EPSILON, s.samples, s.mean_fidelity,
+                     s.std_fidelity, s.ideal_fidelity, s.relative_drop])
         params[f"sector_dim.star_{m}"] = s.sector_dim
 
     lowest = min(r[6] for r in rows)
@@ -367,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trajectory count for stochastic runs")
     parser.add_argument("--gamma-grid", default="1e-4:1e-1:10",
                         help="'start:stop:count' log grid or comma list")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted for "
+                        "compatibility; every command runs serially")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="json additionally mirrors every CSV")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -29,6 +29,13 @@ from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
 from .topology import SpinNetwork
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_norms(amplitudes: np.ndarray) -> None:
     """Raise unless every amplitude vector (last axis) has norm 1 to 1e-9;
     NaN fails every check here."""
@@ -206,6 +213,8 @@ def density_fidelities(matrix: np.ndarray, basis: SectorBasis, sites,
     """Clone fidelity of each of ``sites`` for a density matrix given on a
     configuration basis; the reduction and checks of the pure-state protocol,
     with the sums read off the diagonal and ``matrix[idx0, idx1]``."""
+    if np.shape(matrix) != (len(basis), len(basis)):
+        raise ValueError("matrix shape does not match basis")
     empty, occupied, idx0, idx1 = _site_indices(basis, sites)
     diagonal = np.real(np.diag(matrix))
     densities = _reduced_states(diagonal[empty].sum(axis=-1),
@@ -237,6 +246,7 @@ def protocol_fidelities(net: SpinNetwork, anisotropy: float, field: float,
     """
     if not net.output_sites:
         raise ValueError("network has no output sites")
+    _require_finite(t=t, field=field)
     configured = net.with_params(anisotropy=anisotropy, field=field)
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     n_in = len(net.input_sites)

@@ -403,8 +403,7 @@ def _compiled_circuit(n_clones: int) -> tuple:
     hamming)``: ``gather[p, q, s, r]`` is the position in the raveled
     ``rho`` of the element between pair states ``p``, ``q`` and spectator
     states ``s``, ``r``, and ``hamming[s, r]`` is the spectators' Hamming
-    distance.  Every array is read-only, so the threads of ``--threads``
-    can share them.
+    distance.  Every array is read-only, so callers share one compilation.
     """
     n_qubits, schedule = pcc_circuit_schedule(n_clones)
     basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import OutputReadout, count_input
+from .dynamics import OutputReadout, _require_finite, count_input
 from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
                           sector_basis, sector_dimension)
 from .topology import SpinNetwork, coupling_factors, twin_classes
@@ -209,6 +209,7 @@ class ProtocolScan(_Spectra):
         return base[0, :len(t)], gbar[0, :len(t)]
 
     def mean_fidelity(self, t: float, b: float) -> float:
+        _require_finite(t=t, b=b)
         base, gbar = self.components([t])
         return float(self._readout.fidelity(base, gbar,
                                             np.exp(-1j * (t * b)))[0])
@@ -379,6 +380,7 @@ def disorder_study(net_template: SpinNetwork, epsilon: float, samples: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    _require_finite(t_fixed=t_fixed, b_fixed=b_fixed)
     ideal_scan = ProtocolScan(net_template, anisotropy, theta)
     ideal = ideal_scan.mean_fidelity(t_fixed, b_fixed)
     dim = sector_dimension([1] * net_template.n_sites,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ class SpinNetwork:
             raise ValueError("field_b must be finite")
         if not 0.0 <= self.anisotropy <= 1.0:
             raise ValueError("anisotropy must lie in [0, 1]")
+        ends = [site for edge in self.edges for site in edge[:2]]
+        for site in ends + list(self.input_sites + self.output_sites):
+            if not isinstance(site, numbers.Integral):   # numpy's included
+                raise ValueError(f"site index {site!r} is not an integer")
         seen = set()
         for i, j, coupling in self.edges:
             if not (0 <= i < self.n_sites and 0 <= j < self.n_sites):

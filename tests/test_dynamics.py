@@ -154,6 +154,14 @@ def test_reduce_density_rejects_site_out_of_range(site):
         _site_densities(basis, amplitudes[None], [site])
 
 
+@pytest.mark.parametrize("matrix", [np.eye(2) / 2, np.full(8, 1 / 8)],
+                         ids=["too_small", "one_dimensional"])
+def test_density_matrix_must_match_basis(matrix):
+    with pytest.raises(ValueError, match="matrix shape does not match basis"):
+        density_fidelities(matrix, sector_basis(3, (0, 1, 2, 3)), [0], 0.3,
+                           0.0)
+
+
 def test_reduction_needs_a_site():
     basis, amplitudes = prepare_input(star(2), EQUATOR, 0.0)
     with pytest.raises(ValueError, match="no sites to reduce"):
@@ -238,16 +246,14 @@ def test_density_validation():
             _check_densities(stack)
 
 
-NORM = "state norm differs from 1"
-
-
 @pytest.mark.parametrize("theta,t,message", [
-    (EQUATOR, math.nan, NORM), (EQUATOR, math.inf, NORM),
+    (EQUATOR, math.nan, "t must be finite"),
+    (EQUATOR, math.inf, "t must be finite"),
     (math.nan, 1.0, "theta must be finite")],
     ids=["nan_time", "infinite_time", "nan_theta"])
 def test_protocol_rejects_nan(theta, t, message):
     # NaN compares false with every bound, so each check must fail on it; a
-    # NaN angle is named where the input is built.
+    # NaN time or angle is named before anything evolves.
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=message):
             run_protocol(star(2), 0.0, 0.0, theta, 0.0, t)
@@ -291,6 +297,25 @@ def test_non_finite_theta_is_named(call, theta):
     # failing further in.
     with pytest.raises(ValueError, match="^theta must be finite"):
         call(theta)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, name", [
+    (lambda v: protocol_fidelities(star(2), 0.0, 0.0, [0.3], 0.0, v), "t"),
+    (lambda v: protocol_fidelities(star(2), 0.0, v, [0.3], 0.0, 1.0),
+     "field"),
+    (lambda v: ProtocolScan(star(2), 0.0, 0.3).mean_fidelity(v, 0.5), "t"),
+    (lambda v: ProtocolScan(star(2), 0.0, 0.3).mean_fidelity(1.0, v), "b"),
+    (lambda v: disorder_study(star(2), 0.1, 5, 0.0, 1.0, v, 0.5, 0),
+     "t_fixed"),
+    (lambda v: disorder_study(star(2), 0.1, 5, 0.0, 1.0, 1.0, v, 0),
+     "b_fixed"),
+], ids=["protocol_fidelities_t", "protocol_fidelities_field",
+        "scan_t", "scan_b", "disorder_t", "disorder_b"])
+def test_non_finite_time_or_field_is_named(call, name, value):
+    # Not a NaN result, nor an unnamed norm check failing further in.
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -116,6 +116,25 @@ def test_self_loop_rejected():
         from_edge_list(2, [(1, 1, 1.0)], [0], [1])
 
 
+@pytest.mark.parametrize("edges, inputs", [
+    ([(0.5, 1, 1.0), (0, 2, 1.0)], [0]),
+    ([(0, 1, 1.0), (0, 2.0, 1.0)], [0]),
+    ([(0, 1, 1.0), (0, 2, 1.0)], [0.0]),
+])
+def test_non_integer_site_index_rejected(edges, inputs):
+    # A float index passes the range checks, then breaks run_protocol,
+    # optimize and the text dump.
+    with pytest.raises(ValueError, match="site index .* is not an integer"):
+        from_edge_list(3, edges, inputs, [1, 2])
+
+
+def test_numpy_integer_site_indices_accepted():
+    i = np.arange(3)
+    net = from_edge_list(3, [(i[0], i[1], 1.0), (i[0], i[2], 1.0)], [i[0]],
+                         list(i[1:]))
+    assert from_text(to_text(net)) == star(2)
+
+
 def test_jitter_zero_is_identity():
     net = star(3)
     assert jitter(net, 0.0, 5) == net
