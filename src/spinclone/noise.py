@@ -154,11 +154,6 @@ def _propagator(matrix: np.ndarray, z: np.ndarray, gamma: float,
     return _expm(generator * t)
 
 
-def _apply(propagator: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """``rho(t)`` from ``vec(rho(t)) = propagator vec(rho)``."""
-    return (propagator @ rho.ravel()).reshape(rho.shape)
-
-
 def lindblad_evolve(rho0: MixedState, block: HamiltonianBlock, gamma: float,
                     t: float) -> MixedState:
     """Evolve a density matrix under the block Hamiltonian with dephasing."""
@@ -168,7 +163,8 @@ def lindblad_evolve(rho0: MixedState, block: HamiltonianBlock, gamma: float,
         raise ValueError("state and block use different bases")
     propagator = _propagator(block.matrix, 1.0 - 2.0 * block.basis.counts,
                              gamma, t)
-    final = _apply(propagator, rho0.matrix.astype(np.complex128))
+    rho = rho0.matrix.astype(np.complex128)
+    final = (propagator @ rho.ravel()).reshape(rho.shape)
     return MixedState(basis=block.basis, matrix=final)
 
 
@@ -187,8 +183,7 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
 
     The kicks are drawn from the generator for a chunk of steps at a time,
     at most ``KICK_ENTRIES`` phase entries, which yields the same numbers in
-    the same order as one ``(ceil(n_traj / 2), n_sites)`` draw per step; the
-    states advance in two reused buffers.
+    the same order as one ``(ceil(n_traj / 2), n_sites)`` draw per step.
     """
     basis = block.basis
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -204,48 +199,31 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     n_full = int(math.floor(t / dt + 1e-12))
     remainder = t - n_full * dt
     states = np.tile(psi0, (n_traj, 1))
-    spare = np.empty_like(states)
     half = (n_traj + 1) // 2
-    rest = n_traj - half
     # Kick -> phase angle -(kicks . z) / 2 with z the sz per site; the factor
     # -1/2 is exact, so the angles do not depend on where it is applied.
     to_angle = -0.5 * (1.0 - 2.0 * basis.counts).T
     chunk = max(1, KICK_ENTRIES // states.size)
-    kicks = np.empty((chunk, half, basis.counts.shape[1]))
-    angles = np.empty((chunk, half, len(basis)))
-    phases = np.empty((chunk, n_traj, len(basis)), dtype=np.complex128)
-
-    def draw_phases(n_steps, scale):
-        """Phase factors of the next ``n_steps`` steps into ``phases``."""
-        kick = kicks[:n_steps]
-        rng.standard_normal(out=kick)
-        kick *= scale
-        angle = np.matmul(kick, to_angle, out=angles[:n_steps])
-        phase = phases[:n_steps]
-        np.cos(angle, out=phase[:, :half].real)
-        np.sin(angle, out=phase[:, :half].imag)
-        phase[:, half:].real = phase[:, :rest].real
-        np.negative(phase[:, :rest].imag, out=phase[:, half:].imag)
-
-    def run_segment(duration, n_steps):
-        nonlocal states, spare
-        if n_steps == 0 or duration == 0.0:
-            return
+    for duration, n_steps in ((dt, n_full),
+                              (remainder, 1 if remainder > 1e-15 else 0)):
+        if n_steps == 0:
+            continue
         u_t = _expm(-1j * duration * block.matrix).T
         scale = math.sqrt(gamma * duration)
         for lo in range(0, n_steps, chunk):
             n_chunk = min(chunk, n_steps - lo)
             if scale > 0.0:
-                draw_phases(n_chunk, scale)
+                kicks = rng.standard_normal((n_chunk, half, len(to_angle)))
+                angle = (scale * kicks) @ to_angle
+                phases = np.empty((n_chunk, n_traj, len(basis)),
+                                  dtype=np.complex128)
+                np.cos(angle, out=phases[:, :half].real)
+                np.sin(angle, out=phases[:, :half].imag)
+                phases[:, half:] = phases[:, :n_traj - half].conj()
             for step in range(n_chunk):
-                np.matmul(states, u_t, out=spare)
-                states, spare = spare, states
+                states = states @ u_t
                 if scale > 0.0:
                     states *= phases[step]
-
-    run_segment(dt, n_full)
-    if remainder > 1e-15:
-        run_segment(remainder, 1)
     rho = (states.T @ states.conj()) / n_traj
     return MixedState(basis=basis, matrix=rho)
 

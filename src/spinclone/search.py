@@ -172,6 +172,13 @@ class _Spectra:
         return base.reshape(len(rows), -1), gbar.reshape(len(rows), -1)
 
 
+def _check_field_interval(b_lo: float, b_hi: float) -> None:
+    """Raise ValueError unless ``b_lo`` is finite and ``b_lo <= b_hi``
+    (``b_hi`` may be infinite)."""
+    if not (math.isfinite(b_lo) and b_lo <= b_hi):
+        raise ValueError("field interval needs finite b_lo <= b_hi")
+
+
 class ProtocolScan(_Spectra):
     """Precomputed fast evaluator of the mean clone fidelity.
 
@@ -199,6 +206,9 @@ class ProtocolScan(_Spectra):
         step (see :meth:`_Spectra.stacked_components`).
         """
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
+        finite = np.isfinite(t)
+        if not finite.all():
+            _require_finite(t=float(t[~finite][0]))
         rows, cols = t, (0.0,)
         if grid and len(t) > 1:
             width = math.isqrt(len(t) - 1) + 1
@@ -218,6 +228,7 @@ class ProtocolScan(_Spectra):
                       grid: bool = False) -> np.ndarray:
         """The values of :meth:`field_optimum`.  An interval unbounded above
         reaches ``base + 2cs |gbar|`` at every ``t > 0``, needing no field."""
+        _check_field_interval(b_lo, b_hi)
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
         if b_hi < math.inf or t.min() <= 0.0:
             return self.field_optimum(t, b_lo, b_hi, grid)[0]
@@ -234,6 +245,7 @@ class ProtocolScan(_Spectra):
         ``t = 0`` where F does not depend on B, the better endpoint wins
         (``b_lo`` on a tie).
         """
+        _check_field_interval(b_lo, b_hi)
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
         base, gbar = self.components(t, grid)
         best = base + 2.0 * self._readout.cs * np.abs(gbar)
@@ -318,8 +330,7 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
         raise ValueError("need at least two time points")
     if not 0.0 <= t_lo < t_hi < math.inf:
         raise ValueError("time range needs finite 0 <= t_lo < t_hi")
-    if not (math.isfinite(b_lo) and b_lo <= b_hi):
-        raise ValueError("field interval needs finite b_lo <= b_hi")
+    _check_field_interval(b_lo, b_hi)
     scan = ProtocolScan(net, anisotropy, theta)
     t_values = np.linspace(t_lo, t_hi, t_points)
     values = np.empty(t_points)

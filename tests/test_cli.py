@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import spinclone.noise
+from spinclone import cli
 from spinclone.cli import main
 
 
@@ -185,6 +189,9 @@ def test_fig3_command(tmp_path, capsys):
               for p in ("network", "circuit") for m in ("2", "3")]
     assert rise == pytest.approx(
         max(c[i + 1] - c[i] for c in curves for i in range(2)), rel=5e-3)
+    # The printed cross-check depends on the trajectory count: recorded.
+    manifest = (tmp_path / "fig3.manifest").read_text().splitlines()
+    assert {"gamma_grid=1e-3,1e-2", "n_traj=400"} <= set(manifest)
 
 
 @pytest.mark.parametrize("t_points", [0, 1])
@@ -264,9 +271,8 @@ def test_table1_command_small_grid(tmp_path, capsys):
     by_pair = {(r["N"], r["M"]): r for r in rows}
     for k, (n, m) in enumerate([("2", "3"), ("3", "4")], start=1):
         deviation = float(by_pair[(n, m)]["deviation"])
-        assert checks[k] == (f"[ok] {n}->{m} within 0.03 of published value "
-                             f"or flagged: deviation {deviation:.3g}, "
-                             f"bound 0.03")
+        assert checks[k] == (f"[ok] {n}->{m} within 0.03 of published value: "
+                             f"deviation {deviation:.3g}, bound 0.03")
 
     lines = (tmp_path / "table1.manifest").read_text().splitlines()
     assert "command=table1" in lines and "t_points=3001" in lines
@@ -274,6 +280,34 @@ def test_table1_command_small_grid(tmp_path, capsys):
             for m, full in [(3, 16), (4, 22), (5, 29), (6, 37), (7, 46)]}
     dims |= {"sector_dim.bipartite_3_4=64/10", "sector_dim.bipartite_4_5=256/15"}
     assert dims <= set(lines)
+
+
+def test_table1_fails_when_a_checked_row_misses(tmp_path, capsys,
+                                                monkeypatch):
+    # A flagged row is still a miss: the check fails and the command exits 1.
+    missed = tuple(
+        dataclasses.replace(ref, fidelity=ref.fidelity + 0.1)
+        if (ref.n_inputs, ref.n_outputs) == (2, 3) else ref
+        for ref in cli.NTOM_REFERENCE)
+    monkeypatch.setattr(cli, "NTOM_REFERENCE", missed)
+    assert run(tmp_path, "--t-points", 2001, "table1") == 1
+    _, rows = read_rows(tmp_path / "table1.csv")
+    assert rows[0]["flag"] == "TOPOLOGY_MISMATCH"
+    deviation = float(rows[0]["deviation"])
+    lines = check_lines(capsys)
+    assert lines[1] == (f"[FAIL] 2->3 within 0.03 of published value: "
+                        f"deviation {deviation:.3g}, bound 0.03")
+    assert lines[0].startswith("[ok]") and lines[2].startswith("[ok]")
+
+
+def test_duration_ignores_the_wall_clock(tmp_path, monkeypatch):
+    # A system clock set back during a run must not yield a negative
+    # duration.
+    clock = itertools.count(1e9, -60.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    assert run(tmp_path, "fig2") == 0
+    last = (tmp_path / "fig2.manifest").read_text().splitlines()[-1]
+    assert float(last.removeprefix("duration_s=")) >= 0.0
 
 
 def test_json_format(tmp_path):

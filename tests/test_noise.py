@@ -212,6 +212,27 @@ def test_stochastic_matches_stepwise_oracle(n_traj, gamma, t):
     assert np.array_equal(out.matrix, rho)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n_traj=st.integers(2, 1200), gamma=st.sampled_from([0.0, 0.1]) |
+       st.floats(0.0, 2.0), steps=st.integers(0, 40),
+       dt=st.floats(1e-3, 0.1),
+       fraction=st.just(0.0) | st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n_traj=999, gamma=0.3, steps=7, dt=1e-2, fraction=0.5, seed=3)
+@example(n_traj=1200, gamma=0.0, steps=5, dt=1e-2, fraction=0.0, seed=0)
+def test_stochastic_matches_stepwise_oracle_property(n_traj, gamma, steps,
+                                                     dt, fraction, seed):
+    # Chunk boundaries, the odd antithetic half, a zero rate and the
+    # remainder step all leave the result bit for bit that of the oracle.
+    _, _, amplitudes, block = _star_setup(2)
+    t = (steps + fraction) * dt
+    out = stochastic_evolve(amplitudes, block, gamma, t, dt=dt,
+                            n_traj=n_traj, seed=seed)
+    rho, _ = stochastic_stepwise(amplitudes, block, gamma, t, dt=dt,
+                                 n_traj=n_traj, seed=seed)
+    assert np.array_equal(out.matrix, rho)
+
+
 def test_stochastic_oracle_cases_split_chunks():
     # The 1000-trajectory cases above end in a partial chunk of kick steps.
     _, basis, _, _ = _star_setup(2)

@@ -390,6 +390,34 @@ def test_top_k_peak_choice_on_short_scans(n):
         values, search.PEAKS)
 
 
+@pytest.mark.parametrize("method", ["field_optimum", "field_maximum"])
+@pytest.mark.parametrize("b_lo,b_hi", [
+    (1.0, 0.0), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)],
+    ids=["empty", "unbounded_below", "nan_lower", "nan_upper"])
+def test_field_methods_reject_malformed_interval(method, b_lo, b_hi):
+    # The same interval check as optimize's, instead of a field of 1.0,
+    # -inf or nan.
+    scan = ProtocolScan(bipartite(2, 3), 0.0, EQUATOR)
+    with pytest.raises(ValueError,
+                       match="^field interval needs finite b_lo <= b_hi$"):
+        getattr(scan, method)([1.0, 2.0], b_lo, b_hi)
+
+
+@pytest.mark.parametrize("method,args", [
+    ("components", ()), ("field_optimum", (0.0, 1.0)),
+    ("field_maximum", (0.0, 1.0)), ("field_maximum", (0.0, math.inf))],
+    ids=["components", "field_optimum", "field_maximum",
+         "field_maximum_unbounded"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "minus_inf"])
+def test_scan_rejects_non_finite_time(method, args, bad):
+    # Named, as in mean_fidelity, instead of a nan fidelity and a
+    # RuntimeWarning.
+    scan = ProtocolScan(bipartite(2, 3), 0.0, EQUATOR)
+    with pytest.raises(ValueError, match="^t must be finite"):
+        getattr(scan, method)([1.0, bad], *args)
+
+
 def test_field_maximum_at_time_zero_ignores_the_field():
     # At t = 0 every field gives the input's fidelity; b_lo is reported.
     scan = ProtocolScan(bipartite(2, 3), 0.4, 1.1)
