@@ -93,6 +93,7 @@ def _input_coefficients(thetas: np.ndarray, phi: float,
     ``s = e^{i phi} sin(theta/2)``."""
     if not np.isfinite(thetas).all():
         raise ValueError("theta must be finite")
+    _require_finite(phi=phi)
     k = np.arange(n_in + 1)
     c = np.cos(thetas / 2.0)[:, None]
     s = (np.sin(thetas / 2.0) * np.exp(1j * phi))[:, None]
@@ -213,6 +214,7 @@ def density_fidelities(matrix: np.ndarray, basis: SectorBasis, sites,
     """Clone fidelity of each of ``sites`` for a density matrix given on a
     configuration basis; the reduction and checks of the pure-state protocol,
     with the sums read off the diagonal and ``matrix[idx0, idx1]``."""
+    _require_finite(theta=theta, phi=phi)
     if np.shape(matrix) != (len(basis), len(basis)):
         raise ValueError("matrix shape does not match basis")
     empty, occupied, idx0, idx1 = _site_indices(basis, sites)

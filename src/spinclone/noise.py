@@ -28,10 +28,11 @@ single-qubit rotations; dephasing acts on every qubit for the full pulsed
 duration.  A pulse's Liouvillian is ``L_pair x 1 + 1 x L_rest`` with
 commuting terms, so its propagator factorizes exactly: the pair's 16 x 16
 exponential, one per distinct duration (the XY block is symmetric in its
-two sites), acts on the pair indices of ``rho``, and the spectators' factor
-is the damping ``exp(-Gamma t hamming / 2)``.  Everything that depends on
-neither Gamma nor the input (schedule, basis, embedded rotations, gather
-indices) is compiled once per clone count.
+two sites), acts on the pair's axes of ``rho`` (one axis per ket and bra
+qubit), and the spectators' factor is the damping
+``exp(-Gamma t hamming / 2)``.  Compiled once per clone count, the circuit
+is its pulses alone: the noise-free rotations between two pulses are
+multiplied into one unitary.
 """
 from __future__ import annotations
 
@@ -374,41 +375,40 @@ def _read_only(*arrays: np.ndarray) -> None:
 def _compiled_circuit(n_clones: int) -> tuple:
     """The Gamma- and theta-independent part of :func:`circuit_baseline`.
 
-    Returns ``(basis, pair, pair_z, steps)``: the configuration basis, the
-    XY Hamiltonian of one pair and its sz per site, and one step per
-    schedule element, in order.  A rotation's step is ``(u, u^dagger)``
-    embedded in the register.  A pulse's step is ``(duration, gather,
-    hamming)``: ``gather[p, q, s, r]`` is the position in the raveled
-    ``rho`` of the element between pair states ``p``, ``q`` and spectator
-    states ``s``, ``r``, and ``hamming[s, r]`` is the spectators' Hamming
-    distance.  Every array is read-only, so callers share one compilation.
+    Returns ``(basis, pair, pair_z, pulses, closing, hamming)``: the
+    configuration basis, the XY Hamiltonian of one pair and its sz per site,
+    one ``(u, duration, order)`` per XY pulse, in order, and the product of
+    the rotations after the last pulse.  ``u`` is the product of the
+    rotations since the previous pulse; ``order`` transposes ``rho``, as a
+    ``(2,) * 2n`` array, to put the pair's ket and bra axes first, in the
+    pair basis order, then the spectators' ket and bra axes; ``hamming``
+    holds the spectators' Hamming distances in that layout, raveled.  Every
+    array is read-only, so callers share one compilation.
     """
     n_qubits, schedule = pcc_circuit_schedule(n_clones)
     basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))
     pair = build_block(from_edge_list(2, [(0, 1, 1.0)], input_sites=[0],
                                       output_sites=[1]), (0, 1, 2))
     pair_z = 1.0 - 2.0 * pair.basis.counts
-    _read_only(pair.matrix, pair_z)
-    steps = []
+    ket, bra = np.indices((2,) * 2 * (n_qubits - 2)).reshape(
+        2, n_qubits - 2, 4 ** (n_qubits - 2))
+    hamming = np.sum(ket != bra, axis=0, dtype=np.float64)
+    u = np.eye(len(basis), dtype=np.complex128)
+    pulses = []
     for pulse in schedule:
         if pulse.kind != "xy_pulse":
-            u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis)
-            steps.append((u, u.conj().T))
-            _read_only(*steps[-1])
+            u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis) @ u
             continue
-        spectators = [q for q in range(n_qubits) if q not in pulse.sites]
-        bits = basis.counts[:, spectators]
-        index = np.empty((4, 2 ** len(spectators)), dtype=np.int64)
-        index[pair.basis.index_of(basis.counts[:, pulse.sites]
-                                  @ pair.basis.multipliers),
-              bits @ (1 << np.arange(len(spectators)))] = np.arange(len(basis))
-        spectator_bits = bits[index[0]]
-        hamming = np.sum(spectator_bits[:, None] != spectator_bits[None],
-                         axis=2, dtype=np.float64)
-        gather = index[:, None, :, None] * len(basis) + index[None, :, None]
-        _read_only(gather, hamming)
-        steps.append((pulse.value, gather, hamming))
-    return basis, pair.matrix, pair_z, tuple(steps)
+        # Qubit q is ket axis n - 1 - q, the highest bit first; a pair
+        # state's first site is its lower bit.
+        kets = [n_qubits - 1 - q for q in pulse.sites[::-1]]
+        kets += [k for k in range(n_qubits) if k not in kets]
+        bras = [k + n_qubits for k in kets]
+        pulses.append((u, pulse.value,
+                       tuple(kets[:2] + bras[:2] + kets[2:] + bras[2:])))
+        u = np.eye(len(basis), dtype=np.complex128)
+    _read_only(pair.matrix, pair_z, u, hamming, *(p[0] for p in pulses))
+    return basis, pair.matrix, pair_z, tuple(pulses), u, hamming
 
 
 def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
@@ -420,24 +420,21 @@ def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
     spectators' damping, the exact factors of its Liouvillian's exponential.
     """
     _require("gamma", gamma)
-    basis, pair, pair_z, steps = _compiled_circuit(n_clones)
+    basis, pair, pair_z, pulses, closing, hamming = _compiled_circuit(n_clones)
     amplitudes = np.zeros(len(basis), dtype=np.complex128)
     # |0...0> and configuration |1> on qubit 0, the input's one excitation.
     amplitudes[:2] = _input_coefficients(np.array([float(theta)]), 0.0, 1)[0]
     rho = np.outer(amplitudes, amplitudes.conj())
     factors = {}   # one pair propagator per distinct duration
-    for step in steps:
-        if len(step) == 2:
-            u, u_dagger = step
-            rho = u @ rho @ u_dagger
-            continue
-        duration, gather, hamming = step
+    for u, duration, order in pulses:
+        rho = u @ rho @ u.conj().T
         if duration not in factors:
             factors[duration] = _propagator(pair, pair_z, gamma, duration)
-        flat = rho.reshape(-1)
-        block = factors[duration] @ flat[gather].reshape(16, -1)
-        flat[gather] = (block.reshape(gather.shape)
-                        * np.exp((-0.5 * gamma * duration) * hamming))
+        view = rho.reshape((2,) * len(order)).transpose(order)
+        view[...] = (factors[duration] @ view.reshape(16, -1)
+                     * np.exp((-0.5 * gamma * duration) * hamming)
+                     ).reshape(view.shape)
+    rho = closing @ rho @ closing.conj().T
     return float(np.mean(density_fidelities(rho, basis,
                                             range(len(basis.classes)),
                                             theta, 0.0)))

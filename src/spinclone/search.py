@@ -230,7 +230,7 @@ class ProtocolScan(_Spectra):
         reaches ``base + 2cs |gbar|`` at every ``t > 0``, needing no field."""
         _check_field_interval(b_lo, b_hi)
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
-        if b_hi < math.inf or t.min() <= 0.0:
+        if b_hi < math.inf or (t <= 0.0).any():
             return self.field_optimum(t, b_lo, b_hi, grid)[0]
         base, gbar = self.components(t, grid)
         return base + 2.0 * self._readout.cs * np.abs(gbar)

@@ -281,6 +281,12 @@ def test_protocol_fidelities_shape_and_no_outputs():
                             0.0, [EQUATOR], 0.0, 1.0)
 
 
+def _star_density_fidelities(theta, phi):
+    basis, amplitudes = prepare_input(star(2), 0.3, 0.0)
+    return density_fidelities(np.outer(amplitudes, amplitudes.conj()), basis,
+                              star(2).output_sites, theta, phi)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("call", [
     lambda theta: protocol_fidelities(star(2), 0.0, 0.0, [0.3, theta], 0.0,
@@ -290,8 +296,9 @@ def test_protocol_fidelities_shape_and_no_outputs():
     lambda theta: disorder_study(star(2), 0.1, 5, 0.0, theta, 1.0, 0.5, 0),
     lambda theta: noisy_network_fidelity(star(2), 0.0, 0.0, theta, 0.1, 1.0),
     lambda theta: circuit_baseline(2, theta, 0.1),
+    lambda theta: _star_density_fidelities(theta, 0.0),
 ], ids=["protocol_fidelities", "scan", "optimize",
-        "disorder", "noisy_network", "circuit"])
+        "disorder", "noisy_network", "circuit", "density_fidelities"])
 def test_non_finite_theta_is_named(call, theta):
     # Where the input is built, not as a numpy reduction or a density check
     # failing further in.
@@ -310,8 +317,13 @@ def test_non_finite_theta_is_named(call, theta):
      "t_fixed"),
     (lambda v: disorder_study(star(2), 0.1, 5, 0.0, 1.0, 1.0, v, 0),
      "b_fixed"),
+    (lambda v: protocol_fidelities(star(2), 0.0, 0.0, [0.3], v, 1.0), "phi"),
+    (lambda v: prepare_input(star(2), 1.0, v), "phi"),
+    (lambda v: _star_density_fidelities(0.3, v), "phi"),
 ], ids=["protocol_fidelities_t", "protocol_fidelities_field",
-        "scan_t", "scan_b", "disorder_t", "disorder_b"])
+        "scan_t", "scan_b", "disorder_t", "disorder_b",
+        "protocol_fidelities_phi", "prepare_input_phi",
+        "density_fidelities_phi"])
 def test_non_finite_time_or_field_is_named(call, name, value):
     # Not a NaN result, nor an unnamed norm check failing further in.
     with pytest.raises(ValueError, match=f"^{name} must be finite"):

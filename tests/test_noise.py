@@ -522,10 +522,16 @@ def test_threads_compile_and_share_one_circuit():
 
 
 def test_compiled_circuit_is_read_only():
-    basis, pair, pair_z, steps = spinclone.noise._compiled_circuit(3)
-    arrays = [pair, pair_z] + [item for step in steps for item in step
-                               if isinstance(item, np.ndarray)]
-    assert len(arrays) == 2 + 2 * len(steps)
-    for array in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            array.flat[0] = array.flat[0]
+    # One compiled pulse per XY pulse of the schedule, each after the fused
+    # rotations since the one before; every cached array refuses writes.
+    for m, n_pulses in ((2, 6), (3, 8)):
+        _, schedule = pcc_circuit_schedule(m)
+        durations = [p.value for p in schedule if p.kind == "xy_pulse"]
+        _, pair, pair_z, pulses, closing, hamming = (
+            spinclone.noise._compiled_circuit(m))
+        assert len(durations) == n_pulses
+        assert [duration for _, duration, _ in pulses] == durations
+        arrays = [pair, pair_z, closing, hamming] + [u for u, _, _ in pulses]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]

@@ -199,13 +199,14 @@ def test_field_maximum_over_interval(net, anisotropy, theta, times, b_lo,
                                      kind, width):
     # The closed-form maximum dominates every sampled field of the interval
     # and is attained at the reported field, which lies in the interval; the
-    # values-only call agrees exactly, with and without t = 0.
+    # values-only call agrees exactly, with and without t = 0 and on
+    # an empty batch.
     b_hi = {"degenerate": b_lo, "finite": b_lo + width,
             "unbounded": math.inf}[kind]
     scan = ProtocolScan(net, anisotropy, theta)
     times = np.array([0.0] + times)
     best, fields = scan.field_optimum(times, b_lo, b_hi)
-    for batch in (times, times[1:]):
+    for batch in (times, times[1:], times[:0]):
         assert np.array_equal(scan.field_maximum(batch, b_lo, b_hi),
                               scan.field_optimum(batch, b_lo, b_hi)[0])
     sampled = np.linspace(b_lo, b_lo + 10.0 if kind == "unbounded" else b_hi,
