@@ -148,11 +148,14 @@ def _propagator(matrix: np.ndarray, z: np.ndarray, gamma: float,
     if dim * dim > MAX_DIM:
         raise DimensionLimitError(
             f"Liouvillian dimension {dim * dim} exceeds maximum {MAX_DIM}")
-    eye = np.eye(dim)
-    generator = -1j * (np.kron(matrix, eye) - np.kron(eye, matrix.T))
-    dephasing = (gamma / 4.0) * (z @ z.T - z.shape[1])
-    generator[np.diag_indices(dim * dim)] += dephasing.ravel()
-    return _expm(generator * t)
+    # Entry ((a, b), (c, d)) of the generator, built by index.
+    k = np.arange(dim)
+    generator = np.zeros((dim,) * 4, dtype=complex)
+    generator[:, k, :, k] = -1j * matrix        # -i H[a, c] delta_bd
+    generator[k, :, k, :] += 1j * matrix.T      # +i H[d, b] delta_ac
+    generator[k[:, None], k, k[:, None], k] += (gamma / 4.0) * (
+        z @ z.T - z.shape[1])
+    return _expm(generator.reshape(dim * dim, dim * dim) * t)
 
 
 def lindblad_evolve(rho0: MixedState, block: HamiltonianBlock, gamma: float,

@@ -40,7 +40,8 @@ import numpy as np
 from .dynamics import OutputReadout, _require_finite, count_input
 from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
                           sector_basis, sector_dimension)
-from .topology import SpinNetwork, coupling_factors, twin_classes
+from .topology import (SpinNetwork, _generate_state, coupling_factors,
+                       twin_classes)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -357,9 +358,11 @@ def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,
                         anisotropy: float, theta: float, t: float,
                         b: float) -> np.ndarray:
     """Mean clone fidelity at ``(t, B)`` of ``jitter(net_template, epsilon,
-    s)`` for every ``s`` in ``seeds``, evaluated stacked in chunks of at most
-    ``PAIR_ENTRIES`` matrix entries (one ``eigh`` per weight and chunk) on
-    configurations, the count basis with one site per class.
+    s)`` for every ``s`` in the integer array ``seeds``, evaluated stacked in
+    chunks of at most ``PAIR_ENTRIES`` matrix entries (one
+    :func:`spinclone.topology.coupling_factors` draw and one ``eigh`` per
+    weight and chunk) on configurations, the count basis with one site per
+    class.
     """
     net = net_template.with_params(anisotropy=anisotropy, field=0.0)
     basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
@@ -369,8 +372,7 @@ def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,
     values = np.empty(len(seeds))
     for lo in range(0, len(seeds), chunk):
         part = seeds[lo:lo + chunk]
-        couplings = template * np.array(
-            [coupling_factors(epsilon, int(s), len(template)) for s in part])
+        couplings = template * coupling_factors(epsilon, part, len(template))
         spectra = _Spectra(net, basis, couplings, theta)
         base, gbar = spectra.stacked_components(np.array([t]))
         values[lo:lo + len(part)] = spectra._readout.fidelity(
@@ -384,14 +386,17 @@ def disorder_study(net_template: SpinNetwork, epsilon: float, samples: int,
     """Average fidelity over seeded disorder at the ideal operating point.
 
     Realization ``k`` is ``jitter(net_template, epsilon, seeds[k])`` with
-    ``seeds`` the child seeds of ``SeedSequence(seed)`` (both draw through
-    :func:`spinclone.topology.coupling_factors`), evaluated stacked by
+    ``seeds = SeedSequence(seed).generate_state(samples)``, replayed without
+    ``numpy.random`` like the draws themselves (both in
+    :mod:`spinclone.topology`), evaluated stacked by
     :func:`disorder_fidelities` at the unperturbed ``(t, B)``; nothing is
-    re-optimized.  The ideal fidelity comes from the template's scan.
+    re-optimized.  The ideal fidelity comes from the template's scan.  A
+    negative ``seed`` raises ``ValueError``, whatever ``epsilon``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     _require_finite(t_fixed=t_fixed, b_fixed=b_fixed)
+    child_seeds = _generate_state(seed, samples)
     ideal_scan = ProtocolScan(net_template, anisotropy, theta)
     ideal = ideal_scan.mean_fidelity(t_fixed, b_fixed)
     dim = sector_dimension([1] * net_template.n_sites,
@@ -400,7 +405,6 @@ def disorder_study(net_template: SpinNetwork, epsilon: float, samples: int,
         return DisorderSummary(samples=samples, mean_fidelity=ideal,
                                std_fidelity=0.0, ideal_fidelity=ideal,
                                relative_drop=0.0, sector_dim=dim)
-    child_seeds = np.random.SeedSequence(seed).generate_state(samples)
     values = disorder_fidelities(net_template, epsilon, child_seeds,
                                  anisotropy, theta, t_fixed, b_fixed)
     mean = float(values.mean())

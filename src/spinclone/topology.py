@@ -167,19 +167,110 @@ def bipartite(n_inputs: int, n_outputs: int) -> SpinNetwork:
         output_sites=list(range(n_inputs, n_inputs + n_outputs)))
 
 
-def coupling_factors(epsilon: float, seed: int, n_edges: int) -> np.ndarray:
+# The published constants of numpy's SeedSequence (a pool of four 32-bit
+# words) and of PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875   # entropy hash
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded   # output hash
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+_PCG_MULT = 0x2360ed051fc65da44385df649fccf645
+_MASK = 0xffffffff
+
+
+def _generate_state(seeds, n_words: int) -> np.ndarray:
+    """``SeedSequence(s).generate_state(n_words)`` for every seed ``s`` (a
+    non-negative int, or an integer array of them) at once, of shape
+    ``np.shape(seeds) + (n_words,)``.  The words stay uint32 arrays of at
+    least one dimension, which wrap without warnings."""
+    if isinstance(seeds, numbers.Integral):   # any size, numpy's included
+        seed = int(seeds)
+        words = [[seed >> k & _MASK
+                  for k in range(0, max(128, seed.bit_length()), 32)]]
+    else:
+        seed = np.asarray(seeds)
+        if seed.dtype.kind not in "iu":
+            raise ValueError(f"seed must be a non-negative integer or an "
+                             f"integer array, got {seed.dtype} values")
+        flat = seed.astype(np.uint64).reshape(-1, 1)
+        words = np.hstack([flat & _MASK, flat >> 32, 0 * flat, 0 * flat])
+    if np.any(seed < 0):   # checked before any word is used: the cast wraps
+        raise ValueError(f"seed must be non-negative, got {np.min(seed)}")
+    words = np.array(words, dtype=np.uint32)   # little-endian, zero-padded
+    hash_const = _INIT_A
+
+    def hashmix(value):   # xor, step the constant, then multiply
+        nonlocal hash_const
+        value = (value ^ hash_const) * (
+            hash_const := hash_const * _MULT_A & _MASK)
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ result >> 16
+
+    pool = [hashmix(words[:, k]) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, words.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(words[:, src]))
+    hash_consts = np.multiply.accumulate(   # INIT_B MULT_B^k, k = 0 .. n
+        np.array([_INIT_B] + [_MULT_B] * n_words, dtype=np.uint32),
+        dtype=np.uint32)
+    state = np.stack(pool, axis=1)[:, np.arange(n_words) % 4]
+    state = (state ^ hash_consts[:-1]) * hash_consts[1:]
+    return (state ^ state >> 16).reshape(np.shape(seeds) + (n_words,))
+
+
+def _mul_high(a, b):
+    """High 64 bits of the products of uint64 arrays, from 32-bit partial
+    products."""
+    a1, a0, b1, b0 = a >> 32, a & _MASK, b >> 32, b & _MASK
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + ((a0 * b1 + (mid & _MASK)) >> 32)
+
+
+def coupling_factors(epsilon: float, seeds, n_edges: int) -> np.ndarray:
     """The disorder model: one factor per edge, uniform in ``[1 - eps, 1 + eps]``.
 
-    Deterministic under a fixed seed; ``eps = 0`` gives exact ones.
+    Bit for bit ``default_rng(s).uniform(1 - eps, 1 + eps, n_edges)`` for
+    every seed ``s`` (a non-negative int, or an integer array of them), of
+    shape ``np.shape(seeds) + (n_edges,)``: numpy's seeding and PCG64 stream
+    replayed in array arithmetic, without building a generator per seed.
+    ``eps = 0`` gives exact ones.
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("epsilon must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
-    return rng.uniform(1.0 - epsilon, 1.0 + epsilon, size=n_edges)
+    if not isinstance(n_edges, numbers.Integral) or n_edges < 0:
+        raise ValueError(f"n_edges must be a non-negative integer, "
+                         f"got {n_edges!r}")
+    # Draw k = 1 .. n_edges is the XSL-RR output of the 128-bit LCG state
+    # init M^(k+1) + inc (1 + M + ... + M^(k+1)), with generate_state(4,
+    # uint64) = (init, seq) and inc = 2 seq + 1, all as uint64 halves.
+    w = _generate_state(seeds, 8).astype(np.uint64)[..., None]
+    init_h, init_l, seq_h, seq_l = (w[..., k, :] | w[..., k + 1, :] << 32
+                                    for k in range(0, 8, 2))
+    inc_h, inc_l = seq_h << 1 | seq_l >> 63, seq_l << 1 | 1
+    power, total, terms = _PCG_MULT, 1 + _PCG_MULT, []
+    for _ in range(n_edges):
+        power = power * _PCG_MULT % 2 ** 128
+        total = (total + power) % 2 ** 128
+        terms.append(divmod(power, 2 ** 64) + divmod(total, 2 ** 64))
+    p_h, p_l, q_h, q_l = np.array(terms, dtype=np.uint64).reshape(-1, 4).T
+    part = init_l * p_l   # uint64 arrays wrap mod 2^64
+    low = part + inc_l * q_l
+    high = (init_h * p_l + init_l * p_h + _mul_high(init_l, p_l)
+            + inc_h * q_l + inc_l * q_h + _mul_high(inc_l, q_l)
+            + (low < part))   # the carry out of the low half
+    mixed, turn = high ^ low, high >> 58   # rotate by the top six bits
+    draws = mixed >> turn | mixed << (64 - turn & 63)
+    bottom, top = 1.0 - epsilon, 1.0 + epsilon
+    return bottom + (top - bottom) * ((draws >> 11) * 2.0 ** -53)
 
 
 def jitter(net: SpinNetwork, epsilon: float, seed: int) -> SpinNetwork:
-    """Multiply every coupling by its :func:`coupling_factors` draw.
+    """Scale each coupling by its :func:`coupling_factors` draw for ``seed``.
 
     Graph structure, roles, field and anisotropy are untouched.
     """

@@ -7,7 +7,8 @@ package's sector-restricted implementation, with two exceptions:
 it checks the chunked trajectory kernel bit for bit, and
 ``full_space_circuit`` exponentiates its Liouvillians with
 ``noise._propagator`` (``_expm`` itself is pinned against
-``scipy.linalg.expm`` in ``test_noise``).
+``scipy.linalg.expm`` in ``test_noise``).  The seeded-draw oracles call
+numpy's own ``SeedSequence`` and ``default_rng``, one seed at a time.
 """
 import math
 from dataclasses import dataclass
@@ -396,3 +397,18 @@ def peak_indices_argsort(values, peaks):
         if all(abs(int(idx) - c) > 2 for c in chosen):
             chosen.append(int(idx))
     return chosen
+
+
+def numpy_coupling_factors(epsilon, seeds, n_edges):
+    """``default_rng(s).uniform(1 - eps, 1 + eps, n_edges)`` for every seed
+    ``s``, stacked to shape ``np.shape(seeds) + (n_edges,)``."""
+    shape = np.shape(seeds)
+    rows = [np.random.default_rng(int(s)).uniform(1.0 - epsilon,
+                                                  1.0 + epsilon, n_edges)
+            for s in np.ravel(np.array(seeds, dtype=object))]
+    return np.array(rows, dtype=float).reshape(shape + (n_edges,))
+
+
+def numpy_generate_state(seed, n_words):
+    """``SeedSequence(seed).generate_state(n_words)``: 32-bit words."""
+    return np.random.SeedSequence(seed).generate_state(n_words)

@@ -5,14 +5,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from spinclone import (DimensionLimitError, bipartite, from_edge_list,
                        from_text, jitter, star, to_text, tree)
-from spinclone.topology import MAX_DIM, coupling_factors, twin_classes
-from reference import dense_twin_classes
+from spinclone.search import disorder_study
+from spinclone.topology import (MAX_DIM, _generate_state, coupling_factors,
+                                twin_classes)
+from reference import (dense_twin_classes, numpy_coupling_factors,
+                       numpy_generate_state)
 from strategies import small_networks, twinned_networks
 
 
@@ -171,6 +174,68 @@ def test_jitter_draws_coupling_factors():
     assert np.array_equal(coupling_factors(0.0, 31, 4), np.ones(4))
     with pytest.raises(ValueError):
         coupling_factors(-0.1, 31, 4)
+
+
+EPSILONS = st.floats(0.0, 1.0, exclude_max=True)
+N_EDGES = st.integers(0, 64)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 200), n_edges=N_EDGES, epsilon=EPSILONS)
+@example(seed=0, n_edges=3, epsilon=0.1)
+@example(seed=2 ** 32 - 1, n_edges=3, epsilon=0.1)
+@example(seed=2 ** 32, n_edges=3, epsilon=0.1)
+@example(seed=2 ** 128 - 1, n_edges=3, epsilon=0.1)
+@example(seed=2 ** 128, n_edges=64, epsilon=0.1)
+def test_coupling_factors_replay_default_rng(seed, n_edges, epsilon):
+    assert np.array_equal(coupling_factors(epsilon, seed, n_edges),
+                          numpy_coupling_factors(epsilon, seed, n_edges))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), max_size=12),
+       n_edges=N_EDGES, epsilon=EPSILONS)
+@example(seeds=[0, 2 ** 32 - 1], n_edges=3, epsilon=0.1)
+def test_coupling_factors_replay_default_rng_per_seed(seeds, n_edges,
+                                                      epsilon):
+    seeds = np.array(seeds, dtype=np.uint32)
+    factors = coupling_factors(epsilon, seeds, n_edges)
+    assert factors.shape == (len(seeds), n_edges)
+    assert np.array_equal(factors,
+                          numpy_coupling_factors(epsilon, seeds, n_edges))
+    grid = seeds[:len(seeds) // 2 * 2].reshape(2, -1)
+    assert np.array_equal(coupling_factors(epsilon, grid, n_edges),
+                          numpy_coupling_factors(epsilon, grid, n_edges))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 200), n_words=st.integers(0, 600))
+@example(seed=0, n_words=500)
+@example(seed=2 ** 32 - 1, n_words=500)
+@example(seed=2 ** 32, n_words=500)
+@example(seed=2 ** 128 - 1, n_words=500)
+@example(seed=2 ** 128, n_words=500)
+def test_child_seeds_replay_seed_sequence(seed, n_words):
+    assert np.array_equal(_generate_state(seed, n_words),
+                          numpy_generate_state(seed, n_words))
+
+
+@pytest.mark.parametrize("seed, n_edges, name", [
+    (-1, 3, "seed"), (np.int64(-1), 3, "seed"), (1.5, 3, "seed"),
+    ("3", 3, "seed"), (np.array([3, -1]), 3, "seed"),
+    (np.array([1.0, 2.0]), 3, "seed"), (3, -1, "n_edges"),
+    (3, 2.0, "n_edges"),
+], ids=["negative", "negative_numpy", "float", "string", "negative_in_array",
+        "float_array", "negative_edges", "float_edges"])
+def test_coupling_factors_reject_malformed_arguments(seed, n_edges, name):
+    with pytest.raises(ValueError, match=name):
+        coupling_factors(0.1, seed, n_edges)
+
+
+def test_disorder_study_rejects_negative_seed():
+    for epsilon in (0.0, 0.1):
+        with pytest.raises(ValueError, match="seed"):
+            disorder_study(star(2), epsilon, 5, 0.0, 1.0, 1.0, 0.0, seed=-2)
 
 
 def test_with_params():
