@@ -2,9 +2,9 @@
 
 No analytic knowledge goes in.  At fixed time the fidelity is one harmonic
 in the field, so the optimizer maximizes the field in closed form over an
-interval, scans time densely and polishes the best peaks by golden-section
-search.  It should land on t_c = pi/sqrt(2), B = J/sqrt(2) for the XY star
-and t_c = 2 pi/3 for the Heisenberg star.
+interval, scans time densely and polishes the best peaks by Newton steps
+on the closed-form time derivatives.  It should land on t_c = pi/sqrt(2),
+B = J/sqrt(2) for the XY star and t_c = 2 pi/3 for the Heisenberg star.
 """
 import math
 

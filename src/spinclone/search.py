@@ -11,15 +11,17 @@ adjacent sectors, hence at fixed time the field enters as one harmonic,
 with ``c = cos(theta/2)``, ``s = sin(theta/2)``, ``gbar`` the site-mean
 coherence sum and ``chi = arg(gbar)``.  Its maximum over a field interval is
 therefore known at every time, and the one optimizer, :func:`optimize`,
-searches in time only: a dense scan of that maximum, then golden-section
-refinement of the best peaks, all of them in lockstep.  Every evaluation
-sums fixed Bohr-frequency harmonics ``e^{-i(E_k - E_l)t}``
-(:class:`_Spectra`).  A uniform grid takes its phases ``e^{-iEt}`` as
-products of row and column phases, about ``2 sqrt(T)`` exponentials per
-eigenvalue for ``T`` times, so each harmonic is a row factor times a column
-factor and each component one small matrix product; a batch of arbitrary
-times is its one-column case.  The peaks are picked from the ``5 PEAKS + 1``
-largest scan values alone, which is exact (see :func:`_peak_indices`).
+searches in time only: a dense scan of that maximum, then Newton steps on
+its closed-form time derivatives at the best peaks, all of them in
+lockstep.  Every evaluation sums fixed Bohr-frequency harmonics
+``e^{-i(E_k - E_l)t}`` (:class:`_Spectra`), so each time derivative is the
+same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  A uniform
+grid takes its phases ``e^{-iEt}`` as products of row and column phases,
+about ``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, so each
+harmonic is a row factor times a column factor and each component one
+small matrix product; a batch of arbitrary times is its one-column case.
+The peaks are picked from the ``5 PEAKS + 1`` largest scan values alone,
+which is exact (see :func:`_peak_indices`).
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -42,8 +44,6 @@ from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
                           sector_basis, sector_dimension)
 from .topology import (SpinNetwork, _generate_state, coupling_factors,
                        twin_classes)
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # optimize refines the PEAKS best separated scan points, counts maxima within
 # TIE_TOLERANCE as tied, and evaluates the scan in batches of CHUNK times.
@@ -138,22 +138,28 @@ class _Spectra:
             terms.append(harmonics(low, high, g, np.ones(g.shape[1:], bool)))
         self._first, self._second, self._coeffs = (
             np.concatenate(part, axis=-1) for part in zip(*terms))
+        self._omega = (np.take(self._energies, self._first, axis=1)
+                       - np.take(self._energies, self._second, axis=1))
 
-    def stacked_components(self, t_rows: np.ndarray, t_cols=(0.0,)):
+    def stacked_components(self, t_rows: np.ndarray, t_cols=(0.0,),
+                           order: int = 0):
         """``(base, gbar)``, each (R, T), at the ``T = len(t_rows) *
         len(t_cols)`` times ``t_rows[j] + t_cols[m]`` in row-major order.
 
         Each phase is a row phase times a column phase, so each component
         is one (R, rows, P) @ (R, P, cols) product of pair factors, summed
         over blocks of at most ``PAIR_ENTRIES`` factor entries.  A batch of
-        arbitrary times is the one-column case at offset 0.
+        arbitrary times is the one-column case at offset 0.  ``order = n``
+        adds the time derivatives up to the n-th as further columns, of
+        coefficients ``(-i omega)^k c`` for the Bohr frequency ``omega``:
+        (R, T (n + 1)) in (row, derivative, column) order.
         """
         energies = self._energies[:, None, :]
         rows = np.exp(-1j * (np.asarray(t_rows)[:, None] * energies))
         cols = np.exp(-1j * (np.asarray(t_cols)[:, None] * energies))
         rows_conj, cols_conj = np.conj(rows), np.conj(cols)
-        block = max(1, PAIR_ENTRIES // (len(rows) * (rows.shape[1]
-                                                     + cols.shape[1])))
+        block = max(1, PAIR_ENTRIES // (len(rows) * (
+            rows.shape[1] + cols.shape[1] * (order + 1))))
         for lo in range(0, len(self._first), block):
             f, s = self._first[lo:lo + block], self._second[lo:lo + block]
             left = np.take(rows, f, axis=2)
@@ -161,6 +167,10 @@ class _Spectra:
             right = np.take(cols, f, axis=2)
             right *= np.take(cols_conj, s, axis=2)
             right *= self._coeffs[:, None, lo:lo + block]
+            if order:
+                rate = -1j * self._omega[:, None, lo:lo + block]
+                right = np.concatenate(
+                    [right * rate ** k for k in range(order + 1)], axis=1)
             cut = min(max(self._split - lo, 0), len(f))
             # Re(x + iy)(u + iv) = x u - y v: the base is one real product of
             # the interleaved floats of left and of conj(right).
@@ -169,7 +179,7 @@ class _Spectra:
                      left[:, :, cut:] @ np.swapaxes(right[:, :, cut:], 1, 2))
             base, gbar = (parts if lo == 0
                           else (base + parts[0], gbar + parts[1]))
-        base += self._const[:, None, None]
+        base[:, :, :cols.shape[1]] += self._const[:, None, None]
         return base.reshape(len(rows), -1), gbar.reshape(len(rows), -1)
 
 
@@ -248,47 +258,90 @@ class ProtocolScan(_Spectra):
         """
         _check_field_interval(b_lo, b_hi)
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
-        base, gbar = self.components(t, grid)
+        return self._choose_field(t, *self.components(t, grid), b_lo, b_hi)[:2]
+
+    def _choose_field(self, t, base, gbar, b_lo: float, b_hi: float):
+        """:meth:`field_optimum` from the components at the times ``t``,
+        and the mask of the times whose field is held at an end."""
         best = base + 2.0 * self._readout.cs * np.abs(gbar)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             period = 2.0 * math.pi / np.abs(t)
             aligned = np.angle(gbar) / t
             fields = aligned + np.ceil((b_lo - aligned) / period) * period
         # t = 0 (or overflow) leaves a nan field, which compares endpoints.
-        off = np.nonzero(~(fields <= b_hi))[0]
+        held = ~(fields <= b_hi)
+        off = np.nonzero(held)[0]
         if len(off):
             ends = np.array([[b_lo], [b_hi if math.isfinite(b_hi) else b_lo]])
             values = self._readout.fidelity(base[off], gbar[off],
                                             np.exp(-1j * (ends * t[off])))
             best[off] = values.max(axis=0)
             fields[off] = ends[np.argmax(values, axis=0), 0]   # b_lo on ties
-        return best, fields
+        return best, fields, held
+
+    def _time_derivatives(self, t, b_lo: float, b_hi: float):
+        """:meth:`field_maximum` at the times ``t`` and its first two time
+        derivatives, from one batch with derivative columns, at the field
+        of :meth:`_choose_field` (envelope theorem).  At kinks, ``t = 0`` (F
+        is even in t) and aligned times with ``g = 0``, the second is nan
+        and the first is one-sided towards larger t."""
+        base, gbar = (part[0].reshape(-1, 3).T
+                      for part in self.stacked_components(t, order=2))
+        self.n_eval += len(t)
+        g, g1 = gbar[:2]
+        value, b, held = self._choose_field(t, base[0], g, b_lo, b_hi)
+        norm, b = np.abs(g), np.where(held, b, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # gbar and its derivatives turned by e^{-iBt}: conj(g)/|g| at the
+            # aligned field, whose B terms vanish there (B is set to 0) and
+            # whose envelope bends by a further Im(q1)^2/|g|.
+            h, q1, q2 = gbar * np.where(held, np.exp(-1j * (t * b)),
+                                        np.conj(g) / norm)
+            bend = np.where(held, 2.0 * b * q1.imag - b * b * h.real,
+                            q1.imag ** 2 / norm)
+        cs2 = 2.0 * self._readout.cs
+        kink = (t == 0.0) | (~held & (norm == 0.0))
+        d1 = base[1] + cs2 * np.where(kink, abs(g1), q1.real + b * h.imag)
+        d2 = np.where(kink, math.nan, base[2] + cs2 * (q2.real + bend))
+        return value, np.where(t == 0.0, 0.0, d1), d2
 
 
-def _golden_refine(func, lo: np.ndarray,
-                   hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization of a unimodal function on every bracket
-    ``[lo[k], hi[k]]``, each to a width of 1e-10.  The brackets advance in
-    lockstep: ``func`` maps an array of times to values and is called once
-    per step with the new point of every bracket still open.  Returns the
-    better final point of each bracket and its value."""
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = np.split(func(np.concatenate((x1, x2))), 2)
-    active = np.nonzero(b - a > 1e-10)[0]
-    while len(active):
-        rising = f1[active] < f2[active]
-        up, down = active[rising], active[~rising]
-        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        x2[up] = a[up] + GOLDEN * (b[up] - a[up])
-        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x1[down] = b[down] - GOLDEN * (b[down] - a[down])
-        values = func(np.concatenate((x2[up], x1[down])))
-        f2[up], f1[down] = values[:len(up)], values[len(up):]
-        active = active[b[active] - a[active] > 1e-10]
-    first = f1 >= f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
+def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Safeguarded Newton maximization on every bracket ``[lo[k], hi[k]]``
+    from ``centers[k]``, in lockstep: ``func`` maps times to the values and
+    first two derivatives there, called once per step for the open brackets.
+    The derivative's sign makes each point a bracket end.  A Newton step at
+    negative curvature is taken if it lands inside, at most half the last
+    step; one past an original end not yet reached goes there; else bisect.
+    Brackets close at a step or width of 1e-10 (two ulps of large times).
+    Returns each bracket's best point and value."""
+    x = np.array(centers, dtype=float)
+    a, b, step = lo.copy(), hi.copy(), hi - lo
+    tol = np.maximum(1e-10, 2.0 * np.spacing(hi))
+    fresh = np.ones((2, len(x)), bool)   # lo, hi: neither end moved yet
+    best_t, best_f = x.copy(), np.full(len(x), -math.inf)
+    k = np.arange(len(x))
+    while len(k):
+        t = x[k]
+        f, d1, d2 = func(t)
+        better = f >= best_f[k]
+        best_t[k[better]], best_f[k[better]] = t[better], f[better]
+        up = d1 >= 0.0
+        a[k[up]], b[k[~up]] = t[up], t[~up]
+        fresh[0, k[up]] = fresh[1, k[~up]] = False
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(d2 < 0.0, -d1 / d2, np.where(up, math.inf,
+                                                           -math.inf))
+        aim = t + newton
+        to_end = np.where(up, fresh[1, k] & (aim >= hi[k]),
+                          fresh[0, k] & (aim <= lo[k]))
+        inside = ((a[k] < aim) & (aim < b[k])
+                  & (abs(newton) <= 0.5 * step[k]))
+        x[k] = np.where(inside, aim, np.where(
+            to_end, np.where(up, hi[k], lo[k]), 0.5 * (a[k] + b[k])))
+        step[k] = abs(x[k] - t)
+        k = k[(abs(newton) > tol[k]) & (b[k] - a[k] > tol[k])]
+    return best_t, best_f
 
 
 def _peak_indices(values: np.ndarray) -> list[int]:
@@ -320,10 +373,11 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
 
     The field is maximized in closed form at every time (see
     :meth:`ProtocolScan.field_optimum`), so only time is searched: a dense
-    scan of ``t_points`` times over ``t_range``, then lockstep golden-section
-    refinement within one spacing of the ``PEAKS`` best scan points more than
-    two points apart.  A fixed field ``B`` is the interval ``(B, B)``.
-    Refined maxima within ``TIE_TOLERANCE`` resolve to the smallest time.
+    scan of ``t_points`` times over ``t_range``, then lockstep safeguarded
+    Newton refinement (:func:`_newton_refine`) within one spacing of the
+    ``PEAKS`` best scan points more than two points apart.  A fixed field
+    ``B`` is the interval ``(B, B)``.  Refined maxima within
+    ``TIE_TOLERANCE`` resolve to the smallest time.
     """
     t_lo, t_hi = t_range
     b_lo, b_hi = field
@@ -341,8 +395,8 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
 
     spacing = (t_hi - t_lo) / (t_points - 1)
     centers = t_values[_peak_indices(values)]
-    times, maxima = _golden_refine(
-        lambda t: scan.field_maximum(t, b_lo, b_hi),
+    times, maxima = _newton_refine(
+        lambda t: scan._time_derivatives(t, b_lo, b_hi), centers,
         np.maximum(t_lo, centers - spacing),
         np.minimum(t_hi, centers + spacing))
     best_t = times[maxima >= maxima.max() - TIE_TOLERANCE].min()

@@ -1,5 +1,10 @@
+import argparse
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
                        disorder_study, from_edge_list, heis_star_fidelity,
                        jitter, optimize, prepare_input, run_protocol, star,
                        t_c_xy, tree, xy_star_fidelity)
-from spinclone import search
+from spinclone import cli, search
 from spinclone.dynamics import OutputReadout, count_input
 from spinclone.hamiltonian import (assemble_blocks, count_basis,
                                    sector_basis, sector_dimension)
@@ -20,6 +25,7 @@ from reference import (configuration_words, golden_max, orbit_isometry,
                        peak_indices_argsort, synthesized_components)
 from strategies import small_networks, twinned_networks
 
+ROOT = Path(__file__).resolve().parent.parent
 EQUATOR = math.pi / 2
 
 # The star scans: Jt in [0, 10] at 600 points, the field in [0, 2] for the
@@ -224,24 +230,110 @@ def test_field_maximum_over_interval(net, anisotropy, theta, times, b_lo,
        spacing=st.floats(1e-3, 0.5), b_lo=st.floats(-2.0, 2.0),
        kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
        width=st.floats(0.0, 3.0))
-def test_lockstep_refinement_matches_scalar_oracle(net, anisotropy, theta,
-                                                   centers, spacing, b_lo,
-                                                   kind, width):
-    # Every bracket of the lockstep search reaches the value that the
-    # oracle's scalar search, one single-time call per point, reaches, at a
-    # time inside the bracket; the first bracket is clipped at t = 0.
+def test_newton_refinement_matches_scalar_oracle(net, anisotropy, theta,
+                                                 centers, spacing, b_lo,
+                                                 kind, width):
+    # Every bracket of the lockstep search returns a time inside it, the
+    # field maximum there and no less than at its center, to the rounding
+    # of a differently shaped product; where F, sampled at 1001 points, is
+    # unimodal on the bracket, it reaches the value of the oracle's scalar
+    # golden-section search, one single-time call per point, and at least
+    # the best sample.  The first bracket is clipped at t = 0.  The oracle
+    # stops up to 1e-10 short of a maximum at an end, which Newton reaches,
+    # so it bounds the value from below only.
     b_hi = {"fixed": b_lo, "bounded": b_lo + width,
             "unbounded": math.inf}[kind]
     scan = ProtocolScan(net, anisotropy, theta)
     centers = np.array([0.0] + centers)
     lo, hi = np.maximum(0.0, centers - spacing), centers + spacing
-    times, maxima = search._golden_refine(
-        lambda t: scan.field_maximum(t, b_lo, b_hi), lo, hi)
+    times, maxima = search._newton_refine(
+        lambda t: scan._time_derivatives(t, b_lo, b_hi), centers, lo, hi)
+
+    def value(x):
+        return scan.field_maximum([x], b_lo, b_hi)[0]
+
     for k in range(len(centers)):
-        _, value = golden_max(
-            lambda x: scan.field_maximum([x], b_lo, b_hi)[0], lo[k], hi[k])
-        assert abs(maxima[k] - value) <= 1e-12
         assert lo[k] <= times[k] <= hi[k]
+        assert abs(maxima[k] - value(times[k])) <= 1e-15
+        assert maxima[k] >= value(centers[k]) - 1e-15
+        samples = scan.field_maximum(np.linspace(lo[k], hi[k], 1001),
+                                     b_lo, b_hi)
+        steps = np.diff(samples)
+        falls = np.nonzero(steps < 0.0)[0]
+        if len(falls) and (steps[falls[0]:] > 0.0).any():
+            continue
+        _, oracle = golden_max(value, lo[k], hi[k])
+        assert maxima[k] >= max(oracle - 1e-12, samples.max() - 1e-15)
+
+
+def _difference_error(func, t, h):
+    """Five-point central differences of ``func`` (arrays of times to
+    arrays) at ``t``: the first and second derivatives and a bound on each
+    one's error, ``|D(h) - D(2h)|`` (about 15 times the h^4 truncation
+    error of ``D(h)``) plus the rounding of the stencil."""
+    def stencil(step):
+        f = [func(np.array([t + j * step]))[..., 0] for j in (-2, -1, 0, 1, 2)]
+        first = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * step)
+        second = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (
+            12 * step ** 2)
+        return first, second, max(np.max(np.abs(x)) for x in f)
+
+    first, second, size = stencil(h)
+    first2, second2, _ = stencil(2 * h)
+    rounding = 1e-13 * (1.0 + size)
+    return ((first, np.abs(first - first2) + rounding / h),
+            (second, np.abs(second - second2) + rounding / h ** 2))
+
+
+@pytest.mark.parametrize("networks", [
+    small_networks(), twinned_networks().map(lambda drawn: drawn[0])],
+    ids=["small", "twinned"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.1, math.pi - 0.1), t=st.floats(0.05, 20.0),
+       b_lo=st.floats(-2.0, 2.0),
+       kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
+       width=st.floats(0.0, 3.0))
+def test_time_derivatives_match_differences(networks, data, anisotropy,
+                                            theta, t, b_lo, kind, width):
+    # The derivative columns and the field maximum's F' and F'' agree with
+    # central differences of amplitude synthesis: held at the reported
+    # field B, F = base + 2cs Re(gbar e^{-iBt}), and aligned, base + 2cs
+    # |gbar|.
+    net = data.draw(networks)
+    b_hi = {"fixed": b_lo, "bounded": b_lo + width,
+            "unbounded": math.inf}[kind]
+    scan = ProtocolScan(net, anisotropy, theta)
+    configured = net.with_params(anisotropy=anisotropy, field=0.0)
+
+    def synthesized(times):
+        base, gbar = synthesized_components(
+            configured, scan.basis, configured.coupling_array()[None], theta,
+            0.0, times)
+        return base[0], gbar[0]
+
+    base, gbar = (part[0].reshape(-1, 3)[0]
+                  for part in scan.stacked_components([t], order=2))
+    for k, want in enumerate(_difference_error(
+            lambda x: np.stack(synthesized(x)), t, 1e-3)):
+        got = np.array([base[k + 1], gbar[k + 1]])
+        assert np.all(np.abs(got - want[0]) <= want[1])
+
+    value, d1, d2 = scan._time_derivatives(np.array([t]), b_lo, b_hi)
+    _, field = scan.field_optimum([t], b_lo, b_hi)
+    cs2 = 2.0 * scan._readout.cs
+    aligned = abs(value[0] - (base[0] + cs2 * abs(gbar[0]))) <= 1e-13
+    assume(not aligned or abs(gbar[0]) > 1e-3)
+
+    def fidelity(times):
+        base, gbar = synthesized(times)
+        if aligned:
+            return base + cs2 * np.abs(gbar)
+        return base + cs2 * np.real(gbar * np.exp(-1j * field[0] * times))
+
+    for got, want in zip((d1[0], d2[0]),
+                         _difference_error(fidelity, t, 1e-3)):
+        assert abs(got - want[0]) <= want[1]
 
 
 @pytest.mark.parametrize("net,field", [
@@ -433,6 +525,80 @@ def test_optimize_xy_star_two_clones():
     assert abs(result.fidelity - (2 + math.sqrt(2)) / 4) <= 1e-6
     assert abs(result.t_c - math.pi / math.sqrt(2)) <= 1e-3
     assert abs(result.b_opt - 1 / math.sqrt(2)) <= 1e-3
+
+
+def test_optimize_lands_on_exact_star_optimum():
+    # Newton steps on the closed-form derivatives reach t_c = pi/sqrt(2)
+    # and B = 1/sqrt(2) to rounding, where comparing values at a flat
+    # maximum stops about 3e-8 short.
+    result = optimize(star(2), 0.0, EQUATOR, (0.0, 10.0), 600)
+    assert abs(result.t_c - math.pi / math.sqrt(2)) <= 1e-12
+    assert abs(result.b_opt - 1 / math.sqrt(2)) <= 1e-12
+
+
+@pytest.mark.parametrize("branching,levels,t_c,b_opt", [
+    (2, 1, math.pi, 1.0),
+    (3, 1, math.pi / math.sqrt(1.5), math.sqrt(1.5))], ids=["2_1", "3_1"])
+def test_optimize_lands_on_exact_tree_optimum(branching, levels, t_c, b_opt):
+    result = tree_optimum(branching, levels)
+    assert abs(result.t_c - t_c) <= 1e-12
+    assert abs(result.b_opt - b_opt) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), t_lo=st.floats(0.0, 10.0),
+       length=st.floats(0.5, 30.0), t_points=st.integers(2, 400),
+       b_lo=st.floats(-2.0, 2.0),
+       kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
+       width=st.floats(0.0, 3.0))
+def test_optimize_beats_its_dense_scan(net, anisotropy, theta, t_lo, length,
+                                       t_points, b_lo, kind, width):
+    # Refinement never loses what the scan found: the grid phases round
+    # the scan values to about 1e-11.
+    field = (b_lo, {"fixed": b_lo, "bounded": b_lo + width,
+                    "unbounded": math.inf}[kind])
+    t_range = (t_lo, t_lo + length)
+    result = optimize(net, anisotropy, theta, t_range, t_points, field=field)
+    scan = ProtocolScan(net, anisotropy, theta)
+    values = scan.field_maximum(np.linspace(*t_range, t_points), *field,
+                                grid=True)
+    assert result.fidelity >= values.max() - 1e-11
+    assert t_range[0] <= result.t_c <= t_range[1]
+
+
+def test_refinement_takes_few_evaluations():
+    # Past the dense scan, every table1 row and tree case spends at most 5
+    # evaluations per peak and one for the reported point; golden section
+    # spent 42 per peak.
+    _, rows = cli.cmd_table1(argparse.Namespace(
+        t_points=cli.COMMANDS["table1"][2]))[0]["table1"]
+    assert len(rows) == 7
+    for row in rows:
+        assert row[12] - cli.COMMANDS["table1"][2] <= 5 * search.PEAKS + 1
+    t_points = cli.COMMANDS["tree"][2]
+    for branching, levels in cli.TREE_CASES:
+        result = optimize(tree(branching, levels), 0.0, EQUATOR, (0.0, 50.0),
+                          t_points)
+        assert result.n_evaluations - t_points <= 5 * search.PEAKS + 1
+
+
+@pytest.mark.parametrize("t_hi", [6e5, 1e7, 1e12])
+def test_optimize_returns_on_long_time_ranges(t_hi):
+    # Past t = 2^19 a width of 1e-10 is below one ulp of t: the refinement
+    # stops on a tolerance that floats reach.  In a subprocess, so that a
+    # search that never ends fails instead of hanging the suite.
+    code = ("import math; from spinclone import optimize, star; "
+            f"r = optimize(star(2), 0.0, math.pi / 2, (0.0, {t_hi!r}), 601); "
+            "print(r.fidelity, r.t_c)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    fidelity, t_c = map(float, done.stdout.split())
+    assert 0.5 < fidelity <= 1.0 and 0.0 <= t_c <= t_hi
 
 
 def test_optimize_heisenberg_star_two_clones():
