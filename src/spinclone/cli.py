@@ -77,9 +77,9 @@ def _run(command, args) -> int:
     params = {"seed": args.seed, **params}
     lines += [f"{key}={value}" for key, value in sorted(params.items())]
     for name, text in files:
-        path = out_dir / name
-        path.write_text(text)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        path, data = out_dir / name, text.encode()
+        path.write_bytes(data)
+        digest = hashlib.sha256(data).hexdigest()
         lines.append(f"output={path.name} sha256={digest}")
     lines.append(f"duration_s={time.perf_counter() - started:.3f}")
     (out_dir / f"{args.command}.manifest").write_text("\n".join(lines) + "\n")
@@ -204,11 +204,8 @@ def _parse_gamma_grid(spec: str) -> list[float]:
 def cmd_fig3(args) -> tuple:
     """Dephasing comparison of the free-evolution protocol against the
     compiled cloning circuits, for two and three clones."""
-    if args.n_traj < 1:
-        raise ValueError(f"--n-traj must be at least 1, got {args.n_traj}")
     gammas = [0.0] + _parse_gamma_grid(args.gamma_grid)
 
-    rows = []
     curves: dict[tuple[str, int], list[float]] = {}
     for m in (2, 3):
         # One input at the equator: each clone's coherence pairs weight 0
@@ -217,19 +214,17 @@ def cmd_fig3(args) -> tuple:
         t_c = t_c_xy(m)
         ideal = run_protocol(star(m), 0.0, b_opt_xy(m), math.pi / 2, 0.0,
                              t_c).mean_fidelity
-        net_vals = [0.5 + math.exp(-g * t_c / 2.0) * (ideal - 0.5)
-                    for g in gammas]
-        circ_vals = [circuit_baseline(m, math.pi / 2, g) for g in gammas]
-        curves[("network", m)] = net_vals
-        curves[("circuit", m)] = circ_vals
-        rows += [["network", m, g, f] for g, f in zip(gammas, net_vals)]
-        rows += [["circuit", m, g, f] for g, f in zip(gammas, circ_vals)]
+        curves[("network", m)] = [
+            0.5 + math.exp(-g * t_c / 2.0) * (ideal - 0.5) for g in gammas]
+        curves[("circuit", m)] = [circuit_baseline(m, math.pi / 2, g)
+                                  for g in gammas]
+    rows = [[protocol, m, g, f] for (protocol, m), values in curves.items()
+            for g, f in zip(gammas, values)]
 
-    probe = min((g for g in gammas if g > 0.0),
-                key=lambda g: abs(g - 1e-3))
+    probe = min((g for g in gammas if g > 0.0), key=lambda g: abs(g - 1e-3))
     k = gammas.index(probe)
-    cross = _trajectory_cross_check(max(g for g in gammas), args.n_traj,
-                                    args.seed)
+    n_traj = _trajectory_count(max(gammas))
+    cross = _trajectory_cross_check(max(gammas), n_traj, args.seed)
     ideal_gap = max(abs(curves[("circuit", m)][0] - circuit_ideal_fidelity(m))
                     for m in (2, 3))
     margin = min(curves[("network", m)][k] - curves[("circuit", m)][k]
@@ -244,30 +239,37 @@ def cmd_fig3(args) -> tuple:
          f"{margin:.3g}, bound 0", margin > 0.0),
         (f"curves monotone nonincreasing: max rise {rise:.3g}, bound 1e-12",
          rise <= 1e-12),
-        (f"trajectory/master cross-check ({args.n_traj} trajectories): "
+        (f"trajectory/master cross-check ({n_traj} trajectories): "
          f"trace distance {cross:.3g}, bound {CROSS_CHECK_BOUND:g}",
          cross <= CROSS_CHECK_BOUND),
     ]
     tables = {"fig3": (["protocol", "M", "gamma_over_J", "F"], rows)}
     networks = {f"star_{m}": star(m) for m in (2, 3)}
-    params = {"gamma_grid": args.gamma_grid, "n_traj": args.n_traj}
+    params = {"gamma_grid": args.gamma_grid, "n_traj": n_traj}
     return tables, networks, params, checks
+
+
+def _trajectory_count(gamma: float) -> int:
+    """Trajectories of the cross-check at the grid's largest Gamma: their
+    sampling error goes as ``w / sqrt(n)`` for the weight ``w = 1 -
+    e^{-Gamma t_c_xy(2)}`` dephased, so ``n`` keeps it at its value for 1000
+    at Gamma = 0.1: exactly 1000 up to there, at most 25202 above."""
+    w, w_ref = (-math.expm1(-g * t_c_xy(2)) for g in (gamma, 0.1))
+    return max(1000, math.ceil(1000.0 * (w / w_ref) ** 2))
 
 
 def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
     """Trace distance between the two dephasing solvers on the 1->2 star.
 
     The trajectories take steps of ``dt = 1e-2`` (222 over ``t_c_xy(2)``).
-    Their exact average, the split-step map, differs from the master
-    equation by a deterministic bias that grows linearly in ``dt``: a trace
-    distance of 1.1e-4 at Gamma = 0.1 and 4.4e-4 at Gamma = 1.0.  Sampling
-    error of 1000 trajectories, about 5e-3, dominates it.
+    Their exact average, the split-step map, misses the master equation by
+    a bias linear in ``dt`` (1.1e-4 at Gamma = 0.1, 4.4e-4 at 1.0), below
+    their sampling error (about 5e-3) until ``Gamma dt`` is large.
     """
     net = star(2).with_params(anisotropy=0.0, field=b_opt_xy(2))
     basis, amplitudes = prepare_input(net, math.pi / 2, 0.0)
     block = build_block(net, basis.weights)
-    rho0 = MixedState(basis=basis,
-                      matrix=np.outer(amplitudes, amplitudes.conj()))
+    rho0 = MixedState(basis, np.outer(amplitudes, amplitudes.conj()))
     master = lindblad_evolve(rho0, block, gamma, t_c_xy(2))
     sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2), dt=1e-2,
                                 n_traj=n_traj, seed=seed)
@@ -324,13 +326,13 @@ def cmd_disorder(args) -> tuple:
     return {"disorder": (header, rows)}, networks, params, checks
 
 
-# name: (command, help, default --t-points)
+# name: (command, help, default --t-points, for the commands that scan)
 COMMANDS = {
-    "fig2": (cmd_fig2, "two-clone fidelity curves and scaling inset", 600),
+    "fig2": (cmd_fig2, "two-clone fidelity curves and scaling inset", None),
     "table1": (cmd_table1, "bipartite N->M maxima versus published", 150001),
-    "fig3": (cmd_fig3, "dephasing comparison against circuits", 600),
+    "fig3": (cmd_fig3, "dephasing comparison against circuits", None),
     "tree": (cmd_tree, "tree-graph cloning maxima", 5001),
-    "disorder": (cmd_disorder, "coupling-disorder robustness", 600),
+    "disorder": (cmd_disorder, "coupling-disorder robustness", None),
 }
 
 
@@ -341,9 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--t-points", type=int, default=None,
-                        help="time samples of the coarse scan")
-    parser.add_argument("--n-traj", type=int, default=1000,
-                        help="trajectory count for stochastic runs")
+                        help="time samples of the coarse scan (table1, tree)")
     parser.add_argument("--gamma-grid", default="1e-4:1e-1:10",
                         help="'start:stop:count' log grid or comma list")
     parser.add_argument("--threads", type=int, default=1, help="accepted for "
@@ -359,13 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command, _, default_t_points = COMMANDS[args.command]
-    if args.t_points is None:
-        args.t_points = default_t_points
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.t_points < 2:
+    if args.t_points is None:
+        args.t_points = default_t_points
+    elif args.t_points < 2:
         raise ValueError(f"--t-points needs at least two time points, got "
                          f"{args.t_points}")
     return _run(command, args)

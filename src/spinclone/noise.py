@@ -155,7 +155,17 @@ def _propagator(matrix: np.ndarray, z: np.ndarray, gamma: float,
     generator[k, :, k, :] += 1j * matrix.T      # +i H[d, b] delta_ac
     generator[k[:, None], k, k[:, None], k] += (gamma / 4.0) * (
         z @ z.T - z.shape[1])
-    return _expm(generator.reshape(dim * dim, dim * dim) * t)
+    generator = generator.reshape(dim * dim, dim * dim) * t
+    # Exponentiate in coordinates whose first one is the trace, sum_a rho_aa,
+    # the others unchanged: the generator's trace row is then exactly zero,
+    # so the trace is kept exactly, however stiff the dephasing.
+    diagonal = k * (dim + 1)
+    generator[0] = generator[diagonal].sum(axis=0)
+    generator[:, diagonal[1:]] -= generator[:, :1]
+    result = _expm(generator)
+    result[0] -= result[diagonal[1:]].sum(axis=0)
+    result[:, diagonal[1:]] += result[:, :1]
+    return result
 
 
 def lindblad_evolve(rho0: MixedState, block: HamiltonianBlock, gamma: float,

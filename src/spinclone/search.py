@@ -282,14 +282,21 @@ class ProtocolScan(_Spectra):
     def _time_derivatives(self, t, b_lo: float, b_hi: float):
         """:meth:`field_maximum` at the times ``t`` and its first two time
         derivatives, from one batch with derivative columns, at the field
-        of :meth:`_choose_field` (envelope theorem).  At kinks, ``t = 0`` (F
-        is even in t) and aligned times with ``g = 0``, the second is nan
-        and the first is one-sided towards larger t."""
+        of :meth:`_choose_field` (envelope theorem).  At every fixed field F
+        is even in t, so ``F'(0) = 0``; at ``t = 0`` a bounded interval
+        takes the end of larger ``F''(0)``, the end that wins as ``t ->
+        0+``.  At kinks, ``t = 0`` in an unbounded interval (where ``base +
+        2cs |gbar|`` rises like ``|t|``) and aligned times with ``g = 0``,
+        the second is nan and the first is one-sided towards larger t."""
         base, gbar = (part[0].reshape(-1, 3).T
                       for part in self.stacked_components(t, order=2))
         self.n_eval += len(t)
         g, g1 = gbar[:2]
         value, b, held = self._choose_field(t, base[0], g, b_lo, b_hi)
+        if math.isfinite(b_hi):
+            # F''(0) at each end, less its field-free part, picks the end.
+            lo, hi = (e * (2.0 * g1.imag - e * g.real) for e in (b_lo, b_hi))
+            b = np.where((t == 0.0) & (hi > lo), b_hi, b)
         norm, b = np.abs(g), np.where(held, b, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             # gbar and its derivatives turned by e^{-iBt}: conj(g)/|g| at the
@@ -300,7 +307,7 @@ class ProtocolScan(_Spectra):
             bend = np.where(held, 2.0 * b * q1.imag - b * b * h.real,
                             q1.imag ** 2 / norm)
         cs2 = 2.0 * self._readout.cs
-        kink = (t == 0.0) | (~held & (norm == 0.0))
+        kink = ((t == 0.0) & (b_hi == math.inf)) | (~held & (norm == 0.0))
         d1 = base[1] + cs2 * np.where(kink, abs(g1), q1.real + b * h.imag)
         d2 = np.where(kink, math.nan, base[2] + cs2 * (q2.real + bend))
         return value, np.where(t == 0.0, 0.0, d1), d2

@@ -70,6 +70,26 @@ def test_lindblad_trace_and_positivity():
     assert np.linalg.eigvalsh(out.matrix).min() >= -1e-9
 
 
+@pytest.mark.parametrize("gamma", [0.1, 2.0, 1e6, 1e7, 1e8, 1e9, 1e12])
+def test_dephasing_propagators_keep_the_trace(gamma):
+    # The propagator is exponentiated with the trace as a coordinate of its
+    # own, so stiff dephasing cannot leak population (scaling and squaring
+    # lost 3e-10 of it per pi/2 pulse at Gamma = 1e7).
+    _, basis, amplitudes, block = _star_setup(3)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t_c_xy(3))
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-14
+    _, pair, pair_z, pulses, _, _ = spinclone.noise._compiled_circuit(2)
+    diagonal = np.arange(4) * 5
+    for duration in sorted({pulse[1] for pulse in pulses}):
+        propagator = spinclone.noise._propagator(pair, pair_z, gamma,
+                                                 duration)
+        # Column (c, d) of the populations' sum is the trace of the image
+        # of |c><d|: 1 on the diagonal, 0 off it.
+        sums = propagator[diagonal].sum(axis=0)
+        assert np.max(np.abs(sums - np.isin(np.arange(16), diagonal))) \
+            <= 1e-14
+
+
 @pytest.mark.parametrize("grid", ["1e-4:1e-1:10", "0.5,1,2,4"])
 def test_expm_matches_scipy_on_fig3(tmp_path, monkeypatch, grid):
     # Every Liouvillian and trajectory step that fig3 exponentiates; the
@@ -81,8 +101,7 @@ def test_expm_matches_scipy_on_fig3(tmp_path, monkeypatch, grid):
         return _expm(a)
 
     monkeypatch.setattr(spinclone.noise, "_expm", recording)
-    main(["--out-dir", str(tmp_path), "--gamma-grid", grid, "--n-traj", "2",
-          "fig3"])
+    main(["--out-dir", str(tmp_path), "--gamma-grid", grid, "fig3"])
     assert len(arguments) > 20
     for a in arguments:
         assert np.max(np.abs(_expm(a) - scipy.linalg.expm(a))) <= 1e-14

@@ -336,6 +336,30 @@ def test_time_derivatives_match_differences(networks, data, anisotropy,
         assert abs(got - want[0]) <= want[1]
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.1, math.pi - 0.1), b_lo=st.floats(-2.0, 2.0),
+       kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
+       width=st.floats(0.0, 3.0))
+def test_time_derivatives_at_zero(net, anisotropy, theta, b_lo, kind, width):
+    # The field maximum is even in t, so F'(0) = 0; below an interval's
+    # finite top its F''(0) is the right limit, that of the end that wins as
+    # t -> 0+.  Unbounded, base + 2cs |gbar| rises like |t| from gbar(0) = 0:
+    # a kink, with no second derivative.
+    b_hi = {"fixed": b_lo, "bounded": b_lo + width,
+            "unbounded": math.inf}[kind]
+    scan = ProtocolScan(net, anisotropy, theta)
+    value, d1, d2 = scan._time_derivatives(np.array([0.0]), b_lo, b_hi)
+    assert abs(value[0] - scan.field_maximum([0.0], b_lo, b_hi)[0]) <= 1e-15
+    assert d1[0] == 0.0
+    if kind == "unbounded":
+        assert math.isnan(d2[0])
+        return
+    _, (second, error) = _difference_error(
+        lambda x: scan.field_maximum(np.abs(x), b_lo, b_hi), 0.0, 1e-3)
+    assert abs(d2[0] - second) <= error
+
+
 @pytest.mark.parametrize("net,field", [
     (bipartite(4, 5), (1.0 / 100.0, math.inf)),
     (bipartite(2, 3), (0.0, 0.5)),
@@ -570,7 +594,8 @@ def test_optimize_beats_its_dense_scan(net, anisotropy, theta, t_lo, length,
 def test_refinement_takes_few_evaluations():
     # Past the dense scan, every table1 row and tree case spends at most 5
     # evaluations per peak and one for the reported point; golden section
-    # spent 42 per peak.
+    # spent 42 per peak.  So does a peak at t = 0, which bisection closed in
+    # 30 rounds before F''(0) was known.
     _, rows = cli.cmd_table1(argparse.Namespace(
         t_points=cli.COMMANDS["table1"][2]))[0]["table1"]
     assert len(rows) == 7
@@ -581,6 +606,9 @@ def test_refinement_takes_few_evaluations():
         result = optimize(tree(branching, levels), 0.0, EQUATOR, (0.0, 50.0),
                           t_points)
         assert result.n_evaluations - t_points <= 5 * search.PEAKS + 1
+    result = optimize(star(3), 0.0, 1.1, (0.0, 10.0), 600, field=(0.0, 0.0))
+    assert result.t_c == 0.0
+    assert result.n_evaluations - 600 <= 5 * search.PEAKS + 1
 
 
 @pytest.mark.parametrize("t_hi", [6e5, 1e7, 1e12])
