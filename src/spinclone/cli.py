@@ -26,7 +26,7 @@ from .dynamics import prepare_input, protocol_fidelities, run_protocol
 from .hamiltonian import build_block
 from .noise import (MixedState, circuit_baseline, circuit_ideal_fidelity,
                     lindblad_evolve, stochastic_evolve)
-from .search import disorder_study, optimize
+from .search import ProtocolScan, disorder_study, optimize
 from .topology import bipartite, star, to_text, tree
 
 TREE_CASES = ((2, 0), (2, 1), (2, 2), (3, 1), (3, 2))
@@ -151,8 +151,8 @@ def cmd_table1(args) -> tuple:
                      else 1.0 / 100.0)
         result = optimize(net, 0.0, math.pi / 2, t_range=(0.0, 3000.0),
                           t_points=args.t_points, field=(min_field, math.inf))
-        at_ref = run_protocol(net, 0.0, 1.0 / ref.j_over_b, math.pi / 2, 0.0,
-                              ref.jt_c).mean_fidelity
+        at_ref = ProtocolScan(net, 0.0, math.pi / 2).mean_fidelity(
+            ref.jt_c, 1.0 / ref.j_over_b)
         name = f"bipartite_{ref.n_inputs}_{ref.n_outputs}"
         params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
         networks[name] = net

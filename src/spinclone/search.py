@@ -11,9 +11,9 @@ adjacent sectors, hence at fixed time the field enters as one harmonic,
 with ``c = cos(theta/2)``, ``s = sin(theta/2)``, ``gbar`` the site-mean
 coherence sum and ``chi = arg(gbar)``.  Its maximum over a field interval is
 therefore known at every time, and the one optimizer, :func:`optimize`,
-searches in time only: a dense scan of that maximum, then Newton steps on
-its closed-form time derivatives at the best peaks, all of them in
-lockstep.  Every evaluation sums fixed Bohr-frequency harmonics
+searches in time only: a coarse-to-fine scan of that maximum, then Newton
+steps on its closed-form time derivatives at the best peaks, all of them
+in lockstep.  Every evaluation sums fixed Bohr-frequency harmonics
 ``e^{-i(E_k - E_l)t}`` (:class:`_Spectra`), so each time derivative is the
 same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  A uniform
 grid takes its phases ``e^{-iEt}`` as products of row and column phases,
@@ -45,10 +45,11 @@ from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
 from .topology import (SpinNetwork, _generate_state, coupling_factors,
                        twin_classes)
 
-# optimize refines the PEAKS best separated scan points, counts maxima within
-# TIE_TOLERANCE as tied, and evaluates the scan in batches of CHUNK times.
+# optimize scans every STRIDE-th grid time first, in batches of CHUNK, refines
+# the PEAKS best separated points and ties values within TIE_TOLERANCE.
 PEAKS = 10
-TIE_TOLERANCE = 1e-7
+STRIDE = 8
+TIE_TOLERANCE = 1e-10
 CHUNK = 8192
 
 # Entries of one working array: pair factors per block of the harmonic sums,
@@ -64,7 +65,7 @@ class OptimizationResult:
     fidelity: float
     t_c: float
     b_opt: float
-    n_evaluations: int
+    n_evaluations: int            # grid and refinement times evaluated
     sector_dim: tuple[int, int]   # (configurations, count states)
 
     @property
@@ -286,8 +287,9 @@ class ProtocolScan(_Spectra):
         is even in t, so ``F'(0) = 0``; at ``t = 0`` a bounded interval
         takes the end of larger ``F''(0)``, the end that wins as ``t ->
         0+``.  At kinks, ``t = 0`` in an unbounded interval (where ``base +
-        2cs |gbar|`` rises like ``|t|``) and aligned times with ``g = 0``,
-        the second is nan and the first is one-sided towards larger t."""
+        2cs |gbar|`` rises like ``|t|``) and aligned times with ``|g|``
+        below the smallest normal float (0 in effect), the second is nan
+        and the first is one-sided towards larger t."""
         base, gbar = (part[0].reshape(-1, 3).T
                       for part in self.stacked_components(t, order=2))
         self.n_eval += len(t)
@@ -297,17 +299,17 @@ class ProtocolScan(_Spectra):
             # F''(0) at each end, less its field-free part, picks the end.
             lo, hi = (e * (2.0 * g1.imag - e * g.real) for e in (b_lo, b_hi))
             b = np.where((t == 0.0) & (hi > lo), b_hi, b)
-        norm, b = np.abs(g), np.where(held, b, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # gbar and its derivatives turned by e^{-iBt}: conj(g)/|g| at the
-            # aligned field, whose B terms vanish there (B is set to 0) and
-            # whose envelope bends by a further Im(q1)^2/|g|.
-            h, q1, q2 = gbar * np.where(held, np.exp(-1j * (t * b)),
-                                        np.conj(g) / norm)
-            bend = np.where(held, 2.0 * b * q1.imag - b * b * h.real,
-                            q1.imag ** 2 / norm)
+        tiny = np.abs(g) < np.finfo(float).tiny   # where 1/|g| overflows
+        norm, b = np.where(tiny, 1.0, np.abs(g)), np.where(held, b, 0.0)
+        # gbar and its derivatives turned by e^{-iBt}: conj(g)/|g| at the
+        # aligned field, whose B terms vanish there (B is set to 0) and whose
+        # envelope bends by a further Im(q1)^2/|g|.
+        h, q1, q2 = gbar * np.where(held, np.exp(-1j * (t * b)),
+                                    np.conj(g) / norm)
+        bend = np.where(held, 2.0 * b * q1.imag - b * b * h.real,
+                        q1.imag ** 2 / norm)
         cs2 = 2.0 * self._readout.cs
-        kink = ((t == 0.0) & (b_hi == math.inf)) | (~held & (norm == 0.0))
+        kink = ((t == 0.0) & (b_hi == math.inf)) | (~held & tiny)
         d1 = base[1] + cs2 * np.where(kink, abs(g1), q1.real + b * h.imag)
         d2 = np.where(kink, math.nan, base[2] + cs2 * (q2.real + bend))
         return value, np.where(t == 0.0, 0.0, d1), d2
@@ -351,9 +353,9 @@ def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return best_t, best_f
 
 
-def _peak_indices(values: np.ndarray) -> list[int]:
-    """Indices of the ``PEAKS`` best scan values more than two points apart,
-    best first.
+def _peak_indices(indices: np.ndarray, values: np.ndarray) -> list[int]:
+    """Grid indices of the ``PEAKS`` best values at the increasing grid
+    ``indices`` more than two points apart, best first.
 
     Only the ``5 PEAKS + 1`` largest values are sorted.  That is exact:
     every index the walk visits lies within two points of a chosen one, so
@@ -363,8 +365,8 @@ def _peak_indices(values: np.ndarray) -> list[int]:
     best = np.argpartition(values, -top)[-top:]
     # The sort is not stable, so the first maximum goes first: a flat
     # landscape then refines its smallest time.
-    chosen = [int(np.argmax(values))]
-    for idx in best[np.argsort(values[best])[::-1]]:
+    chosen = [int(indices[np.argmax(values)])]
+    for idx in indices[best[np.argsort(values[best])[::-1]]]:
         if len(chosen) >= PEAKS:
             break
         if all(abs(int(idx) - c) > 2 for c in chosen):
@@ -379,12 +381,19 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
     """Maximize the mean clone fidelity over time and a field interval.
 
     The field is maximized in closed form at every time (see
-    :meth:`ProtocolScan.field_optimum`), so only time is searched: a dense
-    scan of ``t_points`` times over ``t_range``, then lockstep safeguarded
+    :meth:`ProtocolScan.field_optimum`), so only time is searched: a scan
+    of ``t_points`` times over ``t_range``, then lockstep safeguarded
     Newton refinement (:func:`_newton_refine`) within one spacing of the
     ``PEAKS`` best scan points more than two points apart.  A fixed field
     ``B`` is the interval ``(B, B)``.  Refined maxima within
     ``TIE_TOLERANCE`` resolve to the smallest time.
+
+    The scan evaluates every ``STRIDE``-th time first.  The maximum moves at
+    most at ``L``, the sum of ``|c omega|`` over its harmonics (``gbar``'s
+    turned at ``|B| <= max(|b_lo|, |b_hi|)``, or 0 if ``b_hi`` is infinite),
+    so the other times go only where ``(M_a + M_b + L H) / 2`` between
+    coarse values reaches the ``5 PEAKS + 1``-th largest one, and into the
+    first (it jumps at 0) and last intervals: the peaks are the dense scan's.
     """
     t_lo, t_hi = t_range
     b_lo, b_hi = field
@@ -394,14 +403,30 @@ def optimize(net: SpinNetwork, anisotropy: float, theta: float,
         raise ValueError("time range needs finite 0 <= t_lo < t_hi")
     _check_field_interval(b_lo, b_hi)
     scan = ProtocolScan(net, anisotropy, theta)
-    t_values = np.linspace(t_lo, t_hi, t_points)
-    values = np.empty(t_points)
-    for lo in range(0, t_points, CHUNK):
-        values[lo:lo + CHUNK] = scan.field_maximum(t_values[lo:lo + CHUNK],
-                                                   b_lo, b_hi, grid=True)
-
     spacing = (t_hi - t_lo) / (t_points - 1)
-    centers = t_values[_peak_indices(values)]
+    starts = np.arange(0, t_points, STRIDE)
+    coarse_t, steps = starts * spacing + t_lo, np.arange(1, STRIDE) * spacing
+    coarse = np.concatenate([
+        scan.field_maximum(coarse_t[lo:lo + CHUNK], b_lo, b_hi, grid=True)
+        for lo in range(0, len(starts), CHUNK)])
+    c, w, k = abs(scan._coeffs[0]), abs(scan._omega[0]), scan._split
+    slope = c[:k] @ w[:k] + 2.0 * abs(scan._readout.cs) * (c[k:] @ (w[k:] + (
+        max(abs(b_lo), abs(b_hi)) if b_hi < math.inf else 0.0)))
+    floor = (np.partition(coarse, -5 * PEAKS - 1)[-5 * PEAKS - 1]
+             if len(coarse) > 5 * PEAKS else -math.inf) - TIE_TOLERANCE
+    reach = coarse[:-1] + coarse[1:] + slope * (STRIDE * spacing) - 2 * floor
+    fill = (starts == 0) | np.append(reach >= 0.0, starts[-1] < t_points - 1)
+    fine_indices = (starts[fill, None] + np.arange(1, STRIDE)).ravel()
+    count = int(np.searchsorted(fine_indices, t_points))
+    base, gbar = scan.stacked_components(coarse_t[fill], steps)
+    fine = scan._choose_field((coarse_t[fill, None] + steps).ravel()[:count],
+                              base[0, :count], gbar[0, :count], b_lo, b_hi)[0]
+    scan.n_eval += count
+    indices = np.concatenate([starts, fine_indices[:count]])
+    order = np.argsort(indices, kind="stable")   # merges two sorted runs
+    peaks = np.array(_peak_indices(
+        indices[order], np.concatenate([coarse, fine])[order]))
+    centers = np.where(peaks == t_points - 1, t_hi, peaks * spacing + t_lo)
     times, maxima = _newton_refine(
         lambda t: scan._time_derivatives(t, b_lo, b_hi), centers,
         np.maximum(t_lo, centers - spacing),

@@ -7,7 +7,9 @@ package's sector-restricted implementation, with two exceptions:
 it checks the chunked trajectory kernel bit for bit, and
 ``full_space_circuit`` exponentiates its Liouvillians with
 ``noise._propagator`` (``_expm`` itself is pinned against
-``scipy.linalg.expm`` in ``test_noise``).  The seeded-draw oracles call
+``scipy.linalg.expm`` in ``test_noise``).  ``dense_optimize`` is the
+optimizer's own dense scan, evaluator and refinement, the oracle for the
+grid times that its coarse-to-fine scan skips.  The seeded-draw oracles call
 numpy's own ``SeedSequence`` and ``default_rng``, one seed at a time.
 """
 import math
@@ -16,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from spinclone import search
 from spinclone.dynamics import OutputReadout, count_input
-from spinclone.hamiltonian import assemble_blocks
+from spinclone.hamiltonian import assemble_blocks, sector_dimension
 from spinclone.noise import _expm, _propagator, pcc_circuit_schedule
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -386,12 +389,14 @@ def synthesized_components(net, basis, couplings, theta, phi, t_rows,
                 amps[:, readout.lower] * np.conj(amps[:, readout.upper]))))
 
 
-def peak_indices_argsort(values, peaks):
-    """The scan's peak choice by a full ``argsort``: the first maximum, then
-    the best points more than two indices from every chosen one, until
-    ``peaks`` are chosen."""
-    chosen = [int(np.argmax(values))]
-    for idx in np.argsort(values)[::-1]:
+def peak_indices_argsort(values, peaks, indices=None):
+    """The scan's peak choice by a full ``argsort`` of the values at the
+    increasing grid ``indices`` (every index by default): the first
+    maximum, then the best points more than two grid indices from every
+    chosen one, until ``peaks`` are chosen."""
+    indices = np.arange(len(values)) if indices is None else indices
+    chosen = [int(indices[np.argmax(values)])]
+    for idx in indices[np.argsort(values)[::-1]]:
         if len(chosen) >= peaks:
             break
         if all(abs(int(idx) - c) > 2 for c in chosen):
@@ -412,3 +417,32 @@ def numpy_coupling_factors(epsilon, seeds, n_edges):
 def numpy_generate_state(seed, n_words):
     """``SeedSequence(seed).generate_state(n_words)``: 32-bit words."""
     return np.random.SeedSequence(seed).generate_state(n_words)
+
+
+def dense_optimize(net, anisotropy, theta, t_range, t_points,
+                   field=(0.0, math.inf)):
+    """``search.optimize`` as a dense scan: the field maximum at every one
+    of the ``t_points`` grid times, in batches of ``search.CHUNK``, then the
+    package's own peak choice and Newton refinement.  The oracle for the
+    coarse-to-fine scan, which must pick the same peaks."""
+    t_lo, t_hi = t_range
+    b_lo, b_hi = field
+    scan = search.ProtocolScan(net, anisotropy, theta)
+    t_values = np.linspace(t_lo, t_hi, t_points)
+    values = np.concatenate([
+        scan.field_maximum(t_values[lo:lo + search.CHUNK], b_lo, b_hi,
+                           grid=True)
+        for lo in range(0, t_points, search.CHUNK)])
+    spacing = (t_hi - t_lo) / (t_points - 1)
+    centers = t_values[search._peak_indices(np.arange(t_points), values)]
+    times, maxima = search._newton_refine(
+        lambda t: scan._time_derivatives(t, b_lo, b_hi), centers,
+        np.maximum(t_lo, centers - spacing),
+        np.minimum(t_hi, centers + spacing))
+    best_t = times[maxima >= maxima.max() - search.TIE_TOLERANCE].min()
+    best, fields = scan.field_optimum([best_t], b_lo, b_hi)
+    return search.OptimizationResult(
+        fidelity=float(best[0]), t_c=float(best_t), b_opt=float(fields[0]),
+        n_evaluations=scan.n_eval,
+        sector_dim=(sector_dimension([1] * net.n_sites, scan.basis.weights),
+                    scan.dim))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
@@ -21,8 +21,9 @@ from spinclone.hamiltonian import (assemble_blocks, count_basis,
                                    sector_basis, sector_dimension)
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
-from reference import (configuration_words, golden_max, orbit_isometry,
-                       peak_indices_argsort, synthesized_components)
+from reference import (configuration_words, dense_optimize, golden_max,
+                       orbit_isometry, peak_indices_argsort,
+                       synthesized_components)
 from strategies import small_networks, twinned_networks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -483,10 +484,11 @@ def test_dense_scan_allocates_only_its_results():
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(2, 400), seed=st.integers(0, 2 ** 32 - 1),
-       smooth=st.booleans())
-def test_top_k_peak_choice_matches_full_sort(n, seed, smooth):
+       smooth=st.booleans(), gaps=st.booleans())
+def test_top_k_peak_choice_matches_full_sort(n, seed, smooth, gaps):
     # Distinct values, either shuffled or a smooth many-peaked landscape
-    # whose best points crowd into neighbouring windows.
+    # whose best points crowd into neighbouring windows, at every grid index
+    # or, as a coarse-to-fine scan leaves them, with gaps of 1 to 3 indices.
     rng = np.random.default_rng(seed)
     if smooth:
         x = np.linspace(0.0, 1.0, n)
@@ -494,8 +496,9 @@ def test_top_k_peak_choice_matches_full_sort(n, seed, smooth):
     else:
         values = rng.permutation(n).astype(float)
     assume(len(np.unique(values)) == n)
-    assert search._peak_indices(values) == peak_indices_argsort(
-        values, search.PEAKS)
+    indices = (np.cumsum(rng.integers(1, 4, n)) if gaps else np.arange(n))
+    assert search._peak_indices(indices, values) == peak_indices_argsort(
+        values, search.PEAKS, indices)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5 * search.PEAKS, 5 * search.PEAKS + 1,
@@ -503,7 +506,7 @@ def test_top_k_peak_choice_matches_full_sort(n, seed, smooth):
 def test_top_k_peak_choice_on_short_scans(n):
     # Up to and past 5 PEAKS + 1 points, where every value is sorted.
     values = np.random.default_rng(n).random(n)
-    assert search._peak_indices(values) == peak_indices_argsort(
+    assert search._peak_indices(np.arange(n), values) == peak_indices_argsort(
         values, search.PEAKS)
 
 
@@ -569,6 +572,17 @@ def test_optimize_lands_on_exact_tree_optimum(branching, levels, t_c, b_opt):
     assert abs(result.b_opt - b_opt) <= 1e-12
 
 
+# Two cases where a tie tolerance of 1e-7 chose the earlier of two refined
+# maxima, 2.9e-8 and 9.4e-8 below the best scan value.
+SHALLOW_TIES = [
+    dict(net=from_edge_list(2, [(0, 1, 0.5)], [0], [1]), anisotropy=0.5,
+         theta=0.015625, t_lo=0.0, length=1.0, t_points=4, b_lo=0.0,
+         kind="fixed", width=0.0),
+    dict(net=from_edge_list(3, [(0, 1, 0.25), (0, 2, 0.25)], [1], [0, 2]),
+         anisotropy=0.0, theta=1.0, t_lo=0.0, length=18.0, t_points=76,
+         b_lo=0.0, kind="bounded", width=1.0)]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
        theta=st.floats(0.0, math.pi), t_lo=st.floats(0.0, 10.0),
@@ -576,6 +590,8 @@ def test_optimize_lands_on_exact_tree_optimum(branching, levels, t_c, b_opt):
        b_lo=st.floats(-2.0, 2.0),
        kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
        width=st.floats(0.0, 3.0))
+@example(**SHALLOW_TIES[0])
+@example(**SHALLOW_TIES[1])
 def test_optimize_beats_its_dense_scan(net, anisotropy, theta, t_lo, length,
                                        t_points, b_lo, kind, width):
     # Refinement never loses what the scan found: the grid phases round
@@ -591,24 +607,88 @@ def test_optimize_beats_its_dense_scan(net, anisotropy, theta, t_lo, length,
     assert t_range[0] <= result.t_c <= t_range[1]
 
 
-def test_refinement_takes_few_evaluations():
-    # Past the dense scan, every table1 row and tree case spends at most 5
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), t_lo=st.floats(0.0, 10.0),
+       length=st.floats(0.5, 3000.0), t_points=st.integers(2, 3000),
+       b_lo=st.floats(-2.0, 2.0),
+       kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
+       width=st.floats(0.0, 3.0))
+def test_optimize_matches_its_dense_scan(net, anisotropy, theta, t_lo,
+                                         length, t_points, b_lo, kind, width):
+    # The coarse-to-fine scan evaluates every grid time that could be among
+    # the 5 PEAKS + 1 best, so it refines the dense scan's peaks to the same
+    # bits, and never evaluates more grid times than the dense scan.  Long
+    # ranges put several oscillations between coarse times, where only a
+    # sound slope bound finds the best grid times.
+    field = (b_lo, {"fixed": b_lo, "bounded": b_lo + width,
+                    "unbounded": math.inf}[kind])
+    t_range = (t_lo, t_lo + length)
+    result = optimize(net, anisotropy, theta, t_range, t_points, field=field)
+    dense = dense_optimize(net, anisotropy, theta, t_range, t_points, field)
+    assert (result.t_c, result.fidelity, result.b_opt, result.sector_dim) == (
+        dense.t_c, dense.fidelity, dense.b_opt, dense.sector_dim)
+    assert result.n_evaluations <= dense.n_evaluations
+
+
+def scanned_counts(monkeypatch) -> list[int]:
+    """The number of scan values each later ``optimize`` call picks its
+    peaks from: the grid times its scan evaluated."""
+    counts = []
+    pick = search._peak_indices
+
+    def counting(indices, values):
+        counts.append(len(values))
+        return pick(indices, values)
+
+    monkeypatch.setattr(search, "_peak_indices", counting)
+    return counts
+
+
+def table1_rows() -> list:
+    return cli.cmd_table1(argparse.Namespace(
+        t_points=cli.COMMANDS["table1"][2]))[0]["table1"][1]
+
+
+def test_refinement_takes_few_evaluations(monkeypatch):
+    # Past the scan, every table1 row and tree case spends at most 5
     # evaluations per peak and one for the reported point; golden section
     # spent 42 per peak.  So does a peak at t = 0, which bisection closed in
     # 30 rounds before F''(0) was known.
-    _, rows = cli.cmd_table1(argparse.Namespace(
-        t_points=cli.COMMANDS["table1"][2]))[0]["table1"]
-    assert len(rows) == 7
-    for row in rows:
-        assert row[12] - cli.COMMANDS["table1"][2] <= 5 * search.PEAKS + 1
+    scanned = scanned_counts(monkeypatch)
+    rows = table1_rows()
+    assert len(rows) == len(scanned) == 7
+    for row, count in zip(rows, scanned):
+        assert row[12] - count <= 5 * search.PEAKS + 1
     t_points = cli.COMMANDS["tree"][2]
     for branching, levels in cli.TREE_CASES:
         result = optimize(tree(branching, levels), 0.0, EQUATOR, (0.0, 50.0),
                           t_points)
-        assert result.n_evaluations - t_points <= 5 * search.PEAKS + 1
+        assert result.n_evaluations - scanned[-1] <= 5 * search.PEAKS + 1
     result = optimize(star(3), 0.0, 1.1, (0.0, 10.0), 600, field=(0.0, 0.0))
     assert result.t_c == 0.0
-    assert result.n_evaluations - 600 <= 5 * search.PEAKS + 1
+    assert result.n_evaluations - scanned[-1] <= 5 * search.PEAKS + 1
+
+
+def test_table1_scans_a_quarter_of_its_grid():
+    # The slope bound skips three in four of each row's 150001 grid times,
+    # and n_eval counts only the times evaluated, refinement included.
+    rows = table1_rows()
+    assert len(rows) == 7
+    for row in rows:
+        assert row[12] <= cli.COMMANDS["table1"][2] / 4
+
+
+def test_refinement_at_subnormal_time_stays_finite():
+    # At t = 2.2e-313 the coherence sum is subnormal and 1/|g| overflowed,
+    # a RuntimeWarning; it is now a kink, as at g = 0.
+    net = from_edge_list(2, [(0, 1, 1.0)], [0], [1])
+    result = optimize(net, 0.0, 1.0, (2.2250738585e-313, 1.0), 2,
+                      field=(0.0, 0.0))
+    dense = dense_optimize(net, 0.0, 1.0, (2.2250738585e-313, 1.0), 2,
+                           (0.0, 0.0))
+    assert math.isfinite(result.fidelity) and 0.0 < result.t_c <= 1.0
+    assert (result.t_c, result.fidelity) == (dense.t_c, dense.fidelity)
 
 
 @pytest.mark.parametrize("t_hi", [6e5, 1e7, 1e12])
