@@ -149,10 +149,10 @@ def cmd_table1(args) -> tuple:
         # --t-points over J t in [0, 3000].
         min_field = (1.0 / 60.0 if ref.n_inputs + ref.n_outputs == 9
                      else 1.0 / 100.0)
-        result = optimize(net, 0.0, math.pi / 2, t_range=(0.0, 3000.0),
-                          t_points=args.t_points, field=(min_field, math.inf))
-        at_ref = ProtocolScan(net, 0.0, math.pi / 2).mean_fidelity(
-            ref.jt_c, 1.0 / ref.j_over_b)
+        scan = ProtocolScan(net, 0.0, math.pi / 2)
+        result = scan.optimize((0.0, 3000.0), args.t_points,
+                               field=(min_field, math.inf))
+        at_ref = scan.mean_fidelity(ref.jt_c, 1.0 / ref.j_over_b)
         name = f"bipartite_{ref.n_inputs}_{ref.n_outputs}"
         params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
         networks[name] = net

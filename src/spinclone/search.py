@@ -20,8 +20,8 @@ grid takes its phases ``e^{-iEt}`` as products of row and column phases,
 about ``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, so each
 harmonic is a row factor times a column factor and each component one
 small matrix product; a batch of arbitrary times is its one-column case.
-The peaks are picked from the ``5 PEAKS + 1`` largest scan values alone,
-which is exact (see :func:`_peak_indices`).
+The peaks are picked from the two unmerged passes, ordering only the values
+down to the ``5 PEAKS + 1``-th largest, which is exact (:func:`_peak_indices`).
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -238,14 +238,10 @@ class ProtocolScan(_Spectra):
 
     def field_maximum(self, t_values, b_lo: float, b_hi: float,
                       grid: bool = False) -> np.ndarray:
-        """The values of :meth:`field_optimum`.  An interval unbounded above
-        reaches ``base + 2cs |gbar|`` at every ``t > 0``, needing no field."""
+        """The values of :meth:`field_optimum` (see :meth:`_maximum`)."""
         _check_field_interval(b_lo, b_hi)
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
-        if b_hi < math.inf or (t <= 0.0).any():
-            return self.field_optimum(t, b_lo, b_hi, grid)[0]
-        base, gbar = self.components(t, grid)
-        return base + 2.0 * self._readout.cs * np.abs(gbar)
+        return self._maximum(t, *self.components(t, grid), b_lo, b_hi)
 
     def field_optimum(self, t_values, b_lo: float, b_hi: float,
                       grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -260,6 +256,18 @@ class ProtocolScan(_Spectra):
         _check_field_interval(b_lo, b_hi)
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
         return self._choose_field(t, *self.components(t, grid), b_lo, b_hi)[:2]
+
+    def _maximum(self, t, base, gbar, b_lo: float, b_hi: float):
+        """The values of :meth:`_choose_field`: ``base + 2cs |gbar|`` in an
+        interval unbounded above wherever the period ``2 pi / |t|`` is finite
+        (every ``t > 0`` but the smallest), which needs no field."""
+        best = base + 2.0 * self._readout.cs * np.abs(gbar)
+        with np.errstate(divide="ignore", over="ignore"):
+            off = (b_hi < math.inf) | ~(2.0 * math.pi / np.abs(t) < math.inf)
+        if off.any():
+            best[off] = self._choose_field(t[off], base[off], gbar[off],
+                                           b_lo, b_hi)[0]
+        return best
 
     def _choose_field(self, t, base, gbar, b_lo: float, b_hi: float):
         """:meth:`field_optimum` from the components at the times ``t``,
@@ -314,6 +322,67 @@ class ProtocolScan(_Spectra):
         d2 = np.where(kink, math.nan, base[2] + cs2 * (q2.real + bend))
         return value, np.where(t == 0.0, 0.0, d1), d2
 
+    def optimize(self, t_range: tuple[float, float], t_points: int,
+                 field: tuple[float, float] = (0.0, math.inf)
+                 ) -> OptimizationResult:
+        """Maximize the mean clone fidelity over time and a field interval,
+        in closed form in the field (:meth:`field_optimum`; a fixed field
+        ``B`` is the interval ``(B, B)``): a scan of ``t_points`` times over
+        ``t_range``, then lockstep safeguarded Newton refinement
+        (:func:`_newton_refine`) within one spacing of the scan's
+        :func:`_peak_indices`.  Refined maxima within ``TIE_TOLERANCE``
+        resolve to the smallest time.
+
+        The scan evaluates every ``STRIDE``-th time first.  The maximum moves
+        at most at ``L``, the sum of ``|c omega|`` over its harmonics
+        (``gbar``'s turned at ``|B| <= max(|b_lo|, |b_hi|)``, or 0 if ``b_hi``
+        is infinite), so the other times go only where ``(M_a + M_b + L H) /
+        2`` between coarse values reaches the ``5 PEAKS + 1``-th largest one,
+        and into the first (it jumps at 0) and last intervals: the peaks are
+        the dense scan's.  ``n_evaluations`` counts this call's times.
+        """
+        t_lo, t_hi = t_range
+        b_lo, b_hi = field
+        if t_points < 2:
+            raise ValueError("need at least two time points")
+        if not 0.0 <= t_lo < t_hi < math.inf:
+            raise ValueError("time range needs finite 0 <= t_lo < t_hi")
+        _check_field_interval(b_lo, b_hi)
+        n_before = self.n_eval
+        dt = (t_hi - t_lo) / (t_points - 1)
+        starts = np.arange(0, t_points, STRIDE)
+        coarse_t, steps = starts * dt + t_lo, np.arange(1, STRIDE) * dt
+        coarse = np.concatenate([
+            self.field_maximum(coarse_t[lo:lo + CHUNK], b_lo, b_hi, grid=True)
+            for lo in range(0, len(starts), CHUNK)])
+        c, w, k = abs(self._coeffs[0]), abs(self._omega[0]), self._split
+        slope = c[:k] @ w[:k] + 2.0 * abs(self._readout.cs) * (c[k:] @ (
+            w[k:] + (max(abs(b_lo), abs(b_hi)) if b_hi < math.inf else 0.0)))
+        floor = (np.partition(coarse, -5 * PEAKS - 1)[-5 * PEAKS - 1]
+                 if len(coarse) > 5 * PEAKS else -math.inf) - TIE_TOLERANCE
+        reach = coarse[:-1] + coarse[1:] + slope * (STRIDE * dt) - 2 * floor
+        fill = (starts == 0) | np.append(reach >= 0.0,
+                                         starts[-1] < t_points - 1)
+        fine_indices = (starts[fill, None] + np.arange(1, STRIDE)).ravel()
+        count = int(np.searchsorted(fine_indices, t_points))
+        base, gbar = self.stacked_components(coarse_t[fill], steps)
+        fine = self._maximum((coarse_t[fill, None] + steps).ravel()[:count],
+                             base[0, :count], gbar[0, :count], b_lo, b_hi)
+        self.n_eval += count
+        peaks = np.array(_peak_indices(np.append(starts, fine_indices[:count]),
+                                       np.append(coarse, fine)))
+        centers = np.where(peaks == t_points - 1, t_hi, peaks * dt + t_lo)
+        times, maxima = _newton_refine(
+            lambda t: self._time_derivatives(t, b_lo, b_hi), centers,
+            np.maximum(t_lo, centers - dt), np.minimum(t_hi, centers + dt))
+        best_t = times[maxima >= maxima.max() - TIE_TOLERANCE].min()
+        best, fields = self.field_optimum([best_t], b_lo, b_hi)
+        return OptimizationResult(
+            fidelity=float(best[0]), t_c=float(best_t), b_opt=float(fields[0]),
+            n_evaluations=self.n_eval - n_before,
+            sector_dim=(sector_dimension([1] * len(self.basis.classes),
+                                         self.basis.weights), self.dim))
+
 
 def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Safeguarded Newton maximization on every bracket ``[lo[k], hi[k]]``
@@ -354,19 +423,18 @@ def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _peak_indices(indices: np.ndarray, values: np.ndarray) -> list[int]:
-    """Grid indices of the ``PEAKS`` best values at the increasing grid
-    ``indices`` more than two points apart, best first.
-
-    Only the ``5 PEAKS + 1`` largest values are sorted.  That is exact:
-    every index the walk visits lies within two points of a chosen one, so
-    before it has ``PEAKS`` points it has visited at most ``5 PEAKS``.
+    """Grid indices of the ``PEAKS`` best values at the grid ``indices``
+    (in any order) more than two points apart, best first, the smaller
+    index first among equal values (a flat landscape refines its smallest
+    time).  Only the values down to the ``5 PEAKS + 1``-th largest are
+    ordered, which is exact: every index the walk visits lies within two
+    points of a chosen one, so it has visited at most ``5 PEAKS`` before it
+    holds ``PEAKS``.
     """
     top = min(5 * PEAKS + 1, len(values))
-    best = np.argpartition(values, -top)[-top:]
-    # The sort is not stable, so the first maximum goes first: a flat
-    # landscape then refines its smallest time.
-    chosen = [int(indices[np.argmax(values)])]
-    for idx in indices[best[np.argsort(values[best])[::-1]]]:
+    keep = np.nonzero(values >= np.partition(values, -top)[-top])[0]
+    chosen = []
+    for idx in indices[keep[np.lexsort((indices[keep], -values[keep]))]]:
         if len(chosen) >= PEAKS:
             break
         if all(abs(int(idx) - c) > 2 for c in chosen):
@@ -376,68 +444,10 @@ def _peak_indices(indices: np.ndarray, values: np.ndarray) -> list[int]:
 
 def optimize(net: SpinNetwork, anisotropy: float, theta: float,
              t_range: tuple[float, float], t_points: int,
-             field: tuple[float, float] = (0.0, math.inf)
-             ) -> OptimizationResult:
-    """Maximize the mean clone fidelity over time and a field interval.
-
-    The field is maximized in closed form at every time (see
-    :meth:`ProtocolScan.field_optimum`), so only time is searched: a scan
-    of ``t_points`` times over ``t_range``, then lockstep safeguarded
-    Newton refinement (:func:`_newton_refine`) within one spacing of the
-    ``PEAKS`` best scan points more than two points apart.  A fixed field
-    ``B`` is the interval ``(B, B)``.  Refined maxima within
-    ``TIE_TOLERANCE`` resolve to the smallest time.
-
-    The scan evaluates every ``STRIDE``-th time first.  The maximum moves at
-    most at ``L``, the sum of ``|c omega|`` over its harmonics (``gbar``'s
-    turned at ``|B| <= max(|b_lo|, |b_hi|)``, or 0 if ``b_hi`` is infinite),
-    so the other times go only where ``(M_a + M_b + L H) / 2`` between
-    coarse values reaches the ``5 PEAKS + 1``-th largest one, and into the
-    first (it jumps at 0) and last intervals: the peaks are the dense scan's.
-    """
-    t_lo, t_hi = t_range
-    b_lo, b_hi = field
-    if t_points < 2:
-        raise ValueError("need at least two time points")
-    if not 0.0 <= t_lo < t_hi < math.inf:
-        raise ValueError("time range needs finite 0 <= t_lo < t_hi")
-    _check_field_interval(b_lo, b_hi)
+             field=(0.0, math.inf)) -> OptimizationResult:
+    """:meth:`ProtocolScan.optimize` on the scan of ``net``."""
     scan = ProtocolScan(net, anisotropy, theta)
-    spacing = (t_hi - t_lo) / (t_points - 1)
-    starts = np.arange(0, t_points, STRIDE)
-    coarse_t, steps = starts * spacing + t_lo, np.arange(1, STRIDE) * spacing
-    coarse = np.concatenate([
-        scan.field_maximum(coarse_t[lo:lo + CHUNK], b_lo, b_hi, grid=True)
-        for lo in range(0, len(starts), CHUNK)])
-    c, w, k = abs(scan._coeffs[0]), abs(scan._omega[0]), scan._split
-    slope = c[:k] @ w[:k] + 2.0 * abs(scan._readout.cs) * (c[k:] @ (w[k:] + (
-        max(abs(b_lo), abs(b_hi)) if b_hi < math.inf else 0.0)))
-    floor = (np.partition(coarse, -5 * PEAKS - 1)[-5 * PEAKS - 1]
-             if len(coarse) > 5 * PEAKS else -math.inf) - TIE_TOLERANCE
-    reach = coarse[:-1] + coarse[1:] + slope * (STRIDE * spacing) - 2 * floor
-    fill = (starts == 0) | np.append(reach >= 0.0, starts[-1] < t_points - 1)
-    fine_indices = (starts[fill, None] + np.arange(1, STRIDE)).ravel()
-    count = int(np.searchsorted(fine_indices, t_points))
-    base, gbar = scan.stacked_components(coarse_t[fill], steps)
-    fine = scan._choose_field((coarse_t[fill, None] + steps).ravel()[:count],
-                              base[0, :count], gbar[0, :count], b_lo, b_hi)[0]
-    scan.n_eval += count
-    indices = np.concatenate([starts, fine_indices[:count]])
-    order = np.argsort(indices, kind="stable")   # merges two sorted runs
-    peaks = np.array(_peak_indices(
-        indices[order], np.concatenate([coarse, fine])[order]))
-    centers = np.where(peaks == t_points - 1, t_hi, peaks * spacing + t_lo)
-    times, maxima = _newton_refine(
-        lambda t: scan._time_derivatives(t, b_lo, b_hi), centers,
-        np.maximum(t_lo, centers - spacing),
-        np.minimum(t_hi, centers + spacing))
-    best_t = times[maxima >= maxima.max() - TIE_TOLERANCE].min()
-    best, fields = scan.field_optimum([best_t], b_lo, b_hi)
-    return OptimizationResult(
-        fidelity=float(best[0]), t_c=float(best_t), b_opt=float(fields[0]),
-        n_evaluations=scan.n_eval,
-        sector_dim=(sector_dimension([1] * net.n_sites, scan.basis.weights),
-                    scan.dim))
+    return scan.optimize(t_range, t_points, field)
 
 
 def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,

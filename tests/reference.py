@@ -390,13 +390,13 @@ def synthesized_components(net, basis, couplings, theta, phi, t_rows,
 
 
 def peak_indices_argsort(values, peaks, indices=None):
-    """The scan's peak choice by a full ``argsort`` of the values at the
-    increasing grid ``indices`` (every index by default): the first
-    maximum, then the best points more than two grid indices from every
-    chosen one, until ``peaks`` are chosen."""
+    """The scan's peak choice by a full sort of the values at the grid
+    ``indices`` (every index by default, in any order): the best points,
+    of equal values the smaller index first, more than two grid indices
+    from every chosen one, until ``peaks`` are chosen."""
     indices = np.arange(len(values)) if indices is None else indices
-    chosen = [int(indices[np.argmax(values)])]
-    for idx in indices[np.argsort(values)[::-1]]:
+    chosen = []
+    for idx in indices[np.lexsort((indices, -values))]:
         if len(chosen) >= peaks:
             break
         if all(abs(int(idx) - c) > 2 for c in chosen):

@@ -501,6 +501,34 @@ def test_top_k_peak_choice_matches_full_sort(n, seed, smooth, gaps):
         values, search.PEAKS, indices)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 400), levels=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1), gaps=st.booleans())
+def test_peak_choice_ignores_order_and_ties_to_smaller_index(n, levels, seed,
+                                                            gaps):
+    # A few levels tie on purpose, at the cut of the 5 PEAKS + 1 largest
+    # too.  The choice depends on the (index, value) pairs alone, not on
+    # their order, and each peak is the smallest index of the best value
+    # more than two points from the peaks before it.
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, levels, n).astype(float)
+    indices = (np.cumsum(rng.integers(1, 4, n)) if gaps else np.arange(n))
+    chosen = search._peak_indices(indices, values)
+    shuffle = rng.permutation(n)
+    assert search._peak_indices(indices[shuffle], values[shuffle]) == chosen
+    assert chosen == peak_indices_argsort(values[shuffle], search.PEAKS,
+                                          indices[shuffle])
+    for k in range(len(chosen) + 1):
+        free = [j for j in range(n)
+                if all(abs(indices[j] - c) > 2 for c in chosen[:k])]
+        if k == len(chosen):
+            assert k == search.PEAKS or not free
+        else:
+            best = max(values[j] for j in free)
+            assert chosen[k] == min(indices[j] for j in free
+                                    if values[j] == best)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5 * search.PEAKS, 5 * search.PEAKS + 1,
                                5 * search.PEAKS + 2])
 def test_top_k_peak_choice_on_short_scans(n):
@@ -508,6 +536,31 @@ def test_top_k_peak_choice_on_short_scans(n):
     values = np.random.default_rng(n).random(n)
     assert search._peak_indices(np.arange(n), values) == peak_indices_argsort(
         values, search.PEAKS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi),
+       times=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+                      min_size=1, max_size=8),
+       length=st.floats(0.0, 30.0), n=st.integers(1, 40),
+       b_lo=st.floats(-2.0, 2.0))
+@example(net=star(2), anisotropy=0.0, theta=1.1,
+         times=[0.0, 5e-324, 1e-310, 3e-308, 4e-308, 1e-300, 1.0],
+         length=10.0, n=7, b_lo=0.5)
+def test_unbounded_field_maximum_is_the_field_choice(net, anisotropy, theta,
+                                                     times, length, n, b_lo):
+    # Without an upper bound, base + 2cs |gbar| stands wherever the aligned
+    # field exists; t = 0 and the smallest times, whose period 2 pi / t
+    # overflows, compare endpoints.  Either way, in batches mixing them, on
+    # a grid or not, the values are field_optimum's to the bit.
+    scan = ProtocolScan(net, anisotropy, theta)
+    for batch, grid in ((np.array(times), False),
+                        (np.linspace(0.0, length, n), True),
+                        (np.linspace(times[-1], times[-1] + length, n), True)):
+        assert np.array_equal(
+            scan.field_maximum(batch, b_lo, math.inf, grid=grid),
+            scan.field_optimum(batch, b_lo, math.inf, grid=grid)[0])
 
 
 @pytest.mark.parametrize("method", ["field_optimum", "field_maximum"])
@@ -545,6 +598,16 @@ def test_field_maximum_at_time_zero_ignores_the_field():
         best, fields = scan.field_optimum([0.0], b_lo, b_hi)
         assert fields[0] == b_lo
         assert abs(best[0] - scan.mean_fidelity(0.0, 0.0)) <= 1e-15
+
+
+def test_scan_optimize_counts_its_own_evaluations():
+    # The optimizer is the scan's method, and optimize builds the scan: on
+    # a scan that has evaluated before, the result is the same, n_eval too.
+    scan = ProtocolScan(star(2), 0.0, EQUATOR)
+    first = scan.optimize(**STAR_SCAN)
+    scan.mean_fidelity(1.0, 0.5)
+    assert scan.optimize(**STAR_SCAN) == first == optimize(
+        star(2), 0.0, EQUATOR, **STAR_SCAN)
 
 
 def test_optimize_xy_star_two_clones():
@@ -668,6 +731,25 @@ def test_refinement_takes_few_evaluations(monkeypatch):
     result = optimize(star(3), 0.0, 1.1, (0.0, 10.0), 600, field=(0.0, 0.0))
     assert result.t_c == 0.0
     assert result.n_evaluations - scanned[-1] <= 5 * search.PEAKS + 1
+
+
+def test_table1_builds_one_scan_per_row(monkeypatch):
+    # Each row reads its optimum and F_at_ref_point from one scan, and the
+    # column is a fresh scan's value at the published point to the bit.
+    built = []
+    init = ProtocolScan.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProtocolScan, "__init__", counting)
+    rows = table1_rows()
+    monkeypatch.undo()
+    assert len(rows) == len(built) == 7
+    for row in rows:
+        fresh = ProtocolScan(bipartite(row[0], row[1]), 0.0, EQUATOR)
+        assert row[11] == fresh.mean_fidelity(row[9], 1.0 / row[10])
 
 
 def test_table1_scans_a_quarter_of_its_grid():
