@@ -8,20 +8,20 @@ adjacent sectors, hence at fixed time the field enters as one harmonic,
 
     F(t, B) = base(t) + 2 c s |gbar(t)| cos(chi(t) - B t),
 
-with ``c = cos(theta/2)``, ``s = sin(theta/2)``, ``gbar`` the site-mean
-coherence sum and ``chi = arg(gbar)``.  Its maximum over a field interval is
-therefore known at every time, and the one optimizer, :func:`optimize`,
-searches in time only: a coarse-to-fine scan of that maximum, then Newton
-steps on its closed-form time derivatives at the best peaks, all of them
-in lockstep.  Every evaluation sums fixed Bohr-frequency harmonics
-``e^{-i(E_k - E_l)t}`` (:class:`_Spectra`), so each time derivative is the
-same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  A uniform
-grid takes its phases ``e^{-iEt}`` as products of row and column phases,
-about ``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, so each
-harmonic is a row factor times a column factor and each component one
-small matrix product; a batch of arbitrary times is its one-column case.
-The peaks are picked from the two unmerged passes, ordering only the values
-down to the ``5 PEAKS + 1``-th largest, which is exact (:func:`_peak_indices`).
+with ``c = cos(theta/2)``, ``s = sin(theta/2)`` (theta folded into [0, pi]),
+``gbar`` the site-mean coherence sum and ``chi = arg(gbar)``.  Its maximum over
+a field interval is therefore known at every time, and the one optimizer,
+:func:`optimize`, searches in time only: a coarse-to-fine scan of that maximum
+under a curvature bound, then lockstep Newton steps on its closed-form time
+derivatives at the best peaks.  Every evaluation sums fixed Bohr-frequency
+harmonics ``e^{-i(E_k - E_l)t}`` (:class:`_Spectra`), so each time derivative
+is the same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  A
+uniform grid takes its phases ``e^{-iEt}`` as products of row and column
+phases, about ``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, so
+each harmonic is a row factor times a column factor and each component one
+small matrix product; a batch of arbitrary times is its one-column case.  The
+peaks are picked from the two unmerged passes, ordering only the values down to
+the ``5 PEAKS + 1``-th largest, which is exact (:func:`_peak_indices`).
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -48,7 +48,7 @@ from .topology import (SpinNetwork, _generate_state, coupling_factors,
 # optimize scans every STRIDE-th grid time first, in batches of CHUNK, refines
 # the PEAKS best separated points and ties values within TIE_TOLERANCE.
 PEAKS = 10
-STRIDE = 8
+STRIDE = 16
 TIE_TOLERANCE = 1e-10
 CHUNK = 8192
 
@@ -201,6 +201,9 @@ class ProtocolScan(_Spectra):
     """
 
     def __init__(self, net: SpinNetwork, anisotropy: float, theta: float):
+        # F is even and 2 pi periodic in theta; cs >= 0 on [0, pi].
+        if math.isfinite(theta) and not 0.0 <= theta <= math.pi:
+            theta = math.acos(math.cos(theta))
         configured = net.with_params(anisotropy=anisotropy, field=0.0)
         basis = count_basis(tuple(twin_classes(configured).tolist()),
                             tuple(range(len(net.input_sites) + 1)))
@@ -322,6 +325,17 @@ class ProtocolScan(_Spectra):
         d2 = np.where(kink, math.nan, base[2] + cs2 * (q2.real + bend))
         return value, np.where(t == 0.0, 0.0, d1), d2
 
+    def _curvature(self, b_lo: float, b_hi: float) -> float:
+        """``K`` with ``M'' >= -K`` for the field maximum M at t > 0: ``sum |c|
+        omega^2`` over ``base``'s harmonics ``c e^{-i omega t}`` plus ``2|cs|
+        sum |c| (|omega| + B_max)^2`` over ``gbar``'s, ``B_max = max(|b_lo|,
+        |b_hi|)`` or 0 if ``b_hi = inf``, where ``|g|'' >= -|g''|`` and the
+        kinks at ``gbar = 0`` are convex (cs >= 0)."""
+        c, w, k = abs(self._coeffs[0]), abs(self._omega[0]), self._split
+        b_max = max(abs(b_lo), abs(b_hi)) if b_hi < math.inf else 0.0
+        return float(c[:k] @ w[:k] ** 2 + 2.0 * abs(self._readout.cs)
+                     * (c[k:] @ (w[k:] + b_max) ** 2))
+
     def optimize(self, t_range: tuple[float, float], t_points: int,
                  field: tuple[float, float] = (0.0, math.inf)
                  ) -> OptimizationResult:
@@ -333,13 +347,13 @@ class ProtocolScan(_Spectra):
         :func:`_peak_indices`.  Refined maxima within ``TIE_TOLERANCE``
         resolve to the smallest time.
 
-        The scan evaluates every ``STRIDE``-th time first.  The maximum moves
-        at most at ``L``, the sum of ``|c omega|`` over its harmonics
-        (``gbar``'s turned at ``|B| <= max(|b_lo|, |b_hi|)``, or 0 if ``b_hi``
-        is infinite), so the other times go only where ``(M_a + M_b + L H) /
-        2`` between coarse values reaches the ``5 PEAKS + 1``-th largest one,
-        and into the first (it jumps at 0) and last intervals: the peaks are
-        the dense scan's.  ``n_evaluations`` counts this call's times.
+        The scan evaluates every ``STRIDE``-th time first.  Between coarse
+        values ``M_a`` and ``M_b`` a time ``H`` apart the maximum stays below
+        the chord plus ``K (t - a)(b - t) / 2`` (:meth:`_curvature`), so the
+        other times go only where that parabola's maximum reaches the ``5
+        PEAKS + 1``-th largest coarse value, and into the first (M jumps at 0)
+        and last intervals: the peaks are the dense scan's.  ``n_evaluations``
+        counts this call's times.
         """
         t_lo, t_hi = t_range
         b_lo, b_hi = field
@@ -355,13 +369,14 @@ class ProtocolScan(_Spectra):
         coarse = np.concatenate([
             self.field_maximum(coarse_t[lo:lo + CHUNK], b_lo, b_hi, grid=True)
             for lo in range(0, len(starts), CHUNK)])
-        c, w, k = abs(self._coeffs[0]), abs(self._omega[0]), self._split
-        slope = c[:k] @ w[:k] + 2.0 * abs(self._readout.cs) * (c[k:] @ (
-            w[k:] + (max(abs(b_lo), abs(b_hi)) if b_hi < math.inf else 0.0)))
         floor = (np.partition(coarse, -5 * PEAKS - 1)[-5 * PEAKS - 1]
                  if len(coarse) > 5 * PEAKS else -math.inf) - TIE_TOLERANCE
-        reach = coarse[:-1] + coarse[1:] + slope * (STRIDE * dt) - 2 * floor
-        fill = (starts == 0) | np.append(reach >= 0.0,
+        # The parabola's maximum, off its ends if Q = K H^2 / 2 > |M_b - M_a|.
+        bend = self._curvature(b_lo, b_hi) * (STRIDE * dt) * (STRIDE * dt) / 2
+        rise = (bend / 4.0 * np.maximum(1.0 - abs(np.diff(coarse)) / bend,
+                                        0.0) ** 2 if bend > 0.0 else 0.0)
+        reach = np.maximum(coarse[:-1], coarse[1:]) + rise
+        fill = (starts == 0) | np.append(reach >= floor,
                                          starts[-1] < t_points - 1)
         fine_indices = (starts[fill, None] + np.arange(1, STRIDE)).ravel()
         count = int(np.searchsorted(fine_indices, t_points))

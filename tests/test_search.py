@@ -683,7 +683,7 @@ def test_optimize_matches_its_dense_scan(net, anisotropy, theta, t_lo,
     # the 5 PEAKS + 1 best, so it refines the dense scan's peaks to the same
     # bits, and never evaluates more grid times than the dense scan.  Long
     # ranges put several oscillations between coarse times, where only a
-    # sound slope bound finds the best grid times.
+    # sound curvature bound finds the best grid times.
     field = (b_lo, {"fixed": b_lo, "bounded": b_lo + width,
                     "unbounded": math.inf}[kind])
     t_range = (t_lo, t_lo + length)
@@ -692,6 +692,62 @@ def test_optimize_matches_its_dense_scan(net, anisotropy, theta, t_lo,
     assert (result.t_c, result.fidelity, result.b_opt, result.sector_dim) == (
         dense.t_c, dense.fidelity, dense.b_opt, dense.sector_dim)
     assert result.n_evaluations <= dense.n_evaluations
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(-2 * math.pi, 2 * math.pi), a=st.floats(0.0, 20.0),
+       spacing=st.floats(1e-2, 3.0), b_lo=st.floats(-2.0, 2.0),
+       kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
+       width=st.floats(0.0, 3.0))
+def test_field_maximum_stays_under_its_curvature_bound(net, anisotropy, theta,
+                                                       a, spacing, b_lo, kind,
+                                                       width):
+    # M'' >= -K for the field maximum M, so between its values at a and
+    # b = a + H it stays below the chord plus K (t - a)(b - t) / 2: the bound
+    # that lets optimize skip grid times.  Unbounded, M jumps at t = 0.
+    b_hi = {"fixed": b_lo, "bounded": b_lo + width,
+            "unbounded": math.inf}[kind]
+    assume(a > 0.0 or kind != "unbounded")
+    scan = ProtocolScan(net, anisotropy, theta)
+    t = np.linspace(a, a + spacing, 1001)
+    values = scan.field_maximum(t, b_lo, b_hi)
+    chord = values[0] + (values[-1] - values[0]) * (t - a) / spacing
+    bend = scan._curvature(b_lo, b_hi) * (t - a) * (t[-1] - t) / 2.0
+    assert (values <= chord + bend + 1e-12).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(-2 * math.pi, 2 * math.pi), t_lo=st.floats(0.0, 10.0),
+       length=st.floats(0.5, 30.0), t_points=st.integers(2, 400),
+       b_lo=st.floats(-2.0, 2.0),
+       kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
+       width=st.floats(0.0, 3.0))
+@example(net=star(2), anisotropy=0.0, theta=4.0, t_lo=0.0, length=10.0,
+         t_points=601, b_lo=0.0, kind="unbounded", width=0.0)
+def test_scans_fold_theta_into_zero_to_pi(net, anisotropy, theta, t_lo,
+                                          length, t_points, b_lo, kind, width):
+    # F is even and 2 pi periodic in theta, so the scan folds theta into
+    # [0, pi], where cs >= 0 and base + 2cs |gbar| is the field maximum, not
+    # the minimum.  optimize's F is the oracle's at its (t_c, b_opt), and no
+    # field of the interval (one period of an unbounded one) beats
+    # field_maximum there or at a time inside the range.  star(2) at theta = 4
+    # found F = 0.2409 at B = 2.121 against 0.6459 at B = 1/sqrt(2).
+    b_hi = {"fixed": b_lo, "bounded": b_lo + width,
+            "unbounded": math.inf}[kind]
+    result = optimize(net, anisotropy, theta, (t_lo, t_lo + length), t_points,
+                      field=(b_lo, b_hi))
+    direct = run_protocol(net, anisotropy, result.b_opt, theta, 0.0,
+                          result.t_c).mean_fidelity
+    assert abs(result.fidelity - direct) <= 1e-12
+    scan = ProtocolScan(net, anisotropy, theta)
+    for t in (result.t_c, t_lo + length / 3):
+        top = b_hi if b_hi < math.inf else b_lo + 2 * math.pi / max(t, 1e-3)
+        fields = np.linspace(b_lo, top, 2001)
+        base, gbar = scan.components([t])
+        values = scan._readout.fidelity(base, gbar, np.exp(-1j * (fields * t)))
+        assert values.max() <= scan.field_maximum([t], b_lo, b_hi)[0] + 1e-12
 
 
 def scanned_counts(monkeypatch) -> list[int]:
@@ -752,13 +808,13 @@ def test_table1_builds_one_scan_per_row(monkeypatch):
         assert row[11] == fresh.mean_fidelity(row[9], 1.0 / row[10])
 
 
-def test_table1_scans_a_quarter_of_its_grid():
-    # The slope bound skips three in four of each row's 150001 grid times,
+def test_table1_scans_a_tenth_of_its_grid():
+    # The curvature bound skips nine in ten of each row's 150001 grid times,
     # and n_eval counts only the times evaluated, refinement included.
     rows = table1_rows()
     assert len(rows) == 7
     for row in rows:
-        assert row[12] <= cli.COMMANDS["table1"][2] / 4
+        assert row[12] <= cli.COMMANDS["table1"][2] / 10
 
 
 def test_refinement_at_subnormal_time_stays_finite():
