@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import time
@@ -48,27 +47,15 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(header: list[str], rows: list[list]) -> str:
-    records = [
-        {key: (_fmt(cell) if isinstance(cell, float) else cell)
-         for key, cell in zip(header, row)}
-        for row in rows
-    ]
-    return json.dumps(records, indent=1, sort_keys=True) + "\n"
-
-
 def _run(command, args) -> int:
-    """Run one command, then write its tables (CSV, plus JSON mirrors under
-    ``--format json``), its network dumps and a manifest of parameters and
-    output hashes, and print its checks.  Nothing is written when the
-    command raises.  Returns 1 when any check fails."""
+    """Run one command, then write its tables as CSV, its network dumps and
+    a manifest of parameters and output hashes, and print its checks.
+    Nothing is written when the command raises.  Returns 1 when any check
+    fails."""
     started = time.perf_counter()
     tables, networks, params, checks = command(args)
     files = [(f"{stem}.csv", _csv_text(*table))
              for stem, table in tables.items()]
-    if args.format == "json":
-        files += [(f"{stem}.json", _json_text(*table))
-                  for stem, table in tables.items()]
     files += [(f"networks/{name}.txt", to_text(net))
               for name, net in networks.items()]
     out_dir = Path(args.out_dir)
@@ -348,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'start:stop:count' log grid or comma list")
     parser.add_argument("--threads", type=int, default=1, help="accepted for "
                         "compatibility; every command runs serially")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="json additionally mirrors every CSV")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, _) in COMMANDS.items():
         sub.add_parser(name, help=help_text)

@@ -15,13 +15,14 @@ a field interval is therefore known at every time, and the one optimizer,
 under a curvature bound, then lockstep Newton steps on its closed-form time
 derivatives at the best peaks.  Every evaluation sums fixed Bohr-frequency
 harmonics ``e^{-i(E_k - E_l)t}`` (:class:`_Spectra`), so each time derivative
-is the same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  A
-uniform grid takes its phases ``e^{-iEt}`` as products of row and column
-phases, about ``2 sqrt(T)`` exponentials per eigenvalue for ``T`` times, so
-each harmonic is a row factor times a column factor and each component one
-small matrix product; a batch of arbitrary times is its one-column case.  The
-peaks are picked from the two unmerged passes, ordering only the values down to
-the ``5 PEAKS + 1``-th largest, which is exact (:func:`_peak_indices`).
+is the same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  Both
+passes of the scan are uniform grids of times ``row + column``, evaluated
+alike (:meth:`ProtocolScan._grid_maximum`): their phases ``e^{-iEt}`` are
+products of row and column phases, so each harmonic is a row factor times a
+column factor and each component one small matrix product; a batch of
+arbitrary times is the one-column case.  The peaks are picked from the two
+unmerged passes, ordering only the values down to the ``5 PEAKS + 1``-th
+largest, which is exact (:func:`_peak_indices`).
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -45,12 +46,11 @@ from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
 from .topology import (SpinNetwork, _generate_state, coupling_factors,
                        twin_classes)
 
-# optimize scans every STRIDE-th grid time first, in batches of CHUNK, refines
-# the PEAKS best separated points and ties values within TIE_TOLERANCE.
+# optimize scans every STRIDE-th grid time first, refines the PEAKS best
+# separated points and ties values within TIE_TOLERANCE.
 PEAKS = 10
 STRIDE = 16
 TIE_TOLERANCE = 1e-10
-CHUNK = 8192
 
 # Entries of one working array: pair factors per block of the harmonic sums,
 # and matrix entries per chunk of disorder realizations assembled at once, so
@@ -211,27 +211,15 @@ class ProtocolScan(_Spectra):
                          theta)
         self.n_eval = 0
 
-    def components(self, t_values,
-                   grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Field-independent pieces ``(base, gbar)`` for a batch of times.
-
-        ``grid=True`` declares ``t_values`` a uniform grid of ``T`` times:
-        its phases are then products of one row phase per ``w =
-        ceil(sqrt(T))`` times and ``w`` column phases at multiples of the
-        step (see :meth:`_Spectra.stacked_components`).
-        """
+    def components(self, t_values) -> tuple[np.ndarray, np.ndarray]:
+        """Field-independent pieces ``(base, gbar)`` for a batch of times."""
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
         finite = np.isfinite(t)
         if not finite.all():
             _require_finite(t=float(t[~finite][0]))
-        rows, cols = t, (0.0,)
-        if grid and len(t) > 1:
-            width = math.isqrt(len(t) - 1) + 1
-            rows = t[::width]
-            cols = np.arange(width) * ((t[-1] - t[0]) / (len(t) - 1))
-        base, gbar = self.stacked_components(rows, cols)
+        base, gbar = self.stacked_components(t)
         self.n_eval += len(t)
-        return base[0, :len(t)], gbar[0, :len(t)]
+        return base[0], gbar[0]
 
     def mean_fidelity(self, t: float, b: float) -> float:
         _require_finite(t=t, b=b)
@@ -239,17 +227,10 @@ class ProtocolScan(_Spectra):
         return float(self._readout.fidelity(base, gbar,
                                             np.exp(-1j * (t * b)))[0])
 
-    def field_maximum(self, t_values, b_lo: float, b_hi: float,
-                      grid: bool = False) -> np.ndarray:
-        """The values of :meth:`field_optimum` (see :meth:`_maximum`)."""
-        _check_field_interval(b_lo, b_hi)
-        t = np.atleast_1d(np.asarray(t_values, dtype=float))
-        return self._maximum(t, *self.components(t, grid), b_lo, b_hi)
-
-    def field_optimum(self, t_values, b_lo: float, b_hi: float,
-                      grid: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def field_optimum(self, t_values, b_lo: float,
+                      b_hi: float) -> tuple[np.ndarray, np.ndarray]:
         """Maximum of ``F(t, B)`` over ``b_lo <= B <= b_hi`` for a batch of
-        times, and a field attaining it; ``grid`` as in :meth:`components`.
+        times, and a field attaining it.
 
         ``base + 2cs |gbar|`` is reached at the smallest ``B >= b_lo`` with
         ``B = chi / t (mod 2 pi / t)``; where that exceeds ``b_hi``, and at
@@ -258,7 +239,16 @@ class ProtocolScan(_Spectra):
         """
         _check_field_interval(b_lo, b_hi)
         t = np.atleast_1d(np.asarray(t_values, dtype=float))
-        return self._choose_field(t, *self.components(t, grid), b_lo, b_hi)[:2]
+        return self._choose_field(t, *self.components(t), b_lo, b_hi)[:2]
+
+    def _grid_maximum(self, rows, cols, count: int, b_lo: float, b_hi: float):
+        """:meth:`_maximum` at the first ``count`` times ``rows[j] +
+        cols[m]`` in row-major order, from one :meth:`stacked_components`
+        batch; no later time is formed, so none passes the grid's end."""
+        base, gbar = self.stacked_components(rows, cols)
+        self.n_eval += count
+        t = np.repeat(rows, len(cols))[:count] + np.resize(cols, count)
+        return self._maximum(t, base[0, :count], gbar[0, :count], b_lo, b_hi)
 
     def _maximum(self, t, base, gbar, b_lo: float, b_hi: float):
         """The values of :meth:`_choose_field`: ``base + 2cs |gbar|`` in an
@@ -292,15 +282,16 @@ class ProtocolScan(_Spectra):
         return best, fields, held
 
     def _time_derivatives(self, t, b_lo: float, b_hi: float):
-        """:meth:`field_maximum` at the times ``t`` and its first two time
-        derivatives, from one batch with derivative columns, at the field
-        of :meth:`_choose_field` (envelope theorem).  At every fixed field F
-        is even in t, so ``F'(0) = 0``; at ``t = 0`` a bounded interval
-        takes the end of larger ``F''(0)``, the end that wins as ``t ->
-        0+``.  At kinks, ``t = 0`` in an unbounded interval (where ``base +
-        2cs |gbar|`` rises like ``|t|``) and aligned times with ``|g|``
-        below the smallest normal float (0 in effect), the second is nan
-        and the first is one-sided towards larger t."""
+        """The field maximum (:meth:`_maximum`) at the times ``t`` and its
+        first two time derivatives, from one batch with derivative columns,
+        at the field of :meth:`_choose_field` (envelope theorem).  At every
+        fixed field F is even in t, so ``F'(0) = 0``; at ``t = 0`` a bounded
+        interval takes the end of larger ``F''(0)``, the end that wins as
+        ``t -> 0+``.  At kinks, ``t = 0`` in an unbounded interval (where
+        ``base + 2cs |gbar|`` rises like ``|t|``) and aligned times with
+        ``|g|`` within the rounding bound of its sum (0 in effect: its
+        phase is noise), the second is nan and the first is one-sided
+        towards larger t."""
         base, gbar = (part[0].reshape(-1, 3).T
                       for part in self.stacked_components(t, order=2))
         self.n_eval += len(t)
@@ -310,7 +301,11 @@ class ProtocolScan(_Spectra):
             # F''(0) at each end, less its field-free part, picks the end.
             lo, hi = (e * (2.0 * g1.imag - e * g.real) for e in (b_lo, b_hi))
             b = np.where((t == 0.0) & (hi > lo), b_hi, b)
-        tiny = np.abs(g) < np.finfo(float).tiny   # where 1/|g| overflows
+        # Near t = 0, where gbar vanishes, |g| falls to the rounding error of
+        # its P terms, at most P eps sum |c|; 1/|g| overflows below tiny.
+        c = abs(self._coeffs[0, self._split:])
+        tiny = np.abs(g) < max(len(c) * np.finfo(float).eps * c.sum(),
+                               np.finfo(float).tiny)
         norm, b = np.where(tiny, 1.0, np.abs(g)), np.where(held, b, 0.0)
         # gbar and its derivatives turned by e^{-iBt}: conj(g)/|g| at the
         # aligned field, whose B terms vanish there (B is set to 0) and whose
@@ -347,13 +342,14 @@ class ProtocolScan(_Spectra):
         :func:`_peak_indices`.  Refined maxima within ``TIE_TOLERANCE``
         resolve to the smallest time.
 
-        The scan evaluates every ``STRIDE``-th time first.  Between coarse
-        values ``M_a`` and ``M_b`` a time ``H`` apart the maximum stays below
-        the chord plus ``K (t - a)(b - t) / 2`` (:meth:`_curvature`), so the
-        other times go only where that parabola's maximum reaches the ``5
-        PEAKS + 1``-th largest coarse value, and into the first (M jumps at 0)
-        and last intervals: the peaks are the dense scan's.  ``n_evaluations``
-        counts this call's times.
+        The scan evaluates every ``STRIDE``-th time first, each pass one
+        grid (:meth:`_grid_maximum`).  Between coarse values ``M_a`` and
+        ``M_b`` a time ``H`` apart the maximum stays below the chord plus
+        ``K (t - a)(b - t) / 2`` (:meth:`_curvature`), so the other times go
+        only where that parabola's maximum reaches the ``5 PEAKS + 1``-th
+        largest coarse value, and into the first (M jumps at 0) and last
+        intervals: the peaks are the dense scan's.  ``n_evaluations`` counts
+        this call's times.
         """
         t_lo, t_hi = t_range
         b_lo, b_hi = field
@@ -365,10 +361,10 @@ class ProtocolScan(_Spectra):
         n_before = self.n_eval
         dt = (t_hi - t_lo) / (t_points - 1)
         starts = np.arange(0, t_points, STRIDE)
-        coarse_t, steps = starts * dt + t_lo, np.arange(1, STRIDE) * dt
-        coarse = np.concatenate([
-            self.field_maximum(coarse_t[lo:lo + CHUNK], b_lo, b_hi, grid=True)
-            for lo in range(0, len(starts), CHUNK)])
+        width = math.isqrt(len(starts) - 1) + 1
+        coarse = self._grid_maximum(starts[::width] * dt + t_lo,
+                                    starts[:width] * dt, len(starts), b_lo,
+                                    b_hi)
         floor = (np.partition(coarse, -5 * PEAKS - 1)[-5 * PEAKS - 1]
                  if len(coarse) > 5 * PEAKS else -math.inf) - TIE_TOLERANCE
         # The parabola's maximum, off its ends if Q = K H^2 / 2 > |M_b - M_a|.
@@ -378,18 +374,18 @@ class ProtocolScan(_Spectra):
         reach = np.maximum(coarse[:-1], coarse[1:]) + rise
         fill = (starts == 0) | np.append(reach >= floor,
                                          starts[-1] < t_points - 1)
-        fine_indices = (starts[fill, None] + np.arange(1, STRIDE)).ravel()
+        steps = np.arange(1, min(STRIDE, t_points))
+        fine_indices = (starts[fill, None] + steps).ravel()
         count = int(np.searchsorted(fine_indices, t_points))
-        base, gbar = self.stacked_components(coarse_t[fill], steps)
-        fine = self._maximum((coarse_t[fill, None] + steps).ravel()[:count],
-                             base[0, :count], gbar[0, :count], b_lo, b_hi)
-        self.n_eval += count
+        fine = self._grid_maximum(starts[fill] * dt + t_lo, steps * dt, count,
+                                  b_lo, b_hi)
         peaks = np.array(_peak_indices(np.append(starts, fine_indices[:count]),
                                        np.append(coarse, fine)))
         centers = np.where(peaks == t_points - 1, t_hi, peaks * dt + t_lo)
         times, maxima = _newton_refine(
             lambda t: self._time_derivatives(t, b_lo, b_hi), centers,
-            np.maximum(t_lo, centers - dt), np.minimum(t_hi, centers + dt))
+            np.maximum(t_lo, centers - dt),
+            centers + np.minimum(dt, t_hi - centers))
         best_t = times[maxima >= maxima.max() - TIE_TOLERANCE].min()
         best, fields = self.field_optimum([best_t], b_lo, b_hi)
         return OptimizationResult(
@@ -431,7 +427,7 @@ def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         inside = ((a[k] < aim) & (aim < b[k])
                   & (abs(newton) <= 0.5 * step[k]))
         x[k] = np.where(inside, aim, np.where(
-            to_end, np.where(up, hi[k], lo[k]), 0.5 * (a[k] + b[k])))
+            to_end, np.where(up, hi[k], lo[k]), a[k] + 0.5 * (b[k] - a[k])))
         step[k] = abs(x[k] - t)
         k = k[(abs(newton) > tol[k]) & (b[k] - a[k] > tol[k])]
     return best_t, best_f

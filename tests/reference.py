@@ -422,23 +422,21 @@ def numpy_generate_state(seed, n_words):
 def dense_optimize(net, anisotropy, theta, t_range, t_points,
                    field=(0.0, math.inf)):
     """``search.optimize`` as a dense scan: the field maximum at every one
-    of the ``t_points`` grid times, in batches of ``search.CHUNK``, then the
-    package's own peak choice and Newton refinement.  The oracle for the
-    coarse-to-fine scan, which must pick the same peaks."""
+    of the ``t_points`` grid times, each evaluated directly (one batch of
+    arbitrary times), then the package's own peak choice and Newton
+    refinement.  The oracle for the coarse-to-fine scan, which must pick the
+    same peaks."""
     t_lo, t_hi = t_range
     b_lo, b_hi = field
     scan = search.ProtocolScan(net, anisotropy, theta)
     t_values = np.linspace(t_lo, t_hi, t_points)
-    values = np.concatenate([
-        scan.field_maximum(t_values[lo:lo + search.CHUNK], b_lo, b_hi,
-                           grid=True)
-        for lo in range(0, t_points, search.CHUNK)])
+    values = scan.field_optimum(t_values, b_lo, b_hi)[0]
     spacing = (t_hi - t_lo) / (t_points - 1)
     centers = t_values[search._peak_indices(np.arange(t_points), values)]
     times, maxima = search._newton_refine(
         lambda t: scan._time_derivatives(t, b_lo, b_hi), centers,
         np.maximum(t_lo, centers - spacing),
-        np.minimum(t_hi, centers + spacing))
+        centers + np.minimum(spacing, t_hi - centers))
     best_t = times[maxima >= maxima.max() - search.TIE_TOLERANCE].min()
     best, fields = scan.field_optimum([best_t], b_lo, b_hi)
     return search.OptimizationResult(

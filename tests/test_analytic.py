@@ -138,8 +138,8 @@ def test_optimal_time_is_global_on_window():
     for m in (2, 3):
         times = np.linspace(0.0, 20.0, 4001)
         scan = ProtocolScan(star(m), 0.0, EQUATOR)
-        sweep = scan.field_maximum(times, 0.0, math.inf)
+        sweep = scan.field_optimum(times, 0.0, math.inf)[0]
         assert sweep.max() <= xy_star_fidelity(m, EQUATOR) + 1e-9
         heis = ProtocolScan(star(m), 1.0, EQUATOR)
-        values = heis.field_maximum(times, 0.0, 0.0)
+        values = heis.field_optimum(times, 0.0, 0.0)[0]
         assert values.max() <= heis_star_fidelity(m, EQUATOR) + 1e-9

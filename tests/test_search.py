@@ -206,16 +206,17 @@ def test_field_maximum_over_interval(net, anisotropy, theta, times, b_lo,
                                      kind, width):
     # The closed-form maximum dominates every sampled field of the interval
     # and is attained at the reported field, which lies in the interval; the
-    # values-only call agrees exactly, with and without t = 0 and on
-    # an empty batch.
+    # scan passes' values-only path agrees exactly, with and without t = 0
+    # and on an empty batch.
     b_hi = {"degenerate": b_lo, "finite": b_lo + width,
             "unbounded": math.inf}[kind]
     scan = ProtocolScan(net, anisotropy, theta)
     times = np.array([0.0] + times)
     best, fields = scan.field_optimum(times, b_lo, b_hi)
     for batch in (times, times[1:], times[:0]):
-        assert np.array_equal(scan.field_maximum(batch, b_lo, b_hi),
-                              scan.field_optimum(batch, b_lo, b_hi)[0])
+        assert np.array_equal(
+            scan._maximum(batch, *scan.components(batch), b_lo, b_hi),
+            scan.field_optimum(batch, b_lo, b_hi)[0])
     sampled = np.linspace(b_lo, b_lo + 10.0 if kind == "unbounded" else b_hi,
                           101)
     for t, value, b in zip(times, best, fields):
@@ -231,6 +232,9 @@ def test_field_maximum_over_interval(net, anisotropy, theta, times, b_lo,
        spacing=st.floats(1e-3, 0.5), b_lo=st.floats(-2.0, 2.0),
        kind=st.sampled_from(["fixed", "bounded", "unbounded"]),
        width=st.floats(0.0, 3.0))
+@example(net=from_edge_list(3, [(0, 1, 1.0), (0, 2, 0.25)], [1], [2]),
+         anisotropy=0.0, theta=1.0, centers=[2.8094464825428526e-20],
+         spacing=0.5, b_lo=0.0, kind="unbounded", width=0.0)
 def test_newton_refinement_matches_scalar_oracle(net, anisotropy, theta,
                                                  centers, spacing, b_lo,
                                                  kind, width):
@@ -241,7 +245,9 @@ def test_newton_refinement_matches_scalar_oracle(net, anisotropy, theta,
     # golden-section search, one single-time call per point, and at least
     # the best sample.  The first bracket is clipped at t = 0.  The oracle
     # stops up to 1e-10 short of a maximum at an end, which Newton reaches,
-    # so it bounds the value from below only.
+    # so it bounds the value from below only.  Near t = 0, where gbar
+    # vanishes, its computed phase is rounding noise: at t = 2.8e-20 it gave
+    # F' < 0 and F'' < 0 on a rising F, and the bracket closed on 0.
     b_hi = {"fixed": b_lo, "bounded": b_lo + width,
             "unbounded": math.inf}[kind]
     scan = ProtocolScan(net, anisotropy, theta)
@@ -251,14 +257,14 @@ def test_newton_refinement_matches_scalar_oracle(net, anisotropy, theta,
         lambda t: scan._time_derivatives(t, b_lo, b_hi), centers, lo, hi)
 
     def value(x):
-        return scan.field_maximum([x], b_lo, b_hi)[0]
+        return scan.field_optimum([x], b_lo, b_hi)[0][0]
 
     for k in range(len(centers)):
         assert lo[k] <= times[k] <= hi[k]
         assert abs(maxima[k] - value(times[k])) <= 1e-15
         assert maxima[k] >= value(centers[k]) - 1e-15
-        samples = scan.field_maximum(np.linspace(lo[k], hi[k], 1001),
-                                     b_lo, b_hi)
+        samples = scan.field_optimum(np.linspace(lo[k], hi[k], 1001),
+                                     b_lo, b_hi)[0]
         steps = np.diff(samples)
         falls = np.nonzero(steps < 0.0)[0]
         if len(falls) and (steps[falls[0]:] > 0.0).any():
@@ -351,13 +357,13 @@ def test_time_derivatives_at_zero(net, anisotropy, theta, b_lo, kind, width):
             "unbounded": math.inf}[kind]
     scan = ProtocolScan(net, anisotropy, theta)
     value, d1, d2 = scan._time_derivatives(np.array([0.0]), b_lo, b_hi)
-    assert abs(value[0] - scan.field_maximum([0.0], b_lo, b_hi)[0]) <= 1e-15
+    assert abs(value[0] - scan.field_optimum([0.0], b_lo, b_hi)[0][0]) <= 1e-15
     assert d1[0] == 0.0
     if kind == "unbounded":
         assert math.isnan(d2[0])
         return
     _, (second, error) = _difference_error(
-        lambda x: scan.field_maximum(np.abs(x), b_lo, b_hi), 0.0, 1e-3)
+        lambda x: scan.field_optimum(np.abs(x), b_lo, b_hi)[0], 0.0, 1e-3)
     assert abs(d2[0] - second) <= error
 
 
@@ -368,14 +374,26 @@ def test_time_derivatives_at_zero(net, anisotropy, theta, b_lo, kind, width):
 ], ids=["bipartite_4_5", "bipartite_2_3_bounded", "tree_3_2"])
 @pytest.mark.parametrize("n", [3, 7, 1000, 5001, 8191])
 def test_grid_phases_match_direct_times(net, field, n):
-    # The factorized grid's ceil(sqrt(n)) columns divide none of these n.
+    # A grid of ceil(sqrt(n)) columns, as optimize's coarse pass takes, whose
+    # width divides none of these n: its first n times are the direct ones.
     # Both sides round the phase argument to about |E t| 2^-53, t <= 3000.
     scan = ProtocolScan(net, 0.0, EQUATOR)
-    t = np.linspace(0.0, 3000.0, n)
-    grid = scan.field_maximum(t, *field, grid=True)
-    direct = scan.field_maximum(t, *field)
+    step, width = 3000.0 / (n - 1), math.isqrt(n - 1) + 1
+    grid = scan._grid_maximum(np.arange(0, n, width) * step,
+                              np.arange(width) * step, n, *field)
+    direct = scan.field_optimum(np.arange(n) * step, *field)[0]
     assert np.max(np.abs(grid - direct)) <= 1e-11
     assert scan.n_eval == 2 * n
+
+
+def table1_coarse_grid():
+    """Rows, columns and time count of optimize's coarse grid on table1's
+    time grid: every STRIDE-th of its 150001 times over [0, 3000]."""
+    t_points = cli.COMMANDS["table1"][2]
+    starts = np.arange(0, t_points, search.STRIDE)
+    width = math.isqrt(len(starts) - 1) + 1
+    step = 3000.0 / (t_points - 1)
+    return starts[::width] * step, starts[:width] * step, len(starts)
 
 
 def _grid_batch(drawn):
@@ -443,14 +461,12 @@ def test_frequency_form_matches_synthesis_on_twins(drawn, anisotropy, theta,
 
 
 def test_pair_blocks_match_one_block(monkeypatch):
-    # A bound of 7 pairs per block splits one grid chunk of table1's largest
+    # A bound of 7 pairs per block splits the coarse grid of table1's largest
     # network into 9 blocks, one of them straddling the base and coherence
     # pairs; tree(3, 3), whose 67-state weight alone has 2211 pairs, still
     # scans to the same optimum.
     scan = ProtocolScan(bipartite(4, 5), 0.0, EQUATOR)
-    t = np.linspace(0.0, 3000.0, search.CHUNK)
-    width = math.isqrt(search.CHUNK - 1) + 1
-    rows, cols = t[::width], np.arange(width) * (t[1] - t[0])
+    rows, cols, _ = table1_coarse_grid()
     whole = scan.stacked_components(rows, cols)
     tree_whole = optimize(tree(3, 3), 0.0, EQUATOR, (0.0, 50.0), 501)
     monkeypatch.setattr(search, "PAIR_ENTRIES", 7 * (len(rows) + len(cols)))
@@ -464,22 +480,21 @@ def test_pair_blocks_match_one_block(monkeypatch):
 
 
 def test_dense_scan_allocates_only_its_results():
-    # After the first, a chunk of table1's 150001-point bipartite(4, 5) scan
-    # allocates its pair factors, its (base, gbar) and the field maximum's
-    # temporaries, instead of about 6 MB of phases, amplitudes and
-    # coherence factors.
+    # After the first, the coarse pass of table1's 150001-point
+    # bipartite(4, 5) scan, 9376 times, allocates its pair factors, its
+    # (base, gbar) and the field maximum's temporaries, at most 64 bytes a
+    # time, instead of about 6 MB of phases, amplitudes and coherence
+    # factors.
     scan = ProtocolScan(bipartite(4, 5), 0.0, EQUATOR)
-    t = np.linspace(0.0, 3000.0, 150001)
-    chunks = [t[lo:lo + search.CHUNK] for lo in range(0, len(t), search.CHUNK)]
-    scan.field_maximum(chunks[0], 0.01, math.inf, grid=True)
+    rows, cols, count = table1_coarse_grid()
+    scan._grid_maximum(rows, cols, count, 0.01, math.inf)
     tracemalloc.start()
     try:
-        for chunk in chunks[1:]:
-            scan.field_maximum(chunk, 0.01, math.inf, grid=True)
+        scan._grid_maximum(rows, cols, count, 0.01, math.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 19
+    assert peak < 64 * count
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -553,17 +568,22 @@ def test_unbounded_field_maximum_is_the_field_choice(net, anisotropy, theta,
     # Without an upper bound, base + 2cs |gbar| stands wherever the aligned
     # field exists; t = 0 and the smallest times, whose period 2 pi / t
     # overflows, compare endpoints.  Either way, in batches mixing them, on
-    # a grid or not, the values are field_optimum's to the bit.
+    # a grid of n columns or not, the values are the field choice's to the
+    # bit.
     scan = ProtocolScan(net, anisotropy, theta)
-    for batch, grid in ((np.array(times), False),
-                        (np.linspace(0.0, length, n), True),
-                        (np.linspace(times[-1], times[-1] + length, n), True)):
+    step = length / n
+    for rows, cols in ((np.array(times), np.zeros(1)),
+                       (np.zeros(1), np.arange(n) * step),
+                       (times[-1] + np.arange(2) * length,
+                        np.arange(n) * step)):
+        base, gbar = (part[0] for part in scan.stacked_components(rows, cols))
+        t = (rows[:, None] + cols).ravel()
         assert np.array_equal(
-            scan.field_maximum(batch, b_lo, math.inf, grid=grid),
-            scan.field_optimum(batch, b_lo, math.inf, grid=grid)[0])
+            scan._grid_maximum(rows, cols, len(t), b_lo, math.inf),
+            scan._choose_field(t, base, gbar, b_lo, math.inf)[0])
 
 
-@pytest.mark.parametrize("method", ["field_optimum", "field_maximum"])
+@pytest.mark.parametrize("method", ["field_optimum"])
 @pytest.mark.parametrize("b_lo,b_hi", [
     (1.0, 0.0), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)],
     ids=["empty", "unbounded_below", "nan_lower", "nan_upper"])
@@ -577,10 +597,8 @@ def test_field_methods_reject_malformed_interval(method, b_lo, b_hi):
 
 
 @pytest.mark.parametrize("method,args", [
-    ("components", ()), ("field_optimum", (0.0, 1.0)),
-    ("field_maximum", (0.0, 1.0)), ("field_maximum", (0.0, math.inf))],
-    ids=["components", "field_optimum", "field_maximum",
-         "field_maximum_unbounded"])
+    ("components", ()), ("field_optimum", (0.0, 1.0))],
+    ids=["components", "field_optimum"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                          ids=["nan", "inf", "minus_inf"])
 def test_scan_rejects_non_finite_time(method, args, bad):
@@ -655,18 +673,23 @@ SHALLOW_TIES = [
        width=st.floats(0.0, 3.0))
 @example(**SHALLOW_TIES[0])
 @example(**SHALLOW_TIES[1])
+@example(net=from_edge_list(2, [(0, 1, 0.21875)], [0], [1]), anisotropy=0.0,
+         theta=6.103515625e-05, t_lo=0.0, length=1.0, t_points=5, b_lo=0.0,
+         kind="unbounded", width=0.0)
 def test_optimize_beats_its_dense_scan(net, anisotropy, theta, t_lo, length,
                                        t_points, b_lo, kind, width):
-    # Refinement never loses what the scan found: the grid phases round
-    # the scan values to about 1e-11.
+    # Refinement never loses what the scan found, but refined maxima within
+    # TIE_TOLERANCE resolve to the smallest time, and the scan's grid phases
+    # round its values to about 1e-11.  The last example returns
+    # 0.9999999991677075 at t = 0.5 against a grid value 9.3e-11 higher at
+    # t = 1.
     field = (b_lo, {"fixed": b_lo, "bounded": b_lo + width,
                     "unbounded": math.inf}[kind])
     t_range = (t_lo, t_lo + length)
     result = optimize(net, anisotropy, theta, t_range, t_points, field=field)
     scan = ProtocolScan(net, anisotropy, theta)
-    values = scan.field_maximum(np.linspace(*t_range, t_points), *field,
-                                grid=True)
-    assert result.fidelity >= values.max() - 1e-11
+    values = scan.field_optimum(np.linspace(*t_range, t_points), *field)[0]
+    assert result.fidelity >= values.max() - search.TIE_TOLERANCE - 1e-11
     assert t_range[0] <= result.t_c <= t_range[1]
 
 
@@ -694,6 +717,35 @@ def test_optimize_matches_its_dense_scan(net, anisotropy, theta, t_lo,
     assert result.n_evaluations <= dense.n_evaluations
 
 
+def test_optimize_matches_its_dense_scan_on_table1():
+    # table1's 4->5 row: 9376 coarse times of 150001 in one pass, past the
+    # 8192 at which the coarse pass was once split.
+    args = (bipartite(4, 5), 0.0, EQUATOR, (0.0, 3000.0),
+            cli.COMMANDS["table1"][2], (1.0 / 60.0, math.inf))
+    result, dense = optimize(*args), dense_optimize(*args)
+    assert (result.t_c, result.fidelity, result.b_opt) == (
+        dense.t_c, dense.fidelity, dense.b_opt)
+    assert result.n_evaluations <= cli.COMMANDS["table1"][2] / 10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("field", [(0.5, 0.5), (0.0, 1.0), (0.0, math.inf)],
+                         ids=["fixed", "bounded", "unbounded"])
+@pytest.mark.parametrize("t_points", [2, 17, 601])
+@pytest.mark.parametrize("t_hi", [1e308, 1.79e308])
+def test_optimize_near_the_float_maximum(t_hi, t_points, field):
+    # No time past the grid's end is formed.  The bisection midpoint, the
+    # fine offsets of a grid shorter than STRIDE, the refinement bracket's
+    # upper end and the times of a partial last interval each overflowed,
+    # a RuntimeWarning.
+    result = optimize(star(2), 0.0, EQUATOR, (0.0, t_hi), t_points,
+                      field=field)
+    assert 0.0 <= result.t_c <= t_hi and math.isfinite(result.fidelity)
+    # The aligned field rounds as in test_field_maximum_over_interval.
+    b = result.b_opt
+    assert field[0] - 1e-9 * (1.0 + abs(b)) <= b <= field[1]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
        theta=st.floats(-2 * math.pi, 2 * math.pi), a=st.floats(0.0, 20.0),
@@ -711,7 +763,7 @@ def test_field_maximum_stays_under_its_curvature_bound(net, anisotropy, theta,
     assume(a > 0.0 or kind != "unbounded")
     scan = ProtocolScan(net, anisotropy, theta)
     t = np.linspace(a, a + spacing, 1001)
-    values = scan.field_maximum(t, b_lo, b_hi)
+    values = scan.field_optimum(t, b_lo, b_hi)[0]
     chord = values[0] + (values[-1] - values[0]) * (t - a) / spacing
     bend = scan._curvature(b_lo, b_hi) * (t - a) * (t[-1] - t) / 2.0
     assert (values <= chord + bend + 1e-12).all()
@@ -731,8 +783,8 @@ def test_scans_fold_theta_into_zero_to_pi(net, anisotropy, theta, t_lo,
     # F is even and 2 pi periodic in theta, so the scan folds theta into
     # [0, pi], where cs >= 0 and base + 2cs |gbar| is the field maximum, not
     # the minimum.  optimize's F is the oracle's at its (t_c, b_opt), and no
-    # field of the interval (one period of an unbounded one) beats
-    # field_maximum there or at a time inside the range.  star(2) at theta = 4
+    # field of the interval (one period of an unbounded one) beats the field
+    # maximum there or at a time inside the range.  star(2) at theta = 4
     # found F = 0.2409 at B = 2.121 against 0.6459 at B = 1/sqrt(2).
     b_hi = {"fixed": b_lo, "bounded": b_lo + width,
             "unbounded": math.inf}[kind]
@@ -747,7 +799,8 @@ def test_scans_fold_theta_into_zero_to_pi(net, anisotropy, theta, t_lo,
         fields = np.linspace(b_lo, top, 2001)
         base, gbar = scan.components([t])
         values = scan._readout.fidelity(base, gbar, np.exp(-1j * (fields * t)))
-        assert values.max() <= scan.field_maximum([t], b_lo, b_hi)[0] + 1e-12
+        best = scan.field_optimum([t], b_lo, b_hi)[0][0]
+        assert values.max() <= best + 1e-12
 
 
 def scanned_counts(monkeypatch) -> list[int]:

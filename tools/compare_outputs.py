@@ -5,16 +5,15 @@ Usage::
     python tools/compare_outputs.py <rev> [--seeds 0-9]
 
 Extracts ``src/`` at ``<rev>`` with ``git archive`` into a temporary
-directory, then runs the five CLI commands with ``--format json`` at every
-seed, plus ``fig3`` on the Gamma grid that the benchmark's ``dephasing``
-workload draws for that seed (``perfbench/workloads.gamma_values``), each in
-its own subprocess, once on that tree and once on the working tree's
-``src/``.  Every written file (CSV, JSON mirror, network dump,
-manifest) and every command's stdout is compared byte for byte; only the
-manifests' ``duration_s`` line is ignored.  Prints each file that differs,
-for a CSV with the largest absolute difference in each column that
-differs, for a stdout or manifest with the first line that differs on each
-side, and exits 1 if any does.
+directory, then runs the five CLI commands at every seed, plus ``fig3`` on
+the Gamma grid that the benchmark's ``dephasing`` workload draws for that
+seed (``perfbench/workloads.gamma_values``), each in its own subprocess,
+once on that tree and once on the working tree's ``src/``.  Every written
+file (CSV, network dump, manifest) and every command's stdout is compared
+byte for byte; only the manifests' ``duration_s`` line is ignored.  Prints
+each file that differs, for a CSV with the largest absolute difference in
+each column that differs, for a stdout or manifest with the first line that
+differs on each side, and exits 1 if any does.
 """
 from __future__ import annotations
 
@@ -60,7 +59,7 @@ def run_all(src: Path, out: Path, seeds: list[int]) -> None:
             run_dir = out / f"{name}_{seed}"
             done = subprocess.run(
                 [sys.executable, "-m", "spinclone.cli", "--seed", str(seed),
-                 "--format", "json", "--out-dir", str(run_dir), *arguments],
+                 "--out-dir", str(run_dir), *arguments],
                 env=env, cwd=out, capture_output=True, text=True)
             if done.returncode not in (0, 1):
                 raise SystemExit(f"{name} at seed {seed} on {src} failed:\n"
