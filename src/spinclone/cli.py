@@ -128,20 +128,21 @@ def cmd_table1(args) -> tuple:
     published values and deviations as comparison columns."""
     rows = []
     networks = {}
-    params = {"t_points": args.t_points}
+    params = {}
     for ref in NTOM_REFERENCE:
         net = bipartite(ref.n_inputs, ref.n_outputs)
-        # The published scans bound the field below by J/B <= 100
-        # (J/B <= 60 at nine sites); the time grid density comes from
-        # --t-points over J t in [0, 3000].
+        # The published scans cover J t in [0, 3000] and bound the field
+        # below by J/B <= 100 (J/B <= 60 at nine sites).
         min_field = (1.0 / 60.0 if ref.n_inputs + ref.n_outputs == 9
                      else 1.0 / 100.0)
         scan = ProtocolScan(net, 0.0, math.pi / 2)
-        result = scan.optimize((0.0, 3000.0), args.t_points,
-                               field=(min_field, math.inf))
+        result = scan.optimize((0.0, 3000.0), field=(min_field, math.inf))
+        # F_at_ref_point: this model's F at the published (Jt, J/B), in this
+        # Hamiltonian's units.
         at_ref = scan.mean_fidelity(ref.jt_c, 1.0 / ref.j_over_b)
         name = f"bipartite_{ref.n_inputs}_{ref.n_outputs}"
         params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
+        params[f"certified_gap.{name}"] = result.certified_gap
         networks[name] = net
         deviation = result.fidelity - ref.fidelity
         flag = "TOPOLOGY_MISMATCH" if abs(deviation) > 0.03 else ""
@@ -268,13 +269,14 @@ def cmd_tree(args) -> tuple:
     """Tree-graph single-input maxima with the equal-M star value alongside."""
     rows = []
     networks = {}
-    params = {"t_points": args.t_points}
+    params = {}
     for branching, levels in TREE_CASES:
         name = f"tree_{branching}_{levels}"
         networks[name] = tree(branching, levels)
         result = optimize(networks[name], 0.0, math.pi / 2,
-                          t_range=(0.0, 50.0), t_points=args.t_points)
+                          t_range=(0.0, 50.0))
         params[f"sector_dim.{name}"] = "%d/%d" % result.sector_dim
+        params[f"certified_gap.{name}"] = result.certified_gap
         m = branching ** (levels + 1)
         rows.append([branching, levels, m, result.fidelity, result.t_c,
                      result.b_opt, xy_star_fidelity(m, math.pi / 2)])
@@ -313,13 +315,13 @@ def cmd_disorder(args) -> tuple:
     return {"disorder": (header, rows)}, networks, params, checks
 
 
-# name: (command, help, default --t-points, for the commands that scan)
+# name: (command, help)
 COMMANDS = {
-    "fig2": (cmd_fig2, "two-clone fidelity curves and scaling inset", None),
-    "table1": (cmd_table1, "bipartite N->M maxima versus published", 150001),
-    "fig3": (cmd_fig3, "dephasing comparison against circuits", None),
-    "tree": (cmd_tree, "tree-graph cloning maxima", 5001),
-    "disorder": (cmd_disorder, "coupling-disorder robustness", None),
+    "fig2": (cmd_fig2, "two-clone fidelity curves and scaling inset"),
+    "table1": (cmd_table1, "bipartite N->M maxima versus published"),
+    "fig3": (cmd_fig3, "dephasing comparison against circuits"),
+    "tree": (cmd_tree, "tree-graph cloning maxima"),
+    "disorder": (cmd_disorder, "coupling-disorder robustness"),
 }
 
 
@@ -329,30 +331,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduction harness for spin-network cloning results.")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="results")
-    parser.add_argument("--t-points", type=int, default=None,
-                        help="time samples of the coarse scan (table1, tree)")
     parser.add_argument("--gamma-grid", default="1e-4:1e-1:10",
                         help="'start:stop:count' log grid or comma list")
     parser.add_argument("--threads", type=int, default=1, help="accepted for "
                         "compatibility; every command runs serially")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in COMMANDS.items():
+    for name, (_, help_text) in COMMANDS.items():
         sub.add_parser(name, help=help_text)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, _, default_t_points = COMMANDS[args.command]
+    command, _ = COMMANDS[args.command]
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.t_points is None:
-        args.t_points = default_t_points
-    elif args.t_points < 2:
-        raise ValueError(f"--t-points needs at least two time points, got "
-                         f"{args.t_points}")
     return _run(command, args)
 
 

@@ -11,18 +11,18 @@ adjacent sectors, hence at fixed time the field enters as one harmonic,
 with ``c = cos(theta/2)``, ``s = sin(theta/2)`` (theta folded into [0, pi]),
 ``gbar`` the site-mean coherence sum and ``chi = arg(gbar)``.  Its maximum over
 a field interval is therefore known at every time, and the one optimizer,
-:func:`optimize`, searches in time only: a coarse-to-fine scan of that maximum
-under a curvature bound, then lockstep Newton steps on its closed-form time
-derivatives at the best peaks.  Every evaluation sums fixed Bohr-frequency
+:func:`optimize`, searches in time only: branch and bound on that maximum
+under a curvature bound (Piyavskii 1972; Shubert 1972), which splits
+intervals until the bound is within ``TIE_TOLERANCE`` of the best value,
+then lockstep Newton steps on its closed-form time derivatives in the
+intervals that remain.  Every evaluation sums fixed Bohr-frequency
 harmonics ``e^{-i(E_k - E_l)t}`` (:class:`_Spectra`), so each time derivative
-is the same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  Both
-passes of the scan are uniform grids of times ``row + column``, evaluated
+is the same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  Every
+round of the search is a uniform grid of times ``row + column``, evaluated
 alike (:meth:`ProtocolScan._grid_maximum`): their phases ``e^{-iEt}`` are
 products of row and column phases, so each harmonic is a row factor times a
 column factor and each component one small matrix product; a batch of
-arbitrary times is the one-column case.  The peaks are picked from the two
-unmerged passes, ordering only the values down to the ``5 PEAKS + 1``-th
-largest, which is exact (:func:`_peak_indices`).
+arbitrary times is the one-column case.
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
@@ -46,9 +46,8 @@ from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
 from .topology import (SpinNetwork, _generate_state, coupling_factors,
                        twin_classes)
 
-# optimize scans every STRIDE-th grid time first, refines the PEAKS best
-# separated points and ties values within TIE_TOLERANCE.
-PEAKS = 10
+# optimize splits each interval it keeps into STRIDE parts, until its bound
+# is within TIE_TOLERANCE of the best value, and ties values within it.
 STRIDE = 16
 TIE_TOLERANCE = 1e-10
 
@@ -67,6 +66,7 @@ class OptimizationResult:
     b_opt: float
     n_evaluations: int            # grid and refinement times evaluated
     sector_dim: tuple[int, int]   # (configurations, count states)
+    certified_gap: float          # bound on the range's maximum, less F
 
     @property
     def j_over_b(self) -> float:
@@ -271,7 +271,8 @@ class ProtocolScan(_Spectra):
             aligned = np.angle(gbar) / t
             fields = aligned + np.ceil((b_lo - aligned) / period) * period
         # t = 0 (or overflow) leaves a nan field, which compares endpoints.
-        held = ~(fields <= b_hi)
+        # A field rounded one ulp outside the interval compares them too.
+        held = ~(fields <= b_hi) | (fields < b_lo)
         off = np.nonzero(held)[0]
         if len(off):
             ends = np.array([[b_lo], [b_hi if math.isfinite(b_hi) else b_lo]])
@@ -331,68 +332,92 @@ class ProtocolScan(_Spectra):
         return float(c[:k] @ w[:k] ** 2 + 2.0 * abs(self._readout.cs)
                      * (c[k:] @ (w[k:] + b_max) ** 2))
 
-    def optimize(self, t_range: tuple[float, float], t_points: int,
+    def optimize(self, t_range: tuple[float, float],
                  field: tuple[float, float] = (0.0, math.inf)
                  ) -> OptimizationResult:
         """Maximize the mean clone fidelity over time and a field interval,
         in closed form in the field (:meth:`field_optimum`; a fixed field
-        ``B`` is the interval ``(B, B)``): a scan of ``t_points`` times over
-        ``t_range``, then lockstep safeguarded Newton refinement
-        (:func:`_newton_refine`) within one spacing of the scan's
-        :func:`_peak_indices`.  Refined maxima within ``TIE_TOLERANCE``
-        resolve to the smallest time.
+        ``B`` is the interval ``(B, B)``), by branch and bound to within
+        ``TIE_TOLERANCE`` of the maximum over the whole range.
 
-        The scan evaluates every ``STRIDE``-th time first, each pass one
-        grid (:meth:`_grid_maximum`).  Between coarse values ``M_a`` and
-        ``M_b`` a time ``H`` apart the maximum stays below the chord plus
-        ``K (t - a)(b - t) / 2`` (:meth:`_curvature`), so the other times go
-        only where that parabola's maximum reaches the ``5 PEAKS + 1``-th
-        largest coarse value, and into the first (M jumps at 0) and last
-        intervals: the peaks are the dense scan's.  ``n_evaluations`` counts
-        this call's times.
+        Between values ``M_a`` and ``M_b`` of the field maximum a time ``H``
+        apart, M stays below the chord plus ``K (t - a)(b - t) / 2``
+        (:meth:`_curvature`), which peaks at ``max(M_a, M_b) + rise``.  From
+        equal intervals of about ``0.5 / sqrt(K)``, each round splits every
+        interval whose peak reaches the best value less ``TIE_TOLERANCE``
+        into ``STRIDE`` parts, one grid (:meth:`_grid_maximum`), until the
+        rise of each is at most ``TIE_TOLERANCE`` (four rounds at most: it
+        falls 256-fold a round from at most 1/32).  Each bracket of touching
+        intervals left is refined by lockstep Newton steps
+        (:func:`_newton_refine`) from its best point; refined maxima within
+        ``TIE_TOLERANCE`` of the bound resolve to the smallest time, and
+        ``certified_gap`` is the bound less the result.  A range whose
+        phases round by more than ``TIE_TOLERANCE``, ``eps (1 + t_hi
+        (max|omega| + B_max))``, raises ValueError before any evaluation.
         """
         t_lo, t_hi = t_range
         b_lo, b_hi = field
-        if t_points < 2:
-            raise ValueError("need at least two time points")
         if not 0.0 <= t_lo < t_hi < math.inf:
             raise ValueError("time range needs finite 0 <= t_lo < t_hi")
         _check_field_interval(b_lo, b_hi)
-        n_before = self.n_eval
-        dt = (t_hi - t_lo) / (t_points - 1)
-        starts = np.arange(0, t_points, STRIDE)
-        width = math.isqrt(len(starts) - 1) + 1
-        coarse = self._grid_maximum(starts[::width] * dt + t_lo,
-                                    starts[:width] * dt, len(starts), b_lo,
-                                    b_hi)
-        floor = (np.partition(coarse, -5 * PEAKS - 1)[-5 * PEAKS - 1]
-                 if len(coarse) > 5 * PEAKS else -math.inf) - TIE_TOLERANCE
-        # The parabola's maximum, off its ends if Q = K H^2 / 2 > |M_b - M_a|.
-        bend = self._curvature(b_lo, b_hi) * (STRIDE * dt) * (STRIDE * dt) / 2
-        rise = (bend / 4.0 * np.maximum(1.0 - abs(np.diff(coarse)) / bend,
-                                        0.0) ** 2 if bend > 0.0 else 0.0)
-        reach = np.maximum(coarse[:-1], coarse[1:]) + rise
-        fill = (starts == 0) | np.append(reach >= floor,
-                                         starts[-1] < t_points - 1)
-        steps = np.arange(1, min(STRIDE, t_points))
-        fine_indices = (starts[fill, None] + steps).ravel()
-        count = int(np.searchsorted(fine_indices, t_points))
-        fine = self._grid_maximum(starts[fill] * dt + t_lo, steps * dt, count,
-                                  b_lo, b_hi)
-        peaks = np.array(_peak_indices(np.append(starts, fine_indices[:count]),
-                                       np.append(coarse, fine)))
-        centers = np.where(peaks == t_points - 1, t_hi, peaks * dt + t_lo)
+        b_max = max(abs(b_lo), abs(b_hi)) if b_hi < math.inf else 0.0
+        rounding = np.finfo(float).eps * (1.0 + t_hi * (
+            float(abs(self._omega).max(initial=0.0)) + b_max))
+        if rounding > TIE_TOLERANCE:
+            raise ValueError(f"time range too long: phase rounding "
+                             f"{rounding:.3g} exceeds TIE_TOLERANCE")
+        n_before, curvature = self.n_eval, self._curvature(b_lo, b_hi)
+        n = max(1, math.ceil(2.0 * math.sqrt(curvature) * (t_hi - t_lo)))
+        h, w = (t_hi - t_lo) / n, math.isqrt(n) + 1
+        rows, cols = np.arange(0, n + 1, w) * h + t_lo, np.arange(w) * h
+        values = self._grid_maximum(rows, cols, n + 1, b_lo, b_hi)
+        edges = np.append((rows[:, None] + cols).ravel()[:n], t_hi)
+        best, kept = values.max(), []
+        # Intervals as starts, ends and M there; with b_hi = inf, M at 0 is
+        # raised to its limit at t -> 0+, base + 2cs |gbar|.
+        g0 = self._coeffs[0, self._split:].sum()
+        values[0] += (2.0 * self._readout.cs * (abs(g0) - g0.real)
+                      * (t_lo == 0.0 and math.isinf(b_hi)))
+        iv = edges[:-1], edges[1:], values[:-1], values[1:]
+        while True:
+            # The parabola's peak is off its ends if bend > |M_b - M_a|.
+            bend = max(curvature * h * h / 2.0, np.finfo(float).tiny)
+            rise = np.maximum(bend - abs(iv[3] - iv[2]), 0.0) ** 2 / bend / 4.0
+            bound = np.maximum(iv[2], iv[3]) + rise
+            reach = bound >= best - TIE_TOLERANCE
+            split = reach & (rise > TIE_TOLERANCE)
+            kept.append([x[reach & ~split] for x in (*iv, bound)])
+            iv, h = [x[split] for x in iv], h / STRIDE
+            if not len(iv[0]):
+                break
+            steps = np.arange(1, STRIDE) * h
+            inner = self._grid_maximum(iv[0], steps, len(iv[0]) * len(steps),
+                                       b_lo, b_hi).reshape(-1, len(steps))
+            best = max(best, inner.max())
+            t = np.column_stack((iv[0], iv[0][:, None] + steps, iv[1]))
+            v = np.column_stack((iv[2], inner, iv[3]))
+            iv = t[:, :-1], t[:, 1:], v[:, :-1], v[:, 1:]
+        kept = np.array([np.concatenate(x) for x in zip(*kept)])
+        kept = kept[:, kept[4] >= best - TIE_TOLERANCE]
+        lo, hi, m_lo, m_hi, bound = kept[:, np.argsort(kept[0])]
+        # Brackets of touching intervals, from their best points (ties: first).
+        run = np.append(0, np.cumsum(lo[1:] != hi[:-1]))
+        first = np.flatnonzero(np.diff(run, prepend=-1))
+        pts, runs = np.append(lo, hi), np.append(run, run)
+        order = np.lexsort((pts, -np.append(m_lo, m_hi), runs))
         times, maxima = _newton_refine(
-            lambda t: self._time_derivatives(t, b_lo, b_hi), centers,
-            np.maximum(t_lo, centers - dt),
-            centers + np.minimum(dt, t_hi - centers))
-        best_t = times[maxima >= maxima.max() - TIE_TOLERANCE].min()
+            lambda t: self._time_derivatives(t, b_lo, b_hi),
+            pts[order[np.flatnonzero(np.diff(runs[order], prepend=-1))]],
+            lo[first], hi[np.append(first[1:], len(lo)) - 1])
+        upper, top = max(bound.max(), maxima.max()), maxima.max()
+        best_t = times[maxima >= min(upper - TIE_TOLERANCE, top)].min()
         best, fields = self.field_optimum([best_t], b_lo, b_hi)
         return OptimizationResult(
             fidelity=float(best[0]), t_c=float(best_t), b_opt=float(fields[0]),
             n_evaluations=self.n_eval - n_before,
             sector_dim=(sector_dimension([1] * len(self.basis.classes),
-                                         self.basis.weights), self.dim))
+                                         self.basis.weights), self.dim),
+            certified_gap=max(0.0, float(upper - best[0])))
 
 
 def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -403,7 +428,7 @@ def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     negative curvature is taken if it lands inside, at most half the last
     step; one past an original end not yet reached goes there; else bisect.
     Brackets close at a step or width of 1e-10 (two ulps of large times).
-    Returns each bracket's best point and value."""
+    Returns each bracket's best point, the first of equal ones, and value."""
     x = np.array(centers, dtype=float)
     a, b, step = lo.copy(), hi.copy(), hi - lo
     tol = np.maximum(1e-10, 2.0 * np.spacing(hi))
@@ -413,7 +438,7 @@ def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     while len(k):
         t = x[k]
         f, d1, d2 = func(t)
-        better = f >= best_f[k]
+        better = f > best_f[k]
         best_t[k[better]], best_f[k[better]] = t[better], f[better]
         up = d1 >= 0.0
         a[k[up]], b[k[~up]] = t[up], t[~up]
@@ -433,32 +458,11 @@ def _newton_refine(func, centers, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return best_t, best_f
 
 
-def _peak_indices(indices: np.ndarray, values: np.ndarray) -> list[int]:
-    """Grid indices of the ``PEAKS`` best values at the grid ``indices``
-    (in any order) more than two points apart, best first, the smaller
-    index first among equal values (a flat landscape refines its smallest
-    time).  Only the values down to the ``5 PEAKS + 1``-th largest are
-    ordered, which is exact: every index the walk visits lies within two
-    points of a chosen one, so it has visited at most ``5 PEAKS`` before it
-    holds ``PEAKS``.
-    """
-    top = min(5 * PEAKS + 1, len(values))
-    keep = np.nonzero(values >= np.partition(values, -top)[-top])[0]
-    chosen = []
-    for idx in indices[keep[np.lexsort((indices[keep], -values[keep]))]]:
-        if len(chosen) >= PEAKS:
-            break
-        if all(abs(int(idx) - c) > 2 for c in chosen):
-            chosen.append(int(idx))
-    return chosen
-
-
 def optimize(net: SpinNetwork, anisotropy: float, theta: float,
-             t_range: tuple[float, float], t_points: int,
+             t_range: tuple[float, float],
              field=(0.0, math.inf)) -> OptimizationResult:
     """:meth:`ProtocolScan.optimize` on the scan of ``net``."""
-    scan = ProtocolScan(net, anisotropy, theta)
-    return scan.optimize(t_range, t_points, field)
+    return ProtocolScan(net, anisotropy, theta).optimize(t_range, field)
 
 
 def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,

@@ -420,19 +420,21 @@ def numpy_generate_state(seed, n_words):
 
 
 def dense_optimize(net, anisotropy, theta, t_range, t_points,
-                   field=(0.0, math.inf)):
-    """``search.optimize`` as a dense scan: the field maximum at every one
-    of the ``t_points`` grid times, each evaluated directly (one batch of
-    arbitrary times), then the package's own peak choice and Newton
-    refinement.  The oracle for the coarse-to-fine scan, which must pick the
-    same peaks."""
+                   field=(0.0, math.inf), peaks=10):
+    """A dense scan: the field maximum at every one of the ``t_points`` grid
+    times, each evaluated directly (one batch of arbitrary times), then the
+    package's Newton refinement within one spacing of the ``peaks`` best
+    separated grid points (:func:`peak_indices_argsort`).  Refined maxima
+    within ``TIE_TOLERANCE`` resolve to the smallest time.  A lower bound
+    for ``search.optimize``; a grid certifies nothing, so its
+    ``certified_gap`` is infinite."""
     t_lo, t_hi = t_range
     b_lo, b_hi = field
     scan = search.ProtocolScan(net, anisotropy, theta)
     t_values = np.linspace(t_lo, t_hi, t_points)
     values = scan.field_optimum(t_values, b_lo, b_hi)[0]
     spacing = (t_hi - t_lo) / (t_points - 1)
-    centers = t_values[search._peak_indices(np.arange(t_points), values)]
+    centers = t_values[peak_indices_argsort(values, peaks)]
     times, maxima = search._newton_refine(
         lambda t: scan._time_derivatives(t, b_lo, b_hi), centers,
         np.maximum(t_lo, centers - spacing),
@@ -443,4 +445,5 @@ def dense_optimize(net, anisotropy, theta, t_range, t_points,
         fidelity=float(best[0]), t_c=float(best_t), b_opt=float(fields[0]),
         n_evaluations=scan.n_eval,
         sector_dim=(sector_dimension([1] * net.n_sites, scan.basis.weights),
-                    scan.dim))
+                    scan.dim),
+        certified_gap=math.inf)

@@ -44,9 +44,9 @@ def test_criterion_1_closed_form_agreement():
 
 
 def test_criterion_2_optimal_point_recovery():
-    xy = optimize(star(2), 0.0, EQUATOR, t_range=(0.0, 10.0), t_points=600,
+    xy = optimize(star(2), 0.0, EQUATOR, t_range=(0.0, 10.0),
                   field=(0.0, 2.0))
-    heis = optimize(star(2), 1.0, EQUATOR, t_range=(0.0, 10.0), t_points=600,
+    heis = optimize(star(2), 1.0, EQUATOR, t_range=(0.0, 10.0),
                     field=(0.0, 0.0))
     ok = (abs(xy.fidelity - (2 + math.sqrt(2)) / 4) <= 1e-6
           and abs(xy.t_c - math.pi / math.sqrt(2)) <= 1e-3
@@ -82,8 +82,8 @@ def test_criterion_3_scaling_laws_at_large_m(m):
 
 
 def test_criterion_4_tree_graphs():
-    eight = optimize(tree(2, 2), 0.0, EQUATOR, (0.0, 50.0), 5001)
-    twenty_seven = optimize(tree(3, 2), 0.0, EQUATOR, (0.0, 50.0), 5001)
+    eight = optimize(tree(2, 2), 0.0, EQUATOR, (0.0, 50.0))
+    twenty_seven = optimize(tree(3, 2), 0.0, EQUATOR, (0.0, 50.0))
     ok = (abs(eight.fidelity - 0.676) <= 0.005
           and abs(twenty_seven.fidelity - 0.596) <= 0.005)
     report(4, f"tree fidelities {eight.fidelity:.4f} / "

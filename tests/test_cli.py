@@ -77,7 +77,7 @@ def check_lines(capsys):
 
 
 def test_tree_command(tmp_path, capsys):
-    assert run(tmp_path, "--t-points", 2001, "tree") == 0
+    assert run(tmp_path, "tree") == 0
     header, rows = read_rows(tmp_path / "tree.csv")
     assert [r["k"] + r["j"] for r in rows] == ["20", "21", "22", "31", "32"]
     deep = next(r for r in rows if r["k"] == "2" and r["j"] == "2")
@@ -90,6 +90,7 @@ def test_tree_command(tmp_path, capsys):
     for case, dims in [("2_0", "4/3"), ("2_1", "8/6"), ("2_2", "16/12"),
                        ("3_1", "14/8"), ("3_2", "41/23")]:
         assert f"sector_dim.tree_{case}={dims}" in lines
+    assert_certified_gaps(lines, [f"tree_{k}_{j}" for k, j in cli.TREE_CASES])
 
     # Each check line quotes the measured fidelity and the target band.
     by_case = {(r["k"], r["j"]): float(r["F"]) for r in rows}
@@ -235,29 +236,39 @@ def test_fig3_runs_to_its_checks_at_stiff_dephasing(tmp_path, capsys, gamma):
 
 
 @pytest.mark.parametrize("t_points", [0, 1])
-def test_too_few_time_points_rejected(tmp_path, t_points):
-    with pytest.raises(ValueError, match="two time points"):
-        run(tmp_path, "--t-points", t_points, "tree")
+def test_too_few_time_points_rejected(tmp_path, capsys, t_points):
+    # optimize certifies its maxima over the whole range, so no grid density
+    # is left to choose: --t-points fails to parse, whatever its value.
+    with pytest.raises(SystemExit):
+        run(tmp_path / "out", f"--t-points={t_points}", "tree")
+    assert "unrecognized arguments: --t-points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv,name", [
-    (["--gamma-grid", "1e-4:1e-1:0"], "--gamma-grid"),
-    (["--gamma-grid", "0"], "--gamma-grid"),
-    (["--gamma-grid", "1e-4:1e-1"], "--gamma-grid"),
-    (["--gamma-grid", "0:1:3"],
+@pytest.mark.parametrize("argv,error,name", [
+    (["--gamma-grid", "1e-4:1e-1:0"], ValueError, "--gamma-grid"),
+    (["--gamma-grid", "0"], ValueError, "--gamma-grid"),
+    (["--gamma-grid", "1e-4:1e-1"], ValueError, "--gamma-grid"),
+    (["--gamma-grid", "0:1:3"], ValueError,
      "--gamma-grid '0:1:3': a log-spaced grid needs start > 0 and stop > 0"),
-    (["--gamma-grid", "1e-3:1e-1:-2"], "--gamma-grid"),
-    (["--gamma-grid", "a,b"], "--gamma-grid"),
-    (["--gamma-grid=-1e-3,1e-2"], "--gamma-grid"),
-    (["--gamma-grid", "nan,1e-2"], "--gamma-grid"),
-    (["--gamma-grid", "1e-3:inf:3"], "--gamma-grid"),
-    (["--t-points", 1], "--t-points"),
+    (["--gamma-grid", "1e-3:1e-1:-2"], ValueError, "--gamma-grid"),
+    (["--gamma-grid", "a,b"], ValueError, "--gamma-grid"),
+    (["--gamma-grid=-1e-3,1e-2"], ValueError, "--gamma-grid"),
+    (["--gamma-grid", "nan,1e-2"], ValueError, "--gamma-grid"),
+    (["--gamma-grid", "1e-3:inf:3"], ValueError, "--gamma-grid"),
+    (["--t-points=1"], SystemExit, "unrecognized arguments: --t-points"),
 ], ids=["empty_grid", "zero_grid", "two_field_grid",
         "zero_log_bound", "negative_count", "non_numeric_list",
         "negative_list", "nan_list", "infinite_log_bound", "one_time_point"])
-def test_fig3_rejects_bad_input_before_writing(tmp_path, argv, name):
-    with pytest.raises(ValueError, match=name):
+def test_fig3_rejects_bad_input_before_writing(tmp_path, capsys, argv, error,
+                                               name):
+    # A bad value raises a ValueError naming its flag; a flag the parser
+    # does not know exits with the usage error on stderr.
+    with pytest.raises(error) as raised:
         run(tmp_path / "out", *argv, "fig3")
+    message = (str(raised.value) if error is ValueError
+               else capsys.readouterr().err)
+    assert re.search(name, message)
     # Not even the output directory is created.
     assert not (tmp_path / "out").exists()
 
@@ -292,10 +303,19 @@ def test_fig3_cross_check_random_stream_is_pinned(tmp_path, capsys, seed,
                     f" trace distance {distance}, bound 0.01")
 
 
+def assert_certified_gaps(lines, cases):
+    """One ``certified_gap.<case>=`` manifest line per case, each at most
+    optimize's TIE_TOLERANCE, 1e-10."""
+    gaps = {ln.split("=")[0].removeprefix("certified_gap."): float(
+        ln.split("=")[1]) for ln in lines if ln.startswith("certified_gap.")}
+    assert sorted(gaps) == sorted(cases)
+    assert all(0.0 <= gap <= 1e-10 for gap in gaps.values())
+
+
 def test_table1_command_small_grid(tmp_path, capsys):
-    # A deliberately coarse scan still emits all rows with deviation and
-    # flag columns; headline tolerances are only claimed at full density.
-    assert run(tmp_path, "--t-points", 3001, "table1") == 0
+    # Every row with deviation and flag columns, and each row's certified
+    # gap in the manifest, which names no grid density.
+    assert run(tmp_path, "table1") == 0
     header, rows = read_rows(tmp_path / "table1.csv")
     assert len(rows) == 7
     assert "deviation" in header and "flag" in header
@@ -314,7 +334,10 @@ def test_table1_command_small_grid(tmp_path, capsys):
                              f"deviation {deviation:.3g}, bound 0.03")
 
     lines = (tmp_path / "table1.manifest").read_text().splitlines()
-    assert "command=table1" in lines and "t_points=3001" in lines
+    assert "command=table1" in lines
+    assert not any(ln.startswith("t_points=") for ln in lines)
+    assert_certified_gaps(lines, [f"bipartite_{n}_{m}" for n, m in [
+        (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (4, 5)]])
     dims = {f"sector_dim.bipartite_2_{m}={full}/6"
             for m, full in [(3, 16), (4, 22), (5, 29), (6, 37), (7, 46)]}
     dims |= {"sector_dim.bipartite_3_4=64/10", "sector_dim.bipartite_4_5=256/15"}
@@ -329,7 +352,7 @@ def test_table1_fails_when_a_checked_row_misses(tmp_path, capsys,
         if (ref.n_inputs, ref.n_outputs) == (2, 3) else ref
         for ref in cli.NTOM_REFERENCE)
     monkeypatch.setattr(cli, "NTOM_REFERENCE", missed)
-    assert run(tmp_path, "--t-points", 2001, "table1") == 1
+    assert run(tmp_path, "table1") == 1
     _, rows = read_rows(tmp_path / "table1.csv")
     assert rows[0]["flag"] == "TOPOLOGY_MISMATCH"
     deviation = float(rows[0]["deviation"])
@@ -360,7 +383,7 @@ def test_gamma_grid_parsing():
 
 @pytest.mark.parametrize("argv", [
     ["fig2"],
-    ["--t-points", 2001, "tree"],
+    ["tree"],
     ["disorder"],
     ["--gamma-grid", "1e-3,1e-2", "fig3"],
 ], ids=["fig2", "tree", "disorder", "fig3"])
@@ -401,8 +424,7 @@ assert "scipy" not in sys.modules, "import"
 # numpy.random (the disorder draws replay its stream without it).
 for command in sorted(cli.COMMANDS, key=lambda command: command == "fig3"):
     for threads in ("1", "2"):
-        extra = ["--t-points", "2001"] if command == "table1" else []
-        cli.main(["--out-dir", sys.argv[1] + "/" + command, *extra,
+        cli.main(["--out-dir", sys.argv[1] + "/" + command,
                   "--threads", threads, command])
         assert "scipy" not in sys.modules, command
         assert command == "fig3" or "numpy.random" not in sys.modules, command

@@ -292,7 +292,7 @@ def _star_density_fidelities(theta, phi):
     lambda theta: protocol_fidelities(star(2), 0.0, 0.0, [0.3, theta], 0.0,
                                       1.0),
     lambda theta: ProtocolScan(star(2), 0.0, theta),
-    lambda theta: optimize(star(2), 0.0, theta, (0.0, 5.0), 10),
+    lambda theta: optimize(star(2), 0.0, theta, (0.0, 5.0)),
     lambda theta: disorder_study(star(2), 0.1, 5, 0.0, theta, 1.0, 0.5, 0),
     lambda theta: noisy_network_fidelity(star(2), 0.0, 0.0, theta, 0.1, 1.0),
     lambda theta: circuit_baseline(2, theta, 0.1),
@@ -394,8 +394,8 @@ def test_phase_independence_on_star():
 def test_heisenberg_field_changes_only_the_time():
     # A commensurate field shifts the optimum in time, not in value.
     from spinclone import optimize
-    base = optimize(star(2), 1.0, EQUATOR, (0.0, 8.0), 900, field=(0.0, 0.0))
-    with_field = optimize(star(2), 1.0, EQUATOR, (0.0, 8.0), 900,
+    base = optimize(star(2), 1.0, EQUATOR, (0.0, 8.0), field=(0.0, 0.0))
+    with_field = optimize(star(2), 1.0, EQUATOR, (0.0, 8.0),
                           field=(1.0, 1.0))
     assert abs(base.fidelity - with_field.fidelity) <= 1e-6
     assert abs(with_field.t_c - base.t_c) > 0.5
