@@ -237,30 +237,35 @@ def cmd_fig3(args) -> tuple:
     return tables, networks, params, checks
 
 
+def _trajectory_step(gamma: float) -> float:
+    return 0.1 / min(max(gamma, 1.0), 10.0)
+
+
 def _trajectory_count(gamma: float) -> int:
-    """Trajectories of the cross-check at the grid's largest Gamma: their
-    sampling error goes as ``w / sqrt(n)`` for the weight ``w = 1 -
-    e^{-Gamma t_c_xy(2)}`` dephased, so ``n`` keeps it at its value for 1000
-    at Gamma = 0.1: exactly 1000 up to there, at most 25202 above."""
+    """Trajectories of the cross-check at the grid's largest Gamma: a base
+    count keeps their sampling error, ``w / sqrt(n)`` for the weight ``w = 1
+    - e^{-Gamma t_c_xy(2)}`` dephased, at its value for 1000 at Gamma = 0.1,
+    and at most doubles while trajectories x steps stay within 223 x base."""
     w, w_ref = (-math.expm1(-g * t_c_xy(2)) for g in (gamma, 0.1))
-    return max(1000, math.ceil(1000.0 * (w / w_ref) ** 2))
+    base = max(1000, math.ceil(1000.0 * (w / w_ref) ** 2))
+    steps = math.ceil(t_c_xy(2) / _trajectory_step(gamma))
+    return min(2 * base, base * 223 // steps)
 
 
 def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
     """Trace distance between the two dephasing solvers on the 1->2 star.
 
-    The trajectories take steps of ``dt = 1e-2`` (222 over ``t_c_xy(2)``).
-    Their exact average, the split-step map, misses the master equation by
-    a bias linear in ``dt`` (1.1e-4 at Gamma = 0.1, 4.4e-4 at 1.0), below
-    their sampling error (about 5e-3) until ``Gamma dt`` is large.
-    """
+    At steps of at most ``_trajectory_step(gamma)`` the symmetric split that
+    the trajectories sample misses the master equation by 1.6e-5 at Gamma =
+    0.1, 2.9e-4 at 1 and 7.4e-5 at 10, at no Gamma more than the first-order
+    split at steps of 1e-2."""
     net = star(2).with_params(anisotropy=0.0, field=b_opt_xy(2))
     basis, amplitudes = prepare_input(net, math.pi / 2, 0.0)
     block = build_block(net, basis.weights)
     rho0 = MixedState(basis, np.outer(amplitudes, amplitudes.conj()))
     master = lindblad_evolve(rho0, block, gamma, t_c_xy(2))
-    sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2), dt=1e-2,
-                                n_traj=n_traj, seed=seed)
+    sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2),
+                                _trajectory_step(gamma), n_traj, seed)
     gaps = np.linalg.eigvalsh(master.matrix - sampled.matrix)
     return 0.5 * float(np.sum(np.abs(gaps)))
 

@@ -89,9 +89,9 @@ class GatePulse:
         return self.value if self.kind == "xy_pulse" else 0.0
 
 
-# Phase entries (steps x trajectories x states) that stochastic_evolve holds
-# at once: four steps of 1000 trajectories on a 4-state sector.  Longer
-# chunks save little per step and raise a fig3 process's peak memory.
+# Phase entries (kicks x trajectories x states) that stochastic_evolve holds
+# at once: two kicks of 2000 trajectories on a 4-state sector.  Longer
+# chunks save little per kick and raise a fig3 process's peak memory.
 KICK_ENTRIES = 1 << 14
 
 
@@ -185,19 +185,19 @@ def lindblad_evolve(rho0: MixedState, block: HamiltonianBlock, gamma: float,
 def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
                       t: float, dt: float = 1e-3, n_traj: int = 1000,
                       seed: int = 0) -> MixedState:
-    """Trajectory average: unitary steps alternating with random phase kicks.
+    """Trajectory average: unitary steps between random phase kicks.
 
-    Each step applies the exact propagator over ``dt`` followed by per-site
-    z-phase kicks of variance ``gamma * dt`` (field normalization
-    ``b_i / 2 sz_i``).  Trajectories come in antithetic pairs: trajectory
-    ``k + ceil(n_traj / 2)`` receives the negated kicks of trajectory ``k``,
-    that is the complex conjugate phase factors, so each one is still an
-    exact sample of the noise while the error of the average that is odd in
-    the kicks cancels.  Deterministic under a fixed seed.
-
-    The kicks are drawn from the generator for a chunk of steps at a time,
-    at most ``KICK_ENTRIES`` phase entries, which yields the same numbers in
-    the same order as one ``(ceil(n_traj / 2), n_sites)`` draw per step.
+    ``n = ceil(t / dt)`` equal steps of ``h = t / n`` sit between ``n + 1``
+    per-site z-phase kicks (field ``b_i / 2 sz_i``) of variance ``gamma h``,
+    the first and last halved: Strang's symmetric split (SIAM J. Numer.
+    Anal. 5, 506 (1968)), whose average is second order in ``h``.
+    Trajectory ``k + ceil(n_traj / 2)`` receives the negated kicks of
+    trajectory ``k``, the complex conjugate phases: each is still an exact
+    sample of the noise while the error of the average that is odd in the
+    kicks cancels.  Deterministic under a fixed seed.  The kicks are drawn a
+    chunk of at most ``KICK_ENTRIES`` phase entries at a time, the same
+    numbers in the same order as one ``(ceil(n_traj / 2), n_sites)`` draw
+    per kick.
     """
     basis = block.basis
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -210,36 +210,31 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     _require("dt", dt, positive=True)
     rng = np.random.default_rng(seed)
 
-    n_full = int(math.floor(t / dt + 1e-12))
-    remainder = t - n_full * dt
+    n = max(1, math.ceil(t / dt))
+    u_t = _expm(-1j * (t / n) * block.matrix).T
+    scale, edge = math.sqrt(gamma * t / n), math.sqrt(gamma * t / n / 2.0)
     states = np.tile(psi0, (n_traj, 1))
     half = (n_traj + 1) // 2
     # Kick -> phase angle -(kicks . z) / 2 with z the sz per site; the factor
     # -1/2 is exact, so the angles do not depend on where it is applied.
     to_angle = -0.5 * (1.0 - 2.0 * basis.counts).T
     chunk = max(1, KICK_ENTRIES // states.size)
-    for duration, n_steps in ((dt, n_full),
-                              (remainder, 1 if remainder > 1e-15 else 0)):
-        if n_steps == 0:
-            continue
-        u_t = _expm(-1j * duration * block.matrix).T
-        scale = math.sqrt(gamma * duration)
-        for lo in range(0, n_steps, chunk):
-            n_chunk = min(chunk, n_steps - lo)
-            if scale > 0.0:
-                kicks = rng.standard_normal((n_chunk, half, len(to_angle)))
-                angle = (scale * kicks) @ to_angle
-                phases = np.empty((n_chunk, n_traj, len(basis)),
-                                  dtype=np.complex128)
-                np.cos(angle, out=phases[:, :half].real)
-                np.sin(angle, out=phases[:, :half].imag)
-                phases[:, half:] = phases[:, :n_traj - half].conj()
-            for step in range(n_chunk):
+    for lo in range(0, n + 1, chunk):
+        n_chunk = min(chunk, n + 1 - lo)
+        if scale > 0.0:
+            kicks = rng.standard_normal((n_chunk, half, len(to_angle)))
+            scales = np.where(np.arange(lo, lo + n_chunk) % n, scale, edge)
+            angle = (scales[:, None, None] * kicks) @ to_angle
+            phases = np.empty((n_chunk, n_traj, len(basis)), complex)
+            np.cos(angle, out=phases[:, :half].real)
+            np.sin(angle, out=phases[:, :half].imag)
+            phases[:, half:] = phases[:, :n_traj - half].conj()
+        for step in range(n_chunk):
+            if lo + step:
                 states = states @ u_t
-                if scale > 0.0:
-                    states *= phases[step]
-    rho = (states.T @ states.conj()) / n_traj
-    return MixedState(basis=basis, matrix=rho)
+            if scale > 0.0:
+                states *= phases[step]
+    return MixedState(basis, (states.T @ states.conj()) / n_traj)
 
 
 def noisy_network_fidelity(net: SpinNetwork, anisotropy: float, field: float,

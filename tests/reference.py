@@ -297,39 +297,35 @@ def golden_max(func, lo, hi):
 
 
 def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
-    """Trajectory average one step at a time, one kick draw per step.
+    """Trajectory average one step at a time, one kick draw per kick.
 
-    The original per-step loop of ``noise.stochastic_evolve``, kept as the
-    oracle for its chunked kernel: same random stream, same arithmetic, and
-    the same step unitary, from the package's ``noise._expm``.  Returns the
-    averaged density matrix and the (n_traj, dim) final trajectory states.
+    The per-step loop of ``noise.stochastic_evolve``, kept as the oracle for
+    its chunked kernel: same random stream, same arithmetic, and the same
+    step unitary, from the package's ``noise._expm``.  ``n = ceil(t / dt)``
+    equal steps sit between ``n + 1`` kicks, the first and last of half the
+    variance.  Returns the averaged density matrix and the (n_traj, dim)
+    final trajectory states.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     z = 1.0 - 2.0 * block.basis.counts   # sz per site
     rng = np.random.default_rng(seed)
 
-    n_full = int(math.floor(t / dt + 1e-12))
-    remainder = t - n_full * dt
+    n = max(1, math.ceil(t / dt))
+    u = _expm(-1j * (t / n) * block.matrix)
     states = np.tile(psi0, (n_traj, 1))
     half = (n_traj + 1) // 2
+    scale, edge = math.sqrt(gamma * t / n), math.sqrt(gamma * t / n / 2.0)
 
-    def run_segment(states, duration, n_steps):
-        if n_steps == 0 or duration == 0.0:
+    def kick(states, sigma):
+        if scale == 0.0:   # no kicks drawn
             return states
-        u = _expm(-1j * duration * block.matrix)
-        scale = math.sqrt(gamma * duration)
-        for _ in range(n_steps):
-            states = states @ u.T
-            if scale > 0.0:
-                kicks = rng.normal(0.0, scale, size=(half, z.shape[1]))
-                phases = np.exp(-0.5j * (kicks @ z.T))
-                states = states * np.concatenate(
-                    [phases, phases.conj()])[:n_traj]
-        return states
+        kicks = rng.normal(0.0, sigma, size=(half, z.shape[1]))
+        phases = np.exp(-0.5j * (kicks @ z.T))
+        return states * np.concatenate([phases, phases.conj()])[:n_traj]
 
-    states = run_segment(states, dt, n_full)
-    if remainder > 1e-15:
-        states = run_segment(states, remainder, 1)
+    states = kick(states, edge)
+    for step in range(1, n + 1):
+        states = kick(states @ u.T, edge if step == n else scale)
     rho = (states.T @ states.conj()) / n_traj
     return rho, states
 
@@ -337,11 +333,30 @@ def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
 def split_step_average(rho, block, gamma, t, dt):
     """Exact average over the kicks of ``noise.stochastic_evolve``'s steps.
 
-    Each step maps ``rho -> D * (U rho U^dagger)`` elementwise, with ``U``
-    the block propagator over the step and ``D_ab = exp(-Gamma dt
-    hamming(a, b) / 2)`` the mean of the kick phases; the steps are split
-    into full steps and one remainder as the trajectories split them.  Its
-    distance to the master equation is the trajectories' deterministic bias.
+    A kick of variance ``v`` maps ``rho -> D(v) * rho`` elementwise, with
+    ``D(v)_ab = exp(-v hamming(a, b) / 2)`` the mean of its phases; the
+    ``n = ceil(t / dt)`` steps ``rho -> U rho U^dagger`` over ``h = t / n``
+    sit between kicks of variance ``Gamma h``, the first and last halved, as
+    the trajectories place them.  Its distance to the master equation is the
+    trajectories' deterministic bias.
+    """
+    z = 1.0 - 2.0 * block.basis.counts   # sz per site
+    hamming = (z.shape[1] - z @ z.T) / 2.0
+    n = max(1, math.ceil(t / dt))
+    u = scipy.linalg.expm(-1j * (t / n) * block.matrix)
+    damping = np.exp(-0.5 * gamma * (t / n) * hamming)
+    rho = np.sqrt(damping) * np.asarray(rho, dtype=np.complex128)
+    for _ in range(n - 1):
+        rho = damping * (u @ rho @ u.conj().T)
+    return np.sqrt(damping) * (u @ rho @ u.conj().T)
+
+
+def lie_split_average(rho, block, gamma, t, dt=1e-2):
+    """Exact average of the first-order split that ``stochastic_evolve``
+    sampled before its kicks were placed symmetrically: full steps of
+    ``dt``, then one remainder step, each followed by a kick of variance
+    ``Gamma`` times its duration.  The baseline that the symmetric placement
+    at its derived step must not fall behind.
     """
     z = 1.0 - 2.0 * block.basis.counts   # sz per site
     hamming = (z.shape[1] - z @ z.T) / 2.0

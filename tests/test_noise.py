@@ -15,14 +15,15 @@ from spinclone import (GatePulse, b_opt_xy, bipartite, build_block,
                        from_edge_list, lindblad_evolve, noisy_network_fidelity,
                        pcc_circuit_schedule, prepare_input, run_protocol,
                        sector_basis, star, stochastic_evolve, t_c_xy, tree)
+from spinclone import cli
 from spinclone.cli import main
 from spinclone.dynamics import _propagate, density_fidelities
 from spinclone.noise import (KICK_ENTRIES, MixedState, _expm, cnot_pulses,
                              cry_pulses, schedule_duration)
 from reference import (configuration_words, full_dephasing_evolve,
                        full_hamiltonian, full_input_state, full_space_circuit,
-                       schedule_unitary, split_step_average,
-                       stochastic_stepwise)
+                       lie_split_average, schedule_unitary,
+                       split_step_average, stochastic_stepwise)
 from strategies import small_networks as connected_networks
 
 EQUATOR = math.pi / 2
@@ -218,8 +219,8 @@ def test_stochastic_single_qubit_three_sigma():
 @pytest.mark.parametrize("n_traj,gamma,t", [
     (2, 0.05, 0.5),
     (999, 0.05, 0.5),          # odd: the antithetic half is one row short
-    (1000, 0.1, t_c_xy(2)),    # 2221 steps and a remainder step
-    (1000, 0.1, 0.0237),       # 23 steps and a remainder step
+    (1000, 0.1, t_c_xy(2)),    # 2222 equal steps, 2223 kicks
+    (1000, 0.1, 0.0237),       # 24 equal steps, 25 kicks
     (1000, 0.0, 0.5),          # no kicks drawn
 ])
 def test_stochastic_matches_stepwise_oracle(n_traj, gamma, t):
@@ -241,8 +242,8 @@ def test_stochastic_matches_stepwise_oracle(n_traj, gamma, t):
 @example(n_traj=1200, gamma=0.0, steps=5, dt=1e-2, fraction=0.0, seed=0)
 def test_stochastic_matches_stepwise_oracle_property(n_traj, gamma, steps,
                                                      dt, fraction, seed):
-    # Chunk boundaries, the odd antithetic half, a zero rate and the
-    # remainder step all leave the result bit for bit that of the oracle.
+    # Chunk boundaries, the odd antithetic half, a zero rate and steps that
+    # do not divide t leave the result bit for bit that of the oracle.
     _, _, amplitudes, block = _star_setup(2)
     t = (steps + fraction) * dt
     out = stochastic_evolve(amplitudes, block, gamma, t, dt=dt,
@@ -253,11 +254,13 @@ def test_stochastic_matches_stepwise_oracle_property(n_traj, gamma, steps,
 
 
 def test_stochastic_oracle_cases_split_chunks():
-    # The 1000-trajectory cases above end in a partial chunk of kick steps.
+    # The kicked 1000-trajectory cases above end in a partial chunk of kicks:
+    # n = ceil(t / dt) steps take n + 1 kicks.
     _, basis, _, _ = _star_setup(2)
     chunk = max(1, KICK_ENTRIES // (1000 * len(basis)))
     assert chunk > 1
-    assert 23 % chunk and int(t_c_xy(2) / 1e-3) % chunk
+    for t in (t_c_xy(2), 0.0237):
+        assert (math.ceil(t / 1e-3) + 1) % chunk
 
 
 def test_stochastic_single_trajectory_near_oracle():
@@ -351,29 +354,41 @@ def test_solver_agreement_on_star(gamma):
     assert _trace_distance(master.matrix, sampled.matrix) <= 0.01
 
 
-def _split_step_bias(gamma, dt):
+def _split_step_bias(gamma, dt, average=split_step_average):
     _, basis, amplitudes, block = _star_setup(2)
     master = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t_c_xy(2))
-    averaged = split_step_average(np.outer(amplitudes, amplitudes.conj()),
-                                  block, gamma, t_c_xy(2), dt)
+    averaged = average(np.outer(amplitudes, amplitudes.conj()), block, gamma,
+                       t_c_xy(2), dt)
     return _trace_distance(master.matrix, averaged)
 
 
 @pytest.mark.parametrize("gamma,bound", [(0.1, 2e-4), (1.0, 1e-3)])
 def test_split_step_bias_of_the_cross_check(gamma, bound):
-    # The exact average of fig3's trajectories (dt = 1e-2 on the star(2)
-    # cross-check) misses the master equation by a deterministic bias of
-    # first order in dt, far below the 0.01 bound and the sampling error.
-    coarse = _split_step_bias(gamma, 1e-2)
+    # The exact average of fig3's trajectories (23 steps of at most 0.1 on
+    # the star(2) cross-check up to Gamma = 1) misses the master equation by
+    # a deterministic bias of second order in the step, far below the 0.01
+    # bound and the sampling error: 223 steps cut it (223 / 23)^2 = 94-fold.
+    coarse = _split_step_bias(gamma, 0.1)
     assert coarse <= bound
-    assert 8.0 <= coarse / _split_step_bias(gamma, 1e-3) <= 12.0
+    assert 0.9 * 94.0 <= coarse / _split_step_bias(gamma, 1e-2) <= 1.1 * 94.0
+
+
+@pytest.mark.parametrize("gamma", [1e-4, 0.1, 0.5, 1.0, 2.0, 4.0, 10.0,
+                                   100.0, 1e3, 1e7])
+def test_cross_check_step_is_no_worse_than_the_first_order_split(gamma):
+    # At the step derived from Gamma, the symmetric split misses the master
+    # equation by no more than the first-order split at dt = 1e-2, with its
+    # remainder step, that the cross-check sampled before.
+    derived = _split_step_bias(gamma, cli._trajectory_step(gamma))
+    assert derived <= _split_step_bias(gamma, 1e-2, lie_split_average)
 
 
 def test_trajectories_average_to_the_split_step_map():
-    # At a step this coarse the bias (0.016) exceeds the sampling error of
-    # 20000 trajectories, which land on the split-step map, not the master.
+    # At a step this coarse (5 steps of at most 0.5) the bias (0.027)
+    # exceeds the sampling error of 20000 trajectories, which land on the
+    # split-step map, not the master.
     _, basis, amplitudes, block = _star_setup(2)
-    gamma, dt, t = 3.0, 0.2, t_c_xy(2)
+    gamma, dt, t = 3.0, 0.5, t_c_xy(2)
     master = lindblad_evolve(_pure(basis, amplitudes), block, gamma, t).matrix
     averaged = split_step_average(np.outer(amplitudes, amplitudes.conj()),
                                   block, gamma, t, dt)
