@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,36 +64,16 @@ class MixedState:
         _check_densities(self.matrix, hermitian=1e-9, trace=1e-8, psd=1e-9)
 
 
-@dataclass(frozen=True)
-class GatePulse:
-    """One schedule element: an XY pulse or an instantaneous rotation.
+class GatePulse(NamedTuple):
+    """One schedule element: an XY pulse on two sites or a rotation of one.
 
-    ``value`` is the duration (in J t) for ``xy_pulse`` and the rotation
-    angle for ``z_rotation`` / ``x_rotation``.
+    ``value`` is the duration (in J t) of an ``xy_pulse`` and the angle of a
+    ``z_rotation`` or ``x_rotation``.
     """
 
     kind: str
     sites: tuple[int, ...]
     value: float
-
-    def __post_init__(self):
-        if self.kind not in ("xy_pulse", "z_rotation", "x_rotation"):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.kind == "xy_pulse":
-            if len(self.sites) != 2 or self.value < 0.0:
-                raise ValueError("xy_pulse needs two sites and duration >= 0")
-        elif len(self.sites) != 1:
-            raise ValueError("rotations act on one site")
-
-    @property
-    def duration(self) -> float:
-        return self.value if self.kind == "xy_pulse" else 0.0
-
-
-# Phase entries (kicks x trajectories x states) that stochastic_evolve holds
-# at once: two kicks of 2000 trajectories on a 4-state sector.  Longer
-# chunks save little per kick and raise a fig3 process's peak memory.
-KICK_ENTRIES = 1 << 14
 
 
 def _require(name: str, value: float, positive: bool = False) -> None:
@@ -135,6 +116,15 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
+def _require_finite_exponent(a: np.ndarray, gamma: float, t: float) -> None:
+    """Reject a ``gamma * t`` or an exponent ``a`` that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(a, 1)
+    if not (math.isfinite(gamma * t) and math.isfinite(norm)):
+        raise ValueError(f"gamma * t and the generator it scales must be "
+                         f"finite, got gamma={gamma!r}, t={t!r}")
+
+
 def _propagator(matrix: np.ndarray, z: np.ndarray, gamma: float,
                 t: float) -> np.ndarray:
     """Exact dephasing propagator ``expm(L t)`` on row-major ``vec(rho)``,
@@ -153,15 +143,17 @@ def _propagator(matrix: np.ndarray, z: np.ndarray, gamma: float,
     generator = np.zeros((dim,) * 4, dtype=complex)
     generator[:, k, :, k] = -1j * matrix        # -i H[a, c] delta_bd
     generator[k, :, k, :] += 1j * matrix.T      # +i H[d, b] delta_ac
-    generator[k[:, None], k, k[:, None], k] += (gamma / 4.0) * (
-        z @ z.T - z.shape[1])
-    generator = generator.reshape(dim * dim, dim * dim) * t
     # Exponentiate in coordinates whose first one is the trace, sum_a rho_aa,
     # the others unchanged: the generator's trace row is then exactly zero,
     # so the trace is kept exactly, however stiff the dephasing.
     diagonal = k * (dim + 1)
-    generator[0] = generator[diagonal].sum(axis=0)
-    generator[:, diagonal[1:]] -= generator[:, :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        generator[k[:, None], k, k[:, None], k] += (gamma / 4.0) * (
+            z @ z.T - z.shape[1])
+        generator = generator.reshape(dim * dim, dim * dim) * t
+        generator[0] = generator[diagonal].sum(axis=0)
+        generator[:, diagonal[1:]] -= generator[:, :1]
+    _require_finite_exponent(generator, gamma, t)
     result = _expm(generator)
     result[0] -= result[diagonal[1:]].sum(axis=0)
     result[:, diagonal[1:]] += result[:, :1]
@@ -194,10 +186,8 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     Trajectory ``k + ceil(n_traj / 2)`` receives the negated kicks of
     trajectory ``k``, the complex conjugate phases: each is still an exact
     sample of the noise while the error of the average that is odd in the
-    kicks cancels.  Deterministic under a fixed seed.  The kicks are drawn a
-    chunk of at most ``KICK_ENTRIES`` phase entries at a time, the same
-    numbers in the same order as one ``(ceil(n_traj / 2), n_sites)`` draw
-    per kick.
+    kicks cancels.  Deterministic under a fixed seed: each kick is one
+    ``(ceil(n_traj / 2), n_sites)`` draw, applied before the next step.
     """
     basis = block.basis
     psi0 = np.asarray(psi0, dtype=np.complex128)
@@ -211,29 +201,27 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     rng = np.random.default_rng(seed)
 
     n = max(1, math.ceil(t / dt))
-    u_t = _expm(-1j * (t / n) * block.matrix).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        generator = -1j * (t / n) * block.matrix
+    _require_finite_exponent(generator, gamma, t)
+    u_t = _expm(generator).T
     scale, edge = math.sqrt(gamma * t / n), math.sqrt(gamma * t / n / 2.0)
     states = np.tile(psi0, (n_traj, 1))
     half = (n_traj + 1) // 2
     # Kick -> phase angle -(kicks . z) / 2 with z the sz per site; the factor
     # -1/2 is exact, so the angles do not depend on where it is applied.
     to_angle = -0.5 * (1.0 - 2.0 * basis.counts).T
-    chunk = max(1, KICK_ENTRIES // states.size)
-    for lo in range(0, n + 1, chunk):
-        n_chunk = min(chunk, n + 1 - lo)
+    phases = np.empty_like(states)
+    for step in range(n + 1):
+        if step:
+            states = states @ u_t
         if scale > 0.0:
-            kicks = rng.standard_normal((n_chunk, half, len(to_angle)))
-            scales = np.where(np.arange(lo, lo + n_chunk) % n, scale, edge)
-            angle = (scales[:, None, None] * kicks) @ to_angle
-            phases = np.empty((n_chunk, n_traj, len(basis)), complex)
-            np.cos(angle, out=phases[:, :half].real)
-            np.sin(angle, out=phases[:, :half].imag)
-            phases[:, half:] = phases[:, :n_traj - half].conj()
-        for step in range(n_chunk):
-            if lo + step:
-                states = states @ u_t
-            if scale > 0.0:
-                states *= phases[step]
+            kicks = rng.standard_normal((half, len(to_angle)))
+            angle = ((scale if step % n else edge) * kicks) @ to_angle
+            np.cos(angle, out=phases[:half].real)
+            np.sin(angle, out=phases[:half].imag)
+            np.conjugate(phases[:n_traj - half], out=phases[half:])
+            states *= phases
     return MixedState(basis, (states.T @ states.conj()) / n_traj)
 
 
@@ -336,33 +324,15 @@ def pcc_circuit_schedule(n_clones: int) -> tuple[int, list[GatePulse]]:
     raise ValueError("circuit baseline supports 2 or 3 clones")
 
 
-_CIRCUIT_IDEAL = {
-    2: (2.0 + math.sqrt(2.0)) / 4.0,
-    3: 0.5 + 0.5 / math.sqrt(3.0),
-}
-
-
 def circuit_ideal_fidelity(n_clones: int) -> float:
-    """Equatorial fidelity of the noiseless circuit baseline."""
-    try:
-        return _CIRCUIT_IDEAL[n_clones]
-    except KeyError:
-        raise ValueError("circuit baseline supports 2 or 3 clones") from None
+    """Equatorial fidelity 1/2 + 1/(2 sqrt M) of the noiseless circuit."""
+    if n_clones not in (2, 3):
+        raise ValueError("circuit baseline supports 2 or 3 clones")
+    return 0.5 + 0.5 / math.sqrt(n_clones)
 
 
 def schedule_duration(schedule: list[GatePulse]) -> float:
-    return sum(p.duration for p in schedule)
-
-
-def _embed_1q(u: np.ndarray, site: int, basis: SectorBasis) -> np.ndarray:
-    """Full-space matrix of a single-qubit unitary on the given site."""
-    empty, occupied, _ = basis.raising(site)   # every weight is present
-    full = np.zeros((len(basis), len(basis)), dtype=np.complex128)
-    full[empty, empty] = u[0, 0]
-    full[occupied, occupied] = u[1, 1]
-    full[occupied, empty] = u[1, 0]
-    full[empty, occupied] = u[0, 1]
-    return full
+    return sum(p.value for p in schedule if p.kind == "xy_pulse")
 
 
 def _rotation_matrix(pulse: GatePulse) -> np.ndarray:
@@ -374,11 +344,6 @@ def _rotation_matrix(pulse: GatePulse) -> np.ndarray:
                      [-1j * np.sin(half), np.cos(half)]])
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.flags.writeable = False
-
-
 @functools.cache
 def _compiled_circuit(n_clones: int) -> tuple:
     """The Gamma- and theta-independent part of :func:`circuit_baseline`.
@@ -387,11 +352,12 @@ def _compiled_circuit(n_clones: int) -> tuple:
     configuration basis, the XY Hamiltonian of one pair and its sz per site,
     one ``(u, duration, order)`` per XY pulse, in order, and the product of
     the rotations after the last pulse.  ``u`` is the product of the
-    rotations since the previous pulse; ``order`` transposes ``rho``, as a
-    ``(2,) * 2n`` array, to put the pair's ket and bra axes first, in the
-    pair basis order, then the spectators' ket and bra axes; ``hamming``
-    holds the spectators' Hamming distances in that layout, raveled.  Every
-    array is read-only, so callers share one compilation.
+    rotations since the previous pulse, each applied to its qubit's bit of
+    the configuration index, as the pulses are; ``order`` transposes
+    ``rho``, as a ``(2,) * 2n`` array, to put the pair's ket and bra axes
+    first, in the pair basis order, then the spectators' ket and bra axes;
+    ``hamming`` holds the spectators' Hamming distances in that layout,
+    raveled.  Every array is read-only, so callers share one compilation.
     """
     n_qubits, schedule = pcc_circuit_schedule(n_clones)
     basis = sector_basis(n_qubits, tuple(range(n_qubits + 1)))
@@ -405,7 +371,9 @@ def _compiled_circuit(n_clones: int) -> tuple:
     pulses = []
     for pulse in schedule:
         if pulse.kind != "xy_pulse":
-            u = _embed_1q(_rotation_matrix(pulse), pulse.sites[0], basis) @ u
+            # Qubit q is the bit of weight 2^q of u's row index.
+            u = (_rotation_matrix(pulse) @ u.reshape(
+                -1, 2, 2 ** pulse.sites[0] * len(u))).reshape(u.shape)
             continue
         # Qubit q is ket axis n - 1 - q, the highest bit first; a pair
         # state's first site is its lower bit.
@@ -415,7 +383,8 @@ def _compiled_circuit(n_clones: int) -> tuple:
         pulses.append((u, pulse.value,
                        tuple(kets[:2] + bras[:2] + kets[2:] + bras[2:])))
         u = np.eye(len(basis), dtype=np.complex128)
-    _read_only(pair.matrix, pair_z, u, hamming, *(p[0] for p in pulses))
+    for array in (pair.matrix, pair_z, u, hamming, *(p[0] for p in pulses)):
+        array.flags.writeable = False
     return basis, pair.matrix, pair_z, tuple(pulses), u, hamming
 
 

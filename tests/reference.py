@@ -4,7 +4,7 @@ Everything here works on the full 2^n space with dense Kronecker products
 and generic tensor reshapes, deliberately sharing no machinery with the
 package's sector-restricted implementation, with two exceptions:
 ``stochastic_stepwise`` takes its step unitary from ``noise._expm``, so that
-it checks the chunked trajectory kernel bit for bit, and
+it checks the trajectory kernel bit for bit, and
 ``full_space_circuit`` exponentiates its Liouvillians with
 ``noise._propagator`` (``_expm`` itself is pinned against
 ``scipy.linalg.expm`` in ``test_noise``).  ``dense_optimize`` is the
@@ -299,12 +299,13 @@ def golden_max(func, lo, hi):
 def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
     """Trajectory average one step at a time, one kick draw per kick.
 
-    The per-step loop of ``noise.stochastic_evolve``, kept as the oracle for
-    its chunked kernel: same random stream, same arithmetic, and the same
-    step unitary, from the package's ``noise._expm``.  ``n = ceil(t / dt)``
-    equal steps sit between ``n + 1`` kicks, the first and last of half the
-    variance.  Returns the averaged density matrix and the (n_traj, dim)
-    final trajectory states.
+    The loop of ``noise.stochastic_evolve``, written out on its own as the
+    oracle that it matches bit for bit: the same random stream, drawn by
+    ``rng.normal``, phases from ``np.exp``, and the same step unitary, from
+    the package's ``noise._expm``.  ``n = ceil(t / dt)`` equal steps sit
+    between ``n + 1`` kicks, the first and last of half the variance.
+    Returns the averaged density matrix and the (n_traj, dim) final
+    trajectory states.
     """
     psi0 = np.asarray(psi0, dtype=np.complex128)
     z = 1.0 - 2.0 * block.basis.counts   # sz per site

@@ -10,16 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinclone.noise
-from spinclone import (GatePulse, b_opt_xy, bipartite, build_block,
-                       circuit_baseline, circuit_ideal_fidelity,
-                       from_edge_list, lindblad_evolve, noisy_network_fidelity,
-                       pcc_circuit_schedule, prepare_input, run_protocol,
-                       sector_basis, star, stochastic_evolve, t_c_xy, tree)
+from spinclone import (b_opt_xy, bipartite, build_block, circuit_baseline,
+                       circuit_ideal_fidelity, from_edge_list, lindblad_evolve,
+                       noisy_network_fidelity, pcc_circuit_schedule,
+                       prepare_input, run_protocol, sector_basis, star,
+                       stochastic_evolve, t_c_xy, tree)
 from spinclone import cli
 from spinclone.cli import main
 from spinclone.dynamics import _propagate, density_fidelities
-from spinclone.noise import (KICK_ENTRIES, MixedState, _expm, cnot_pulses,
-                             cry_pulses, schedule_duration)
+from spinclone.noise import (MixedState, _expm, cnot_pulses, cry_pulses,
+                             schedule_duration)
 from reference import (configuration_words, full_dephasing_evolve,
                        full_hamiltonian, full_input_state, full_space_circuit,
                        lie_split_average, schedule_unitary,
@@ -253,16 +253,6 @@ def test_stochastic_matches_stepwise_oracle_property(n_traj, gamma, steps,
     assert np.array_equal(out.matrix, rho)
 
 
-def test_stochastic_oracle_cases_split_chunks():
-    # The kicked 1000-trajectory cases above end in a partial chunk of kicks:
-    # n = ceil(t / dt) steps take n + 1 kicks.
-    _, basis, _, _ = _star_setup(2)
-    chunk = max(1, KICK_ENTRIES // (1000 * len(basis)))
-    assert chunk > 1
-    for t in (t_c_xy(2), 0.0237):
-        assert (math.ceil(t / 1e-3) + 1) % chunk
-
-
 def test_stochastic_single_trajectory_near_oracle():
     # One-row products may take another BLAS path than the oracle's.
     _, _, amplitudes, block = _star_setup(2)
@@ -273,17 +263,23 @@ def test_stochastic_single_trajectory_near_oracle():
     assert np.max(np.abs(out.matrix - rho)) <= 1e-14
 
 
-def test_stochastic_memory_stays_bounded():
-    _, _, amplitudes, block = _star_setup(2)
+@pytest.mark.parametrize("n_traj", [1000, 2000, 25202])
+def test_stochastic_memory_stays_bounded(n_traj):
+    # The counts of this suite, of fig3's default grid and of fig3 from
+    # Gamma = 10 up, at that grid's step: the kicks are drawn one at a time,
+    # so the peak is a few trajectory arrays, whatever the step count.
+    _, basis, amplitudes, block = _star_setup(2)
     stochastic_evolve(amplitudes, block, 0.1, 0.01, n_traj=1)  # warm-up
     tracemalloc.start()
     try:
-        stochastic_evolve(amplitudes, block, 0.1, t_c_xy(2),
-                          n_traj=1000)
+        stochastic_evolve(amplitudes, block, 0.1, t_c_xy(2), dt=1e-2,
+                          n_traj=n_traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 4 * n_traj * len(basis) * 16
+    if n_traj == 1000:
+        assert peak < 1 << 20
 
 
 MALFORMED_T_GAMMA = [("t", {"t": -1.0}), ("t", {"t": math.inf}),
@@ -314,6 +310,47 @@ def test_lindblad_rejects_malformed_inputs(name, kwargs):
 def test_circuit_rejects_malformed_gamma(name, kwargs):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         circuit_baseline(2, EQUATOR, **kwargs)
+
+
+@pytest.mark.parametrize("caller", ["lindblad_evolve",
+                                    "noisy_network_fidelity",
+                                    "stochastic_evolve", "cli"])
+def test_overflowing_gamma_is_rejected_by_name(tmp_path, monkeypatch,
+                                               caller):
+    # A finite gamma whose generator or gamma * t overflows raises a
+    # ValueError naming both, before any exponential of a non-finite
+    # argument and without a RuntimeWarning (which the suite makes an error).
+    _, basis, amplitudes, block = _star_setup(2)
+    calls = {
+        "lindblad_evolve": lambda: lindblad_evolve(
+            _pure(basis, amplitudes), block, 1e308, t_c_xy(2)),
+        "noisy_network_fidelity": lambda: noisy_network_fidelity(
+            star(2), 0.0, b_opt_xy(2), EQUATOR, 1e308, t_c_xy(2)),
+        "stochastic_evolve": lambda: stochastic_evolve(
+            amplitudes, block, 1.7e308, 2.0, n_traj=2),
+        "cli": lambda: main(["--out-dir", str(tmp_path), "--gamma-grid",
+                             "1e308", "fig3"]),
+    }
+    arguments = []
+
+    def recording(a):
+        arguments.append(np.isfinite(a).all())
+        return _expm(a)
+
+    monkeypatch.setattr(spinclone.noise, "_expm", recording)
+    with pytest.raises(ValueError, match=r"^gamma \* t .* got gamma=.*, t="):
+        calls[caller]()
+    assert all(arguments)
+
+
+def test_largest_computable_gamma_still_computes():
+    # The rejection above takes nothing that computed before it.
+    _, basis, amplitudes, block = _star_setup(2)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, 1e306, t_c_xy(2))
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-14
+    stochastic_evolve(amplitudes, block, 1e306, t_c_xy(2), dt=0.1, n_traj=2)
+    for m in (2, 3):
+        assert abs(circuit_baseline(m, EQUATOR, 1e308) - 0.5) <= 1e-15
 
 
 def _mean_clone_fidelity(matrix, net, basis, theta, phi):
@@ -452,16 +489,6 @@ def test_mixed_state_validation():
         MixedState(basis=basis, matrix=np.eye(3) / 3)
 
 
-def test_gate_pulse_validation():
-    GatePulse(kind="xy_pulse", sites=(0, 1), value=1.0)
-    with pytest.raises(ValueError):
-        GatePulse(kind="xy_pulse", sites=(0,), value=1.0)
-    with pytest.raises(ValueError):
-        GatePulse(kind="xy_pulse", sites=(0, 1), value=-0.5)
-    with pytest.raises(ValueError):
-        GatePulse(kind="swap", sites=(0, 1), value=1.0)
-
-
 def _distance_up_to_phase(a, b):
     k = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     return np.max(np.abs(a - (a[k] / b[k]) * b))
@@ -557,14 +584,25 @@ def test_threads_compile_and_share_one_circuit():
 
 def test_compiled_circuit_is_read_only():
     # One compiled pulse per XY pulse of the schedule, each after the fused
-    # rotations since the one before; every cached array refuses writes.
+    # rotations since the one before, which match the oracle's unitary of
+    # that run of rotations; every cached array refuses writes.
     for m, n_pulses in ((2, 6), (3, 8)):
-        _, schedule = pcc_circuit_schedule(m)
+        n_qubits, schedule = pcc_circuit_schedule(m)
         durations = [p.value for p in schedule if p.kind == "xy_pulse"]
+        runs = [[]]
+        for pulse in schedule:
+            if pulse.kind == "xy_pulse":
+                runs.append([])
+            else:
+                runs[-1].append(pulse)
         _, pair, pair_z, pulses, closing, hamming = (
             spinclone.noise._compiled_circuit(m))
         assert len(durations) == n_pulses
         assert [duration for _, duration, _ in pulses] == durations
+        fused = [u for u, _, _ in pulses] + [closing]
+        for u, run in zip(fused, runs, strict=True):
+            assert np.max(np.abs(u - schedule_unitary(n_qubits, run))) \
+                <= 1e-14
         arrays = [pair, pair_z, closing, hamming] + [u for u, _, _ in pulses]
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from compare_outputs import (column_differences,  # noqa: E402
-                             first_line_difference)
+                             first_line_difference, runs)
 
 
 def test_column_differences_report_the_largest_gap(tmp_path):
@@ -28,3 +28,13 @@ def test_first_line_difference_quotes_both_sides(tmp_path):
         "line 2: '[ok] gap 5.55e-16' -> '[ok] gap 2.22e-16'")
     assert first_line_difference(old, old) == ""
     assert first_line_difference(old, longer) == "line 3: None -> '[ok] more'"
+
+
+def test_runs_cover_the_large_gamma_grid():
+    # fig3 at Gamma_max = 4 takes a cross-check count that neither the
+    # default grid nor the benchmark's grids reach.
+    names = [name for name, _ in runs(0)]
+    assert names == ["fig2", "table1", "fig3", "tree", "disorder",
+                     "fig3_bench", "fig3_large"]
+    assert dict(runs(3))["fig3_large"] == ["--gamma-grid", "0.5,1,2,4",
+                                           "fig3"]

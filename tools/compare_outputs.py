@@ -7,8 +7,9 @@ Usage::
 Extracts ``src/`` at ``<rev>`` with ``git archive`` into a temporary
 directory, then runs the five CLI commands at every seed, plus ``fig3`` on
 the Gamma grid that the benchmark's ``dephasing`` workload draws for that
-seed (``perfbench/workloads.gamma_values``), each in its own subprocess,
-once on that tree and once on the working tree's ``src/``.  Every written
+seed (``perfbench/workloads.gamma_values``) and on the fixed large-Gamma grid
+``LARGE_GAMMA_GRID``, each in its own subprocess, once on that tree and once
+on the working tree's ``src/``.  Every written
 file (CSV, network dump, manifest) and every command's stdout is compared
 byte for byte; only the manifests' ``duration_s`` line is ignored.  Prints
 each file that differs, for a CSV with the largest absolute difference in
@@ -31,6 +32,9 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import gamma_values  # noqa: E402
 
 COMMANDS = ("fig2", "table1", "fig3", "tree", "disorder")
+# Its largest Gamma sets fig3's cross-check at 50390 trajectories of 89
+# steps, more than the default grid or the benchmark's grids ever run.
+LARGE_GAMMA_GRID = "0.5,1,2,4"
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -43,10 +47,12 @@ def parse_seeds(spec: str) -> list[int]:
 
 def runs(seed: int) -> list[tuple[str, list[str]]]:
     """(name, trailing CLI arguments) of every run at one seed: each command,
-    then ``fig3`` on the benchmark's ``dephasing`` grid as ``fig3_bench``."""
+    then ``fig3`` on the benchmark's ``dephasing`` grid as ``fig3_bench`` and
+    on ``LARGE_GAMMA_GRID`` as ``fig3_large``."""
     grid = ",".join(repr(g) for g in gamma_values(seed))
     return ([(command, [command]) for command in COMMANDS]
-            + [("fig3_bench", ["--gamma-grid", grid, "fig3"])])
+            + [("fig3_bench", ["--gamma-grid", grid, "fig3"]),
+               ("fig3_large", ["--gamma-grid", LARGE_GAMMA_GRID, "fig3"])])
 
 
 def run_all(src: Path, out: Path, seeds: list[int]) -> None:
