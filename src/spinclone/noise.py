@@ -15,12 +15,11 @@ on neither.
 In the configuration basis the dissipator acts elementwise: it multiplies
 ``rho_ab`` by ``-(Gamma/2) hamming(a, b)``.  The Liouvillian is therefore one
 dense matrix on ``vec(rho)`` and ``expm(L t)`` solves the master equation
-exactly (vectorization as in Havel, J. Math. Phys. 44, 534 (2003)).  Both
-solvers take their exponentials from :func:`_expm`, scaling and squaring of
-the [13/13] Pade approximant, which stays exact where an eigendecomposition
-of the Liouvillian fails (its exceptional point at Gamma = 2J).  The
-trajectory unraveling never forms the Liouvillian and serves as the
-independent cross-check.
+exactly (vectorization as in Havel, J. Math. Phys. 44, 534 (2003)) by
+:func:`_expm`, scaling and squaring of the [13/13] Pade approximant, exact
+where an eigendecomposition of the Liouvillian fails (its exceptional point
+at Gamma = 2J).  The trajectory unraveling, stepped by the Hamiltonian's
+eigendecomposition, never forms the Liouvillian: the independent check.
 
 The circuit baseline compiles cloning gate sequences to schedules of XY
 coupling pulses (two pulses per two-qubit gate) plus instantaneous
@@ -43,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (_check_densities, _input_coefficients,
+from .dynamics import (_check_densities, _input_coefficients, _propagate,
                        density_fidelities, prepare_input)
 from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
                           sector_basis)
@@ -179,10 +178,10 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
                       seed: int = 0) -> MixedState:
     """Trajectory average: unitary steps between random phase kicks.
 
-    ``n = ceil(t / dt)`` equal steps of ``h = t / n`` sit between ``n + 1``
-    per-site z-phase kicks (field ``b_i / 2 sz_i``) of variance ``gamma h``,
-    the first and last halved: Strang's symmetric split (SIAM J. Numer.
-    Anal. 5, 506 (1968)), whose average is second order in ``h``.
+    ``n = ceil(t / dt)`` equal steps ``e^{-iHh}``, ``h = t / n``, from
+    ``eigh`` sit between ``n + 1`` per-site z-phase kicks (field ``b_i / 2
+    sz_i``) of variance ``gamma h``, the first and last halved: Strang's
+    split (SIAM J. Numer. Anal. 5, 506 (1968)), second order in ``h``.
     Trajectory ``k + ceil(n_traj / 2)`` receives the negated kicks of
     trajectory ``k``, the complex conjugate phases: each is still an exact
     sample of the noise while the error of the average that is odd in the
@@ -204,7 +203,7 @@ def stochastic_evolve(psi0: np.ndarray, block: HamiltonianBlock, gamma: float,
     with np.errstate(over="ignore", invalid="ignore"):
         generator = -1j * (t / n) * block.matrix
     _require_finite_exponent(generator, gamma, t)
-    u_t = _expm(generator).T
+    u_t = _propagate(block, np.eye(len(basis)), t / n).T
     scale, edge = math.sqrt(gamma * t / n), math.sqrt(gamma * t / n / 2.0)
     states = np.tile(psi0, (n_traj, 1))
     half = (n_traj + 1) // 2

@@ -16,21 +16,22 @@ under a curvature bound (Piyavskii 1972; Shubert 1972), which splits
 intervals until the bound is within ``TIE_TOLERANCE`` of the best value,
 then lockstep Newton steps on its closed-form time derivatives in the
 intervals that remain.  Every evaluation sums fixed Bohr-frequency
-harmonics ``e^{-i(E_k - E_l)t}`` (:class:`_Spectra`), so each time derivative
-is the same sum with its coefficients multiplied by ``-i(E_k - E_l)``.  Every
-round of the search is a uniform grid of times ``row + column``, evaluated
-alike (:meth:`ProtocolScan._grid_maximum`): their phases ``e^{-iEt}`` are
-products of row and column phases, so each harmonic is a row factor times a
-column factor and each component one small matrix product; a batch of
-arbitrary times is the one-column case.
+harmonics ``e^{-i(E_k - E_l)t}`` (:class:`ProtocolScan`), so each time
+derivative is the same sum with its coefficients multiplied by ``-i(E_k -
+E_l)``.  Every round of the search is a uniform grid of times ``row +
+column``, evaluated alike (:meth:`ProtocolScan._grid_maximum`): their phases
+``e^{-iEt}`` are products of row and column phases, so each harmonic is a
+row factor times a column factor and each component one small matrix
+product; a batch of arbitrary times is the one-column case.
 
 Scans run on the count basis of the twin classes
 (:func:`spinclone.hamiltonian.count_basis`): swapping twin sites commutes
 with H, fixes the input and permutes the outputs, so the state is fixed by
-its excitation count per class.  Disorder realizations take the same
-evaluator, stacked, with one site per class.  The input's azimuth cancels
-from every clone's overlap with its target, so scans load it at 0;
-``run_protocol`` takes it, on configurations, as the independent oracle.
+its excitation count per class.  Disorder reads its stacked realizations,
+one site per class, at one time: amplitudes, with no harmonics.  The input's
+azimuth cancels from every clone's overlap with its target, so both load it
+at 0; ``run_protocol`` takes it, on configurations, as the independent
+oracle.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import OutputReadout, _require_finite, count_input
-from .hamiltonian import (SectorBasis, assemble_blocks, count_basis,
-                          sector_basis, sector_dimension)
+from .hamiltonian import (assemble_blocks, count_basis, sector_basis,
+                          sector_dimension)
 from .topology import (SpinNetwork, _generate_state, coupling_factors,
                        twin_classes)
 
@@ -51,7 +52,7 @@ from .topology import (SpinNetwork, _generate_state, coupling_factors,
 STRIDE = 16
 TIE_TOLERANCE = 1e-10
 
-# Entries of one working array: pair factors per block of the harmonic sums,
+# Entries of one working array: a scan's pair factors per block of harmonics,
 # and matrix entries per chunk of disorder realizations assembled at once, so
 # that memory grows with neither the sector nor the sample count.
 PAIR_ENTRIES = 1 << 18
@@ -85,47 +86,62 @@ class DisorderSummary:
     sector_dim: int   # configurations each realization is evaluated on
 
 
-# A weight's states, the index of its first eigenstate, its eigenvalues E
-# (R, n) and eigenvectors V (R, n, n), and the input's c = V^T psi (R, n).
+def _check_field_interval(b_lo: float, b_hi: float) -> None:
+    """Raise ValueError unless ``b_lo`` is finite and ``b_lo <= b_hi``
+    (``b_hi`` may be infinite)."""
+    if not (math.isfinite(b_lo) and b_lo <= b_hi):
+        raise ValueError("field interval needs finite b_lo <= b_hi")
+
+
+# A weight's states, the index of its first eigenstate, its eigenvalues E,
+# eigenvectors V and the input's c = V^T psi.
 _Sector = namedtuple("_Sector", "states start e v c")
 
 
-class _Spectra:
-    """Zero-field fidelity components of the blocks of ``net`` on ``basis``
-    at each row of the (R, n_edges) array ``couplings``, in Bohr-frequency
-    form.  With one ``eigh`` per weight, ``base = const + 2 Re sum`` and
-    ``gbar = sum`` of ``c_k (V^T X V)_kl conj(c_l) e^{-i(E_k - E_l)t}`` over
-    the pairs ``k, l = first, second``: first ``split`` pairs ``k < l`` of a
-    weight with ``X = D``, the readout's diagonal (``const`` holds their
-    ``k = l`` terms), then pairs of adjacent weights with ``X = W``, its
-    coherence weights at ``(lower, upper)``."""
+class ProtocolScan:
+    """Mean clone fidelity of ``net`` on the ``dim`` count states of its
+    twin classes, in Bohr-frequency form.  With one zero-field ``eigh`` per
+    weight, ``base = const + 2 Re sum`` and ``gbar = sum`` of ``c_k (V^T X
+    V)_kl conj(c_l) e^{-i(E_k - E_l)t}`` over the pairs ``k, l = first,
+    second``: first ``split`` pairs ``k < l`` of a weight with ``X = D``, the
+    readout's diagonal (``const`` holds their ``k = l`` terms), then pairs of
+    adjacent weights with ``X = W``, its coherence weights at ``(lower,
+    upper)``.  The field enters in closed form.  Results agree with
+    :func:`spinclone.dynamics.run_protocol` to round-off."""
 
-    def __init__(self, net: SpinNetwork, basis: SectorBasis,
-                 couplings: np.ndarray, theta: float):
-        self.basis, self.dim = basis, len(basis)
-        psi = count_input(net, basis, theta, 0.0)   # first: names a bad theta
-        self._readout = r = OutputReadout(net, basis, theta)
-        blocks = assemble_blocks(net, basis, couplings)
+    def __init__(self, net: SpinNetwork, anisotropy: float, theta: float):
+        # F is even and 2 pi periodic in theta; cs >= 0 on [0, pi].
+        if math.isfinite(theta) and not 0.0 <= theta <= math.pi:
+            theta = math.acos(math.cos(theta))
+        configured = net.with_params(anisotropy=anisotropy, field=0.0)
+        self.basis = basis = count_basis(
+            tuple(twin_classes(configured).tolist()),
+            tuple(range(len(net.input_sites) + 1)))
+        self.dim, self.n_eval = len(basis), 0
+        psi = count_input(configured, basis, theta, 0.0)   # names a bad theta
+        self._readout = r = OutputReadout(configured, basis, theta)
+        (block,) = assemble_blocks(configured, basis,
+                                   configured.coupling_array()[None])
         sectors, start = {}, 0
         for w in basis.weights:
             idx = np.nonzero(basis.state_weights == w)[0]
-            vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
+            vals, vecs = np.linalg.eigh(block[idx[:, None], idx])
             sectors[w] = _Sector(idx, start, vals, vecs, psi[idx] @ vecs)
             start += len(idx)
-        self._energies = np.concatenate([s.e for s in sectors.values()], 1)
+        self._energies = np.concatenate([s.e for s in sectors.values()])
 
         def harmonics(low, high, x, keep):
             """Pairs and ``c_k x_kl conj(c_l)`` at the entries ``keep``."""
             k, l = np.nonzero(keep)
             return (low.start + k, high.start + l,
-                    low.c[:, k] * x[:, k, l] * np.conj(high.c[:, l]))
+                    low.c[k] * x[k, l] * np.conj(high.c[l]))
 
         const, terms = 0.0, []
         for s in sectors.values():
-            m = np.swapaxes(s.v, 1, 2) @ (r.diagonal[s.states, None] * s.v)
-            const = const + np.einsum("rk,rkk->r", abs(s.c) ** 2, m)
+            m = s.v.T @ (r.diagonal[s.states, None] * s.v)
+            const = const + np.einsum("k,kk->", abs(s.c) ** 2, m)
             terms.append(harmonics(s, s, 2.0 * m,
-                                   np.triu(np.ones(m.shape[1:], bool), 1)))
+                                   np.triu(np.ones(m.shape, bool), 1)))
         self._const, self._split = const, sum(len(t[0]) for t in terms)
         for w in basis.weights:
             if w + 1 not in sectors:
@@ -135,81 +151,53 @@ class _Spectra:
             couple = np.zeros((len(low.states), len(high.states)))
             couple[np.searchsorted(low.states, r.lower[on]),   # once each
                    np.searchsorted(high.states, r.upper[on])] = r.weight[on]
-            g = np.swapaxes(low.v, 1, 2) @ (couple @ high.v)
-            terms.append(harmonics(low, high, g, np.ones(g.shape[1:], bool)))
+            g = low.v.T @ (couple @ high.v)
+            terms.append(harmonics(low, high, g, np.ones(g.shape, bool)))
         self._first, self._second, self._coeffs = (
-            np.concatenate(part, axis=-1) for part in zip(*terms))
-        self._omega = (np.take(self._energies, self._first, axis=1)
-                       - np.take(self._energies, self._second, axis=1))
+            np.concatenate(part) for part in zip(*terms))
+        self._omega = (self._energies[self._first]
+                       - self._energies[self._second])
 
     def stacked_components(self, t_rows: np.ndarray, t_cols=(0.0,),
                            order: int = 0):
-        """``(base, gbar)``, each (R, T), at the ``T = len(t_rows) *
-        len(t_cols)`` times ``t_rows[j] + t_cols[m]`` in row-major order.
+        """``(base, gbar)``, each of length ``T = len(t_rows) *
+        len(t_cols)``, at the times ``t_rows[j] + t_cols[m]`` in row-major
+        order.
 
         Each phase is a row phase times a column phase, so each component
-        is one (R, rows, P) @ (R, P, cols) product of pair factors, summed
-        over blocks of at most ``PAIR_ENTRIES`` factor entries.  A batch of
+        is one (rows, P) @ (P, cols) product of pair factors, summed over
+        blocks of at most ``PAIR_ENTRIES`` factor entries.  A batch of
         arbitrary times is the one-column case at offset 0.  ``order = n``
         adds the time derivatives up to the n-th as further columns, of
         coefficients ``(-i omega)^k c`` for the Bohr frequency ``omega``:
-        (R, T (n + 1)) in (row, derivative, column) order.
+        length ``T (n + 1)`` in (row, derivative, column) order.
         """
-        energies = self._energies[:, None, :]
-        rows = np.exp(-1j * (np.asarray(t_rows)[:, None] * energies))
-        cols = np.exp(-1j * (np.asarray(t_cols)[:, None] * energies))
+        rows = np.exp(-1j * (np.asarray(t_rows)[:, None] * self._energies))
+        cols = np.exp(-1j * (np.asarray(t_cols)[:, None] * self._energies))
         rows_conj, cols_conj = np.conj(rows), np.conj(cols)
-        block = max(1, PAIR_ENTRIES // (len(rows) * (
-            rows.shape[1] + cols.shape[1] * (order + 1))))
+        block = max(1, PAIR_ENTRIES // (len(rows) + len(cols) * (order + 1)))
         for lo in range(0, len(self._first), block):
             f, s = self._first[lo:lo + block], self._second[lo:lo + block]
-            left = np.take(rows, f, axis=2)
-            left *= np.take(rows_conj, s, axis=2)
-            right = np.take(cols, f, axis=2)
-            right *= np.take(cols_conj, s, axis=2)
-            right *= self._coeffs[:, None, lo:lo + block]
+            # np.take keeps the factors C-ordered, as .view(np.float64) needs.
+            left = np.take(rows, f, axis=1)
+            left *= np.take(rows_conj, s, axis=1)
+            right = np.take(cols, f, axis=1)
+            right *= np.take(cols_conj, s, axis=1)
+            right *= self._coeffs[lo:lo + block]
             if order:
-                rate = -1j * self._omega[:, None, lo:lo + block]
+                rate = -1j * self._omega[lo:lo + block]
                 right = np.concatenate(
-                    [right * rate ** k for k in range(order + 1)], axis=1)
+                    [right * rate ** k for k in range(order + 1)])
             cut = min(max(self._split - lo, 0), len(f))
             # Re(x + iy)(u + iv) = x u - y v: the base is one real product of
             # the interleaved floats of left and of conj(right).
-            parts = (left[:, :, :cut].view(np.float64) @ np.swapaxes(
-                         np.conj(right[:, :, :cut]).view(np.float64), 1, 2),
-                     left[:, :, cut:] @ np.swapaxes(right[:, :, cut:], 1, 2))
+            parts = (left[:, :cut].view(np.float64)
+                     @ np.conj(right[:, :cut]).view(np.float64).T,
+                     left[:, cut:] @ right[:, cut:].T)
             base, gbar = (parts if lo == 0
                           else (base + parts[0], gbar + parts[1]))
-        base[:, :, :cols.shape[1]] += self._const[:, None, None]
-        return base.reshape(len(rows), -1), gbar.reshape(len(rows), -1)
-
-
-def _check_field_interval(b_lo: float, b_hi: float) -> None:
-    """Raise ValueError unless ``b_lo`` is finite and ``b_lo <= b_hi``
-    (``b_hi`` may be infinite)."""
-    if not (math.isfinite(b_lo) and b_lo <= b_hi):
-        raise ValueError("field interval needs finite b_lo <= b_hi")
-
-
-class ProtocolScan(_Spectra):
-    """Precomputed fast evaluator of the mean clone fidelity.
-
-    The one-realization case of the stacked evaluator, on the ``dim`` count
-    states of the twin classes: any batch of times is two small products of
-    pair factors, and the field enters in closed form.
-    Results agree with :func:`spinclone.dynamics.run_protocol` to round-off.
-    """
-
-    def __init__(self, net: SpinNetwork, anisotropy: float, theta: float):
-        # F is even and 2 pi periodic in theta; cs >= 0 on [0, pi].
-        if math.isfinite(theta) and not 0.0 <= theta <= math.pi:
-            theta = math.acos(math.cos(theta))
-        configured = net.with_params(anisotropy=anisotropy, field=0.0)
-        basis = count_basis(tuple(twin_classes(configured).tolist()),
-                            tuple(range(len(net.input_sites) + 1)))
-        super().__init__(configured, basis, configured.coupling_array()[None],
-                         theta)
-        self.n_eval = 0
+        base[:, :len(cols)] += self._const
+        return base.ravel(), gbar.ravel()
 
     def components(self, t_values) -> tuple[np.ndarray, np.ndarray]:
         """Field-independent pieces ``(base, gbar)`` for a batch of times."""
@@ -219,7 +207,7 @@ class ProtocolScan(_Spectra):
             _require_finite(t=float(t[~finite][0]))
         base, gbar = self.stacked_components(t)
         self.n_eval += len(t)
-        return base[0], gbar[0]
+        return base, gbar
 
     def mean_fidelity(self, t: float, b: float) -> float:
         _require_finite(t=t, b=b)
@@ -248,7 +236,7 @@ class ProtocolScan(_Spectra):
         base, gbar = self.stacked_components(rows, cols)
         self.n_eval += count
         t = np.repeat(rows, len(cols))[:count] + np.resize(cols, count)
-        return self._maximum(t, base[0, :count], gbar[0, :count], b_lo, b_hi)
+        return self._maximum(t, base[:count], gbar[:count], b_lo, b_hi)
 
     def _maximum(self, t, base, gbar, b_lo: float, b_hi: float):
         """The values of :meth:`_choose_field`: ``base + 2cs |gbar|`` in an
@@ -293,7 +281,7 @@ class ProtocolScan(_Spectra):
         ``|g|`` within the rounding bound of its sum (0 in effect: its
         phase is noise), the second is nan and the first is one-sided
         towards larger t."""
-        base, gbar = (part[0].reshape(-1, 3).T
+        base, gbar = (part.reshape(-1, 3).T
                       for part in self.stacked_components(t, order=2))
         self.n_eval += len(t)
         g, g1 = gbar[:2]
@@ -304,7 +292,7 @@ class ProtocolScan(_Spectra):
             b = np.where((t == 0.0) & (hi > lo), b_hi, b)
         # Near t = 0, where gbar vanishes, |g| falls to the rounding error of
         # its P terms, at most P eps sum |c|; 1/|g| overflows below tiny.
-        c = abs(self._coeffs[0, self._split:])
+        c = abs(self._coeffs[self._split:])
         tiny = np.abs(g) < max(len(c) * np.finfo(float).eps * c.sum(),
                                np.finfo(float).tiny)
         norm, b = np.where(tiny, 1.0, np.abs(g)), np.where(held, b, 0.0)
@@ -327,7 +315,7 @@ class ProtocolScan(_Spectra):
         sum |c| (|omega| + B_max)^2`` over ``gbar``'s, ``B_max = max(|b_lo|,
         |b_hi|)`` or 0 if ``b_hi = inf``, where ``|g|'' >= -|g''|`` and the
         kinks at ``gbar = 0`` are convex (cs >= 0)."""
-        c, w, k = abs(self._coeffs[0]), abs(self._omega[0]), self._split
+        c, w, k = abs(self._coeffs), abs(self._omega), self._split
         b_max = max(abs(b_lo), abs(b_hi)) if b_hi < math.inf else 0.0
         return float(c[:k] @ w[:k] ** 2 + 2.0 * abs(self._readout.cs)
                      * (c[k:] @ (w[k:] + b_max) ** 2))
@@ -375,7 +363,7 @@ class ProtocolScan(_Spectra):
         best, kept = values.max(), []
         # Intervals as starts, ends and M there; with b_hi = inf, M at 0 is
         # raised to its limit at t -> 0+, base + 2cs |gbar|.
-        g0 = self._coeffs[0, self._split:].sum()
+        g0 = self._coeffs[self._split:].sum()
         values[0] += (2.0 * self._readout.cs * (abs(g0) - g0.real)
                       * (t_lo == 0.0 and math.isinf(b_hi)))
         iv = edges[:-1], edges[1:], values[:-1], values[1:]
@@ -469,25 +457,33 @@ def disorder_fidelities(net_template: SpinNetwork, epsilon: float, seeds,
                         anisotropy: float, theta: float, t: float,
                         b: float) -> np.ndarray:
     """Mean clone fidelity at ``(t, B)`` of ``jitter(net_template, epsilon,
-    s)`` for every ``s`` in the integer array ``seeds``, evaluated stacked in
-    chunks of at most ``PAIR_ENTRIES`` matrix entries (one
-    :func:`spinclone.topology.coupling_factors` draw and one ``eigh`` per
-    weight and chunk) on configurations, the count basis with one site per
-    class.
+    s)`` for every ``s`` in the integer array ``seeds``, on configurations,
+    stacked in chunks of at most ``PAIR_ENTRIES`` matrix entries: per chunk
+    one :func:`spinclone.topology.coupling_factors` draw, one ``eigh`` per
+    weight, the amplitudes ``V e^{-iEt} V^T psi`` and their readout.
     """
     net = net_template.with_params(anisotropy=anisotropy, field=0.0)
     basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
+    psi = count_input(net, basis, theta, 0.0)   # names a bad theta
+    readout = OutputReadout(net, basis, theta)
     field_phase = np.exp(-1j * (t * b))
     template = net.coupling_array()
     chunk = max(1, PAIR_ENTRIES // len(basis) ** 2)
     values = np.empty(len(seeds))
     for lo in range(0, len(seeds), chunk):
         part = seeds[lo:lo + chunk]
-        couplings = template * coupling_factors(epsilon, part, len(template))
-        spectra = _Spectra(net, basis, couplings, theta)
-        base, gbar = spectra.stacked_components(np.array([t]))
-        values[lo:lo + len(part)] = spectra._readout.fidelity(
-            base[:, 0], gbar[:, 0], field_phase)
+        blocks = assemble_blocks(net, basis, template * coupling_factors(
+            epsilon, part, len(template)))
+        amps = np.empty((len(part), len(basis)), dtype=complex)
+        for w in basis.weights:
+            idx = np.nonzero(basis.state_weights == w)[0]
+            e, v = np.linalg.eigh(blocks[:, idx[:, None], idx])
+            c = np.exp(-1j * t * e) * (psi[idx] @ v)
+            amps[:, idx] = (v @ c[:, :, None])[:, :, 0]
+        base = np.abs(amps) ** 2 @ readout.diagonal
+        gbar = (amps[:, readout.lower]
+                * np.conj(amps[:, readout.upper])) @ readout.weight
+        values[lo:lo + len(part)] = readout.fidelity(base, gbar, field_phase)
     return values
 
 
@@ -501,17 +497,18 @@ def disorder_study(net_template: SpinNetwork, epsilon: float, samples: int,
     ``numpy.random`` like the draws themselves (both in
     :mod:`spinclone.topology`), evaluated stacked by
     :func:`disorder_fidelities` at the unperturbed ``(t, B)``; nothing is
-    re-optimized.  The ideal fidelity comes from the template's scan.  A
-    negative ``seed`` raises ``ValueError``, whatever ``epsilon``.
+    re-optimized.  The ideal fidelity is the same evaluation at ``epsilon =
+    0``, whose coupling factors are exact ones.  A negative ``seed`` raises
+    ``ValueError``, whatever ``epsilon``.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     _require_finite(t_fixed=t_fixed, b_fixed=b_fixed)
     child_seeds = _generate_state(seed, samples)
-    ideal_scan = ProtocolScan(net_template, anisotropy, theta)
-    ideal = ideal_scan.mean_fidelity(t_fixed, b_fixed)
+    ideal = float(disorder_fidelities(net_template, 0.0, child_seeds[:1],
+                                      anisotropy, theta, t_fixed, b_fixed)[0])
     dim = sector_dimension([1] * net_template.n_sites,
-                           ideal_scan.basis.weights)
+                           range(len(net_template.input_sites) + 1))
     if epsilon == 0.0:
         return DisorderSummary(samples=samples, mean_fidelity=ideal,
                                std_fidelity=0.0, ideal_fidelity=ideal,

@@ -3,10 +3,10 @@
 Everything here works on the full 2^n space with dense Kronecker products
 and generic tensor reshapes, deliberately sharing no machinery with the
 package's sector-restricted implementation, with two exceptions:
-``stochastic_stepwise`` takes its step unitary from ``noise._expm``, so that
-it checks the trajectory kernel bit for bit, and
+``stochastic_stepwise`` takes its step unitary from ``dynamics._propagate``,
+so that it checks the trajectory kernel bit for bit, and
 ``full_space_circuit`` exponentiates its Liouvillians with
-``noise._propagator`` (``_expm`` itself is pinned against
+``noise._propagator`` (whose ``_expm`` is pinned against
 ``scipy.linalg.expm`` in ``test_noise``).  ``dense_optimize`` is the
 optimizer's own dense scan, evaluator and refinement, the oracle for the
 grid times that its coarse-to-fine scan skips.  The seeded-draw oracles call
@@ -19,9 +19,9 @@ import numpy as np
 import scipy.linalg
 
 from spinclone import search
-from spinclone.dynamics import OutputReadout, count_input
+from spinclone.dynamics import OutputReadout, _propagate, count_input
 from spinclone.hamiltonian import assemble_blocks, sector_dimension
-from spinclone.noise import _expm, _propagator, pcc_circuit_schedule
+from spinclone.noise import _propagator, pcc_circuit_schedule
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -302,8 +302,8 @@ def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
     The loop of ``noise.stochastic_evolve``, written out on its own as the
     oracle that it matches bit for bit: the same random stream, drawn by
     ``rng.normal``, phases from ``np.exp``, and the same step unitary, from
-    the package's ``noise._expm``.  ``n = ceil(t / dt)`` equal steps sit
-    between ``n + 1`` kicks, the first and last of half the variance.
+    the package's ``dynamics._propagate``.  ``n = ceil(t / dt)`` equal steps
+    sit between ``n + 1`` kicks, the first and last of half the variance.
     Returns the averaged density matrix and the (n_traj, dim) final
     trajectory states.
     """
@@ -312,7 +312,7 @@ def stochastic_stepwise(psi0, block, gamma, t, dt=1e-3, n_traj=1000, seed=0):
     rng = np.random.default_rng(seed)
 
     n = max(1, math.ceil(t / dt))
-    u = _expm(-1j * (t / n) * block.matrix)
+    u = _propagate(block, np.eye(len(block.matrix)), t / n)
     states = np.tile(psi0, (n_traj, 1))
     half = (n_traj + 1) // 2
     scale, edge = math.sqrt(gamma * t / n), math.sqrt(gamma * t / n / 2.0)
@@ -374,35 +374,33 @@ def lie_split_average(rho, block, gamma, t, dt=1e-2):
     return rho
 
 
-def synthesized_components(net, basis, couplings, theta, phi, t_rows,
-                           t_cols=(0.0,)):
-    """``(base, gbar)`` of ``search._Spectra.stacked_components`` by
+def synthesized_components(net, basis, theta, phi, t_rows, t_cols=(0.0,)):
+    """``(base, gbar)`` of ``search.ProtocolScan.stacked_components`` by
     amplitude synthesis, as the package computed them before the
-    Bohr-frequency form: the blocks of ``net`` (at zero field) on ``basis``
-    for each row of ``couplings``, one ``eigh`` per weight, the amplitudes
-    ``V (e^{-iEt} V^T psi)`` at every time ``t_rows[j] + t_cols[m]``
-    (row-major), each phase the product of a row and a column phase, then
-    ``D |a|^2`` and ``sum weight a[lower] conj(a[upper])``.  The input is
-    loaded at azimuth ``phi`` and ``gbar`` turned back by ``e^{i phi}``:
-    phase covariance makes that the scans' ``phi = 0`` value."""
+    Bohr-frequency form: the block of ``net`` (at zero field) on ``basis``,
+    one ``eigh`` per weight, the amplitudes ``V (e^{-iEt} V^T psi)`` at
+    every time ``t_rows[j] + t_cols[m]`` (row-major), each phase the product
+    of a row and a column phase, then ``D |a|^2`` and ``sum weight a[lower]
+    conj(a[upper])``.  The input is loaded at azimuth ``phi`` and ``gbar``
+    turned back by ``e^{i phi}``: phase covariance makes that the scans'
+    ``phi = 0`` value."""
     configured = net.with_params(field=0.0)
     readout = OutputReadout(configured, basis, theta)
     psi = count_input(configured, basis, theta, phi)
-    blocks = assemble_blocks(configured, basis, np.atleast_2d(couplings))
+    (block,) = assemble_blocks(configured, basis,
+                               configured.coupling_array()[None])
     t_rows, t_cols = np.asarray(t_rows), np.asarray(t_cols)
-    amps = np.empty((len(blocks), len(basis), len(t_rows) * len(t_cols)),
-                    dtype=complex)
+    amps = np.empty((len(basis), len(t_rows) * len(t_cols)), dtype=complex)
     for w in basis.weights:
         idx = np.nonzero(basis.state_weights == w)[0]
-        vals, vecs = np.linalg.eigh(blocks[:, idx[:, None], idx])
-        coeffs = np.swapaxes(vecs, 1, 2) @ psi[idx]
-        phases = (np.exp(-1j * vals[:, :, None, None] * t_rows[:, None])
-                  * np.exp(-1j * vals[:, :, None, None] * t_cols))
-        amps[:, idx] = vecs @ (coeffs[:, :, None]
-                               * phases.reshape(len(blocks), len(idx), -1))
+        vals, vecs = np.linalg.eigh(block[idx[:, None], idx])
+        phases = (np.exp(-1j * vals[:, None, None] * t_rows[:, None])
+                  * np.exp(-1j * vals[:, None, None] * t_cols))
+        amps[idx] = vecs @ ((vecs.T @ psi[idx])[:, None]
+                            * phases.reshape(len(idx), -1))
     return (readout.diagonal @ np.abs(amps) ** 2,
             np.exp(1j * phi) * (readout.weight @ (
-                amps[:, readout.lower] * np.conj(amps[:, readout.upper]))))
+                amps[readout.lower] * np.conj(amps[readout.upper]))))
 
 
 def peak_indices_argsort(values, peaks, indices=None):

@@ -93,8 +93,8 @@ def test_dephasing_propagators_keep_the_trace(gamma):
 
 @pytest.mark.parametrize("grid", ["1e-4:1e-1:10", "0.5,1,2,4"])
 def test_expm_matches_scipy_on_fig3(tmp_path, monkeypatch, grid):
-    # Every Liouvillian and trajectory step that fig3 exponentiates; the
-    # second grid holds the pair Liouvillian's exceptional point Gamma = 2J.
+    # Every Liouvillian that fig3 exponentiates; the second grid holds the
+    # pair Liouvillian's exceptional point Gamma = 2J.
     arguments = []
 
     def recording(a):
@@ -191,6 +191,17 @@ def test_stochastic_gamma_zero_is_exact():
     pure = _propagate(block, amplitudes, 1.3)
     expected = np.outer(pure, pure.conj())
     assert np.max(np.abs(out.matrix - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [1e8, 1e16, 1e20])
+def test_stochastic_stays_unitary_at_large_times(t):
+    # One step over the whole time: the block's eigendecomposition stays
+    # unitary however long the step, where scaling and squaring does not.
+    _, _, amplitudes, block = _star_setup(2)
+    out = stochastic_evolve(amplitudes, block, 0.0, t, dt=t, n_traj=2)
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-12
+    pure = _propagate(block, amplitudes, t)
+    assert np.max(np.abs(out.matrix - np.outer(pure, pure.conj()))) <= 1e-12
 
 
 @pytest.mark.parametrize("n_traj", [0, -3])

@@ -14,7 +14,7 @@ from spinclone import (ProtocolScan, b_opt_xy, bipartite, build_block,
 from spinclone import cli, search
 from spinclone.dynamics import OutputReadout, count_input
 from spinclone.hamiltonian import (assemble_blocks, count_basis,
-                                   sector_basis, sector_dimension)
+                                   sector_dimension)
 from spinclone.search import disorder_fidelities
 from spinclone.topology import coupling_factors, twin_classes
 from reference import (configuration_words, dense_optimize, golden_max,
@@ -318,12 +318,10 @@ def test_time_derivatives_match_differences(networks, data, anisotropy,
     configured = net.with_params(anisotropy=anisotropy, field=0.0)
 
     def synthesized(times):
-        base, gbar = synthesized_components(
-            configured, scan.basis, configured.coupling_array()[None], theta,
-            0.0, times)
-        return base[0], gbar[0]
+        return synthesized_components(configured, scan.basis, theta, 0.0,
+                                      times)
 
-    base, gbar = (part[0].reshape(-1, 3)[0]
+    base, gbar = (part.reshape(-1, 3)[0]
                   for part in scan.stacked_components([t], order=2))
     for k, want in enumerate(_difference_error(
             lambda x: np.stack(synthesized(x)), t, 1e-3)):
@@ -414,13 +412,13 @@ BATCHES = st.one_of(
               st.floats(1e-3, 1.0)).map(_grid_batch))
 
 
-def _assert_matches_synthesis(spectra, net, couplings, theta, phi, batches):
+def _assert_matches_synthesis(scan, net, theta, phi, batches):
     # Every batch agrees with amplitude synthesis on the same basis, which
     # diagonalizes its own blocks.
     for rows, cols in batches:
-        got = spectra.stacked_components(rows, cols)
-        want = synthesized_components(net, spectra.basis, couplings, theta,
-                                      phi, rows, cols)
+        got = scan.stacked_components(rows, cols)
+        want = synthesized_components(net, scan.basis, theta, phi, rows,
+                                      cols)
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-12
@@ -429,24 +427,13 @@ def _assert_matches_synthesis(spectra, net, couplings, theta, phi, batches):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
        theta=st.floats(0.0, math.pi), phi=st.floats(0.0, 2 * math.pi),
-       epsilon=st.floats(0.0, 0.5),
-       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=3),
        batches=st.lists(BATCHES, min_size=1, max_size=4))
 def test_frequency_form_matches_synthesis(net, anisotropy, theta, phi,
-                                          epsilon, seeds, batches):
-    # Stacked jittered realizations on configurations, and the one-row scan
-    # on twin-class counts.
+                                          batches):
+    # The scan on twin-class counts.
     configured = net.with_params(anisotropy=anisotropy, field=0.0)
-    basis = sector_basis(net.n_sites, tuple(range(len(net.input_sites) + 1)))
-    couplings = configured.coupling_array() * np.array(
-        [coupling_factors(epsilon, s, len(net.edges)) for s in seeds])
-    stacked = search._Spectra(configured, basis, couplings, theta)
-    _assert_matches_synthesis(stacked, configured, couplings, theta, phi,
-                              batches)
     scan = ProtocolScan(net, anisotropy, theta)
-    _assert_matches_synthesis(scan, configured,
-                              configured.coupling_array()[None], theta, phi,
-                              batches)
+    _assert_matches_synthesis(scan, configured, theta, phi, batches)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -459,9 +446,7 @@ def test_frequency_form_matches_synthesis_on_twins(drawn, anisotropy, theta,
     net, _ = drawn
     configured = net.with_params(anisotropy=anisotropy, field=0.0)
     scan = ProtocolScan(net, anisotropy, theta)
-    _assert_matches_synthesis(scan, configured,
-                              configured.coupling_array()[None], theta, phi,
-                              batches)
+    _assert_matches_synthesis(scan, configured, theta, phi, batches)
 
 
 def test_pair_blocks_match_one_block(monkeypatch):
@@ -524,7 +509,7 @@ def test_unbounded_field_maximum_is_the_field_choice(net, anisotropy, theta,
                        (np.zeros(1), np.arange(n) * step),
                        (times[-1] + np.arange(2) * length,
                         np.arange(n) * step)):
-        base, gbar = (part[0] for part in scan.stacked_components(rows, cols))
+        base, gbar = scan.stacked_components(rows, cols)
         t = (rows[:, None] + cols).ravel()
         assert np.array_equal(
             scan._grid_maximum(rows, cols, len(t), b_lo, math.inf),
@@ -1000,6 +985,21 @@ def test_stacked_disorder_matches_run_protocol(net, anisotropy, theta, phi, t,
     for row, s in zip(stacked, seeds):
         single = build_block(jitter(configured, epsilon, s), basis.weights)
         assert np.array_equal(row, single.matrix)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(net=small_networks(), anisotropy=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, math.pi), t=st.floats(0.0, 20.0),
+       b=st.floats(-2.0, 2.0), epsilon=st.floats(0.0, 0.5))
+def test_disorder_ideal_matches_the_scan(net, anisotropy, theta, t, b,
+                                         epsilon):
+    # The ideal is the configuration evaluator's at epsilon = 0; the scan on
+    # twin-class counts is the independent check.
+    summary = disorder_study(net, epsilon, 3, anisotropy, theta, t, b, seed=0)
+    scan = ProtocolScan(net, anisotropy, theta)
+    assert abs(summary.ideal_fidelity - scan.mean_fidelity(t, b)) <= 1e-12
+    assert summary.sector_dim == sum(
+        math.comb(net.n_sites, w) for w in range(len(net.input_sites) + 1))
 
 
 def test_stacked_disorder_across_chunks(monkeypatch):

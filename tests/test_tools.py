@@ -1,9 +1,11 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from compare_outputs import (column_differences,  # noqa: E402
-                             first_line_difference, runs)
+                             first_line_difference, main, runs)
 
 
 def test_column_differences_report_the_largest_gap(tmp_path):
@@ -38,3 +40,12 @@ def test_runs_cover_the_large_gamma_grid():
                      "fig3_bench", "fig3_large"]
     assert dict(runs(3))["fig3_large"] == ["--gamma-grid", "0.5,1,2,4",
                                            "fig3"]
+
+
+@pytest.mark.parametrize("spec", ["9-0", "3-2"])
+def test_an_empty_seed_range_is_an_argument_error(spec, capsys):
+    # It would compare no file and pass; argparse stops it before any run.
+    with pytest.raises(SystemExit) as stopped:
+        main(["HEAD", "--seeds", spec])
+    assert stopped.value.code == 2
+    assert f"no seeds in '{spec}'" in capsys.readouterr().err

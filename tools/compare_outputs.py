@@ -38,11 +38,16 @@ LARGE_GAMMA_GRID = "0.5,1,2,4"
 
 
 def parse_seeds(spec: str) -> list[int]:
-    """'0-9' or a comma-separated list of seeds."""
+    """'0-9' or a comma-separated list of seeds; a spec of no seed (such
+    as '9-0') is an argument error, since it would compare nothing."""
     if "-" in spec:
         lo, hi = spec.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in spec.split(",")]
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {spec!r}")
+    return seeds
 
 
 def runs(seed: int) -> list[tuple[str, list[str]]]:
@@ -123,10 +128,10 @@ def first_line_difference(old: Path, new: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against")
-    parser.add_argument("--seeds", default="0-9",
+    parser.add_argument("--seeds", type=parse_seeds, default="0-9",
                         help="'lo-hi' range or comma list (default 0-9)")
     args = parser.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
+    seeds = args.seeds
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "archive", args.rev, "src"],
