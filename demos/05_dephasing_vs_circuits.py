@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from spinclone import (b_opt_xy, circuit_baseline, noisy_network_fidelity,
+from spinclone import (b_opt_xy, circuit_fidelities, noisy_network_fidelity,
                        pcc_circuit_schedule, star, t_c_xy)
 from spinclone.noise import schedule_duration
 
@@ -21,12 +21,15 @@ for m in (2, 3):
 
 print(f"\n{'gamma/J':>10} {'net 1->2':>10} {'circ 1->2':>10} "
       f"{'net 1->3':>10} {'circ 1->3':>10}")
-for gamma in [0.0] + list(np.logspace(-3, -1, 5)):
+gammas = [0.0] + list(np.logspace(-3, -1, 5))
+# One circuit run per clone count, its density matrices stacked over Gamma.
+circuits = {m: circuit_fidelities(m, theta, gammas) for m in (2, 3)}
+for k, gamma in enumerate(gammas):
     row = [gamma]
     for m in (2, 3):
         row.append(noisy_network_fidelity(star(m), 0.0, b_opt_xy(m), theta,
                                           gamma, t_c_xy(m)))
-        row.append(circuit_baseline(m, theta, gamma))
+        row.append(circuits[m][k])
     print(f"{row[0]:>10.4g} {row[1]:>10.6f} {row[2]:>10.6f} "
           f"{row[3]:>10.6f} {row[4]:>10.6f}")
 

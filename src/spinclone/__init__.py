@@ -14,9 +14,9 @@ from .dynamics import (CloneResult, density_fidelities, prepare_input,
 from .hamiltonian import (HamiltonianBlock, SectorBasis, build_block,
                           sector_basis)
 from .noise import (GatePulse, MixedState, circuit_baseline,
-                    circuit_ideal_fidelity, lindblad_evolve,
-                    noisy_network_fidelity, pcc_circuit_schedule,
-                    stochastic_evolve)
+                    circuit_fidelities, circuit_ideal_fidelity,
+                    lindblad_evolve, noisy_network_fidelity,
+                    pcc_circuit_schedule, stochastic_evolve)
 from .search import (DisorderSummary, OptimizationResult, ProtocolScan,
                      disorder_study, optimize)
 from .topology import (DimensionLimitError, SpinNetwork, bipartite,

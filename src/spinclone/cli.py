@@ -1,10 +1,11 @@
-"""Reproduction harness: one subcommand per headline artifact.
+"""Reproduction harness: one command per headline artifact.
 
-Each ``cmd_*`` computes and returns ``(tables, networks, params, checks)``;
+One invocation runs any list of commands in order, in one process.  Each
+``cmd_*`` computes and returns ``(tables, networks, params, checks)``;
 ``_run`` alone writes them: deterministic CSV (9 significant digits, fixed
 row order), network dumps and a manifest file recording the full parameter
-set, seed and output hashes.  Commands exit nonzero when one of their
-tolerance checks fails, so they can gate CI runs.
+set, seed and output hashes.  The exit code is nonzero when a tolerance
+check of any command fails, so runs can gate CI.
 """
 from __future__ import annotations
 
@@ -21,9 +22,10 @@ from . import __version__
 from .analytic import (NTOM_REFERENCE, NoPccReference, b_opt_xy,
                        heis_star_fidelity, pcc_reference, t_c_heis, t_c_xy,
                        xy_star_fidelity)
-from .dynamics import prepare_input, protocol_fidelities, run_protocol
+from .dynamics import (density_fidelities, prepare_input,
+                       protocol_fidelities, run_protocol)
 from .hamiltonian import build_block
-from .noise import (MixedState, circuit_baseline, circuit_ideal_fidelity,
+from .noise import (MixedState, circuit_fidelities, circuit_ideal_fidelity,
                     lindblad_evolve, stochastic_evolve)
 from .search import ProtocolScan, disorder_study, optimize
 from .topology import bipartite, star, to_text, tree
@@ -33,6 +35,7 @@ DISORDER_STARS = (2, 3, 4)
 DISORDER_EPSILON = 0.1
 DISORDER_SAMPLES = 500
 CROSS_CHECK_BOUND = 0.01
+MASTER_ROW_BOUND = 1e-12
 
 
 def _fmt(value) -> str:
@@ -47,29 +50,30 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run(command, args) -> int:
+def _run(name: str, args) -> int:
     """Run one command, then write its tables as CSV, its network dumps and
     a manifest of parameters and output hashes, and print its checks.
     Nothing is written when the command raises.  Returns 1 when any check
     fails."""
     started = time.perf_counter()
+    command, _ = COMMANDS[name]
     tables, networks, params, checks = command(args)
     files = [(f"{stem}.csv", _csv_text(*table))
              for stem, table in tables.items()]
-    files += [(f"networks/{name}.txt", to_text(net))
-              for name, net in networks.items()]
+    files += [(f"networks/{stem}.txt", to_text(net))
+              for stem, net in networks.items()]
     out_dir = Path(args.out_dir)
     (out_dir / "networks").mkdir(parents=True, exist_ok=True)
-    lines = [f"command={args.command}", f"version={__version__}"]
+    lines = [f"command={name}", f"version={__version__}"]
     params = {"seed": args.seed, **params}
     lines += [f"{key}={value}" for key, value in sorted(params.items())]
-    for name, text in files:
-        path, data = out_dir / name, text.encode()
+    for file_name, text in files:
+        path, data = out_dir / file_name, text.encode()
         path.write_bytes(data)
         digest = hashlib.sha256(data).hexdigest()
         lines.append(f"output={path.name} sha256={digest}")
     lines.append(f"duration_s={time.perf_counter() - started:.3f}")
-    (out_dir / f"{args.command}.manifest").write_text("\n".join(lines) + "\n")
+    (out_dir / f"{name}.manifest").write_text("\n".join(lines) + "\n")
     for line, ok in checks:
         print(f"[{'ok' if ok else 'FAIL'}] {line}")
     return 0 if all(ok for _, ok in checks) else 1
@@ -198,21 +202,22 @@ def cmd_fig3(args) -> tuple:
     for m in (2, 3):
         # One input at the equator: each clone's coherence pairs weight 0
         # with weight 1, Hamming distance 1, so dephasing damps it by exactly
-        # exp(-Gamma t / 2): F(Gamma) = 1/2 + exp(-Gamma t / 2) (F(0) - 1/2).
+        # exp(-Gamma t / 2): F(Gamma) = 1/2 + exp(-Gamma t / 2) (F(0) - 1/2),
+        # with F(0) the star's closed form.
         t_c = t_c_xy(m)
-        ideal = run_protocol(star(m), 0.0, b_opt_xy(m), math.pi / 2, 0.0,
-                             t_c).mean_fidelity
+        ideal = xy_star_fidelity(m, math.pi / 2)
         curves[("network", m)] = [
             0.5 + math.exp(-g * t_c / 2.0) * (ideal - 0.5) for g in gammas]
-        curves[("circuit", m)] = [circuit_baseline(m, math.pi / 2, g)
-                                  for g in gammas]
+        curves[("circuit", m)] = circuit_fidelities(m, math.pi / 2,
+                                                    gammas).tolist()
     rows = [[protocol, m, g, f] for (protocol, m), values in curves.items()
             for g, f in zip(gammas, values)]
 
     probe = min((g for g in gammas if g > 0.0), key=lambda g: abs(g - 1e-3))
     k = gammas.index(probe)
     n_traj = _trajectory_count(max(gammas))
-    cross = _trajectory_cross_check(max(gammas), n_traj, args.seed)
+    cross, master = _trajectory_cross_check(max(gammas), n_traj, args.seed)
+    row_gap = abs(master - curves[("network", 2)][gammas.index(max(gammas))])
     ideal_gap = max(abs(curves[("circuit", m)][0] - circuit_ideal_fidelity(m))
                     for m in (2, 3))
     margin = min(curves[("network", m)][k] - curves[("circuit", m)][k]
@@ -230,6 +235,9 @@ def cmd_fig3(args) -> tuple:
         (f"trajectory/master cross-check ({n_traj} trajectories): "
          f"trace distance {cross:.3g}, bound {CROSS_CHECK_BOUND:g}",
          cross <= CROSS_CHECK_BOUND),
+        (f"network row at gamma={max(gammas):g} against the master equation: "
+         f"gap {row_gap:.3g}, bound {MASTER_ROW_BOUND:g}",
+         row_gap <= MASTER_ROW_BOUND),
     ]
     tables = {"fig3": (["protocol", "M", "gamma_over_J", "F"], rows)}
     networks = {f"star_{m}": star(m) for m in (2, 3)}
@@ -252,8 +260,10 @@ def _trajectory_count(gamma: float) -> int:
     return min(2 * base, base * 223 // steps)
 
 
-def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
-    """Trace distance between the two dephasing solvers on the 1->2 star.
+def _trajectory_cross_check(gamma: float, n_traj: int,
+                            seed: int) -> tuple[float, float]:
+    """Trace distance between the two dephasing solvers on the 1->2 star,
+    and the master equation's mean clone fidelity.
 
     At steps of at most ``_trajectory_step(gamma)`` the symmetric split that
     the trajectories sample misses the master equation by 1.6e-5 at Gamma =
@@ -267,7 +277,9 @@ def _trajectory_cross_check(gamma: float, n_traj: int, seed: int) -> float:
     sampled = stochastic_evolve(amplitudes, block, gamma, t_c_xy(2),
                                 _trajectory_step(gamma), n_traj, seed)
     gaps = np.linalg.eigvalsh(master.matrix - sampled.matrix)
-    return 0.5 * float(np.sum(np.abs(gaps)))
+    fidelity = np.mean(density_fidelities(master.matrix, basis,
+                                          net.output_sites, math.pi / 2, 0.0))
+    return 0.5 * float(np.sum(np.abs(gaps))), float(fidelity)
 
 
 def cmd_tree(args) -> tuple:
@@ -333,27 +345,29 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinclone",
-        description="Reproduction harness for spin-network cloning results.")
+        description="Reproduction harness for spin-network cloning results.",
+        epilog="commands: " + "; ".join(
+            f"{name}: {help_text}"
+            for name, (_, help_text) in COMMANDS.items()))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--gamma-grid", default="1e-4:1e-1:10",
                         help="'start:stop:count' log grid or comma list")
     parser.add_argument("--threads", type=int, default=1, help="accepted for "
                         "compatibility; every command runs serially")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
-        sub.add_parser(name, help=help_text)
+    parser.add_argument("commands", nargs="+", choices=COMMANDS,
+                        metavar="command", help="run in the order given")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, _ = COMMANDS[args.command]
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    return _run(command, args)
+    # Every command runs, whatever an earlier one's checks gave.
+    return max([_run(name, args) for name in args.commands])
 
 
 if __name__ == "__main__":

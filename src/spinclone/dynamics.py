@@ -211,17 +211,24 @@ def _site_densities(basis: SectorBasis, amplitudes: np.ndarray,
 
 def density_fidelities(matrix: np.ndarray, basis: SectorBasis, sites,
                        theta: float, phi: float) -> np.ndarray:
-    """Clone fidelity of each of ``sites`` for a density matrix given on a
-    configuration basis; the reduction and checks of the pure-state protocol,
-    with the sums read off the diagonal and ``matrix[idx0, idx1]``."""
+    """Clone fidelity of each of ``sites`` (last axis) for a density matrix
+    given on a configuration basis, or for a stack of them (leading axes);
+    the reduction and checks of the pure-state protocol, with the sums read
+    off the diagonal and ``matrix[idx0, idx1]``."""
     _require_finite(theta=theta, phi=phi)
-    if np.shape(matrix) != (len(basis), len(basis)):
+    matrix = np.asarray(matrix)
+    dim = len(basis)
+    if matrix.shape[-2:] != (dim, dim):
         raise ValueError("matrix shape does not match basis")
     empty, occupied, idx0, idx1 = _site_indices(basis, sites)
-    diagonal = np.real(np.diag(matrix))
-    densities = _reduced_states(diagonal[empty].sum(axis=-1),
-                                diagonal[occupied].sum(axis=-1),
-                                matrix[idx0, idx1].sum(axis=-1))
+    diagonal = np.real(np.diagonal(matrix, axis1=-2, axis2=-1))
+    entries = matrix.reshape(matrix.shape[:-2] + (dim * dim,))
+    # As in _site_densities: every row is summed in the same order whatever
+    # the number of matrices.
+    densities = _reduced_states(
+        np.take(diagonal, empty, axis=-1).sum(axis=-1),
+        np.take(diagonal, occupied, axis=-1).sum(axis=-1),
+        np.take(entries, idx0 * dim + idx1, axis=-1).sum(axis=-1))
     return _overlaps(densities, theta, phi)
 
 

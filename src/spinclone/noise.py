@@ -18,8 +18,10 @@ dense matrix on ``vec(rho)`` and ``expm(L t)`` solves the master equation
 exactly (vectorization as in Havel, J. Math. Phys. 44, 534 (2003)) by
 :func:`_expm`, scaling and squaring of the [13/13] Pade approximant, exact
 where an eigendecomposition of the Liouvillian fails (its exceptional point
-at Gamma = 2J).  The trajectory unraveling, stepped by the Hamiltonian's
-eigendecomposition, never forms the Liouvillian: the independent check.
+at Gamma = 2J).  Its rounding grows as ``eps t ||H||``; a time past
+``ROUNDING_LIMIT`` raises a ValueError naming ``gamma`` and ``t``.  The
+trajectory unraveling, stepped by the Hamiltonian's eigendecomposition,
+never forms the Liouvillian: the independent check.
 
 The circuit baseline compiles cloning gate sequences to schedules of XY
 coupling pulses (two pulses per two-qubit gate) plus instantaneous
@@ -31,7 +33,11 @@ two sites), acts on the pair's axes of ``rho`` (one axis per ket and bra
 qubit), and the spectators' factor is the damping
 ``exp(-Gamma t hamming / 2)``.  Compiled once per clone count, the circuit
 is its pulses alone: the noise-free rotations between two pulses are
-multiplied into one unitary.
+multiplied into one unitary.  :func:`circuit_fidelities` runs the pulses
+once for a whole Gamma grid, on density matrices stacked along a leading
+axis: the pair exponentials of one duration form one stack, each with its
+own number of squarings, so every entry has the bits of its one-Gamma
+call, :func:`circuit_baseline`.
 """
 from __future__ import annotations
 
@@ -95,13 +101,23 @@ PADE_13 = tuple(
     for j in range(14))
 
 
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """1-norm, the largest column sum, of each matrix of a stack (last two
+    axes); as ``np.linalg.norm(a, 1)`` for one matrix."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square array by Pade scaling and squaring."""
-    norm = np.linalg.norm(a, 1)
-    squarings = max(0, math.ceil(math.log2(norm / THETA_13))) if norm else 0
-    a = a / 2.0 ** squarings
+    """Matrix exponential of each square matrix of a stack (last two axes)
+    by Pade scaling and squaring, each matrix with its own number of
+    squarings, so that a slice of a stack gets the bits of its own call."""
+    norms = _norm1(a)
+    squarings = np.array(
+        [max(0, math.ceil(math.log2(n / THETA_13))) if n else 0
+         for n in norms.ravel().tolist()], dtype=int).reshape(norms.shape)
+    a = a / (2.0 ** squarings.astype(float))[..., None, None]
     b = PADE_13
-    eye = np.eye(len(a), dtype=a.dtype)
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -110,52 +126,80 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
     result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
+    for step in range(squarings.max(initial=0)):
+        active = squarings > step
+        if active.all():
+            result = result @ result
+        else:
+            result[active] = result[active] @ result[active]
     return result
 
 
-def _require_finite_exponent(a: np.ndarray, gamma: float, t: float) -> None:
-    """Reject a ``gamma * t`` or an exponent ``a`` that is not finite."""
+def _require_finite_exponent(a: np.ndarray, gamma, t: float) -> None:
+    """Reject a ``gamma * t`` or an exponent ``a`` that is not finite, naming
+    the first such ``gamma`` of a stack (leading axes of ``a``)."""
+    gamma = np.asarray(gamma, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(a, 1)
-    if not (math.isfinite(gamma * t) and math.isfinite(norm)):
+        finite = np.isfinite(gamma * t) & np.isfinite(_norm1(a))
+    if not finite.all():
+        bad = np.broadcast_to(gamma, finite.shape)[~finite].flat[0]
         raise ValueError(f"gamma * t and the generator it scales must be "
-                         f"finite, got gamma={gamma!r}, t={t!r}")
+                         f"finite, got gamma={float(bad)!r}, t={t!r}")
 
 
-def _propagator(matrix: np.ndarray, z: np.ndarray, gamma: float,
+# The Pade approximant's rounding, a few eps, doubles with each squaring,
+# and 2^s is about ||t L_H||_1 / THETA_13 for the Hamiltonian part L_H =
+# -i (H x 1 - 1 x H^T); the dissipator only damps.  So the unitary part of
+# expm(L t) is off by about eps ||t L_H||_1 <= 2 eps t ||H||_1 (measured:
+# its image of a pure state's density matrix is Hermitian to 0.01-0.03 of
+# that on stars, trees and bipartite graphs).  Past ROUNDING_LIMIT, the
+# Hermiticity bound of MixedState, the propagator is not resolved.
+ROUNDING_LIMIT = 1e-9
+
+
+def _propagator(matrix: np.ndarray, z: np.ndarray, gamma,
                 t: float) -> np.ndarray:
     """Exact dephasing propagator ``expm(L t)`` on row-major ``vec(rho)``,
-    from the Pade exponential :func:`_expm`.
+    from the Pade exponential :func:`_expm`; a stack of them, one per
+    entry, for an array ``gamma``.
 
     With row-major ``vec``, ``-i [H, rho]`` is ``-i (H x 1 - 1 x H^T)`` and
     the dissipator is diagonal: ``(Gamma/4) sum_i (z_ai z_bi - 1)`` on
-    ``rho_ab``, which is ``-(Gamma/2) hamming(a, b)``.
+    ``rho_ab``, which is ``-(Gamma/2) hamming(a, b)``.  Raises ValueError
+    naming ``gamma`` and ``t`` where the rounding of the Hamiltonian part,
+    ``2 eps t ||H||_1``, exceeds ``ROUNDING_LIMIT``.
     """
+    gamma = np.asarray(gamma, dtype=float)
     dim = len(matrix)
     if dim * dim > MAX_DIM:
         raise DimensionLimitError(
             f"Liouvillian dimension {dim * dim} exceeds maximum {MAX_DIM}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rounding = 2.0 * np.finfo(float).eps * t * float(_norm1(matrix))
+    if not rounding <= ROUNDING_LIMIT:
+        raise ValueError(
+            f"t * ||H|| is past the propagator's resolution: its rounding "
+            f"{rounding:.3g} exceeds {ROUNDING_LIMIT:g}, got "
+            f"gamma={gamma.tolist()!r}, t={t!r}")
     # Entry ((a, b), (c, d)) of the generator, built by index.
     k = np.arange(dim)
-    generator = np.zeros((dim,) * 4, dtype=complex)
-    generator[:, k, :, k] = -1j * matrix        # -i H[a, c] delta_bd
-    generator[k, :, k, :] += 1j * matrix.T      # +i H[d, b] delta_ac
+    generator = np.zeros(gamma.shape + (dim,) * 4, dtype=complex)
+    generator[..., :, k, :, k] = -1j * matrix       # -i H[a, c] delta_bd
+    generator[..., k, :, k, :] += 1j * matrix.T     # +i H[d, b] delta_ac
     # Exponentiate in coordinates whose first one is the trace, sum_a rho_aa,
     # the others unchanged: the generator's trace row is then exactly zero,
     # so the trace is kept exactly, however stiff the dephasing.
     diagonal = k * (dim + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        generator[k[:, None], k, k[:, None], k] += (gamma / 4.0) * (
-            z @ z.T - z.shape[1])
-        generator = generator.reshape(dim * dim, dim * dim) * t
-        generator[0] = generator[diagonal].sum(axis=0)
-        generator[:, diagonal[1:]] -= generator[:, :1]
+        generator[..., k[:, None], k, k[:, None], k] += (
+            gamma[..., None, None] / 4.0) * (z @ z.T - z.shape[1])
+        generator = generator.reshape(gamma.shape + (dim * dim,) * 2) * t
+        generator[..., 0, :] = generator[..., diagonal, :].sum(axis=-2)
+        generator[..., diagonal[1:]] -= generator[..., :1]
     _require_finite_exponent(generator, gamma, t)
     result = _expm(generator)
-    result[0] -= result[diagonal[1:]].sum(axis=0)
-    result[:, diagonal[1:]] += result[:, :1]
+    result[..., 0, :] -= result[..., diagonal[1:], :].sum(axis=-2)
+    result[..., diagonal[1:]] += result[..., :1]
     return result
 
 
@@ -387,30 +431,44 @@ def _compiled_circuit(n_clones: int) -> tuple:
     return basis, pair.matrix, pair_z, tuple(pulses), u, hamming
 
 
-def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
-    """Mean clone fidelity of the compiled cloning circuit under dephasing.
+def circuit_fidelities(n_clones: int, theta: float, gammas) -> np.ndarray:
+    """Mean clone fidelity of the compiled cloning circuit under dephasing,
+    one per entry of ``gammas``.
 
     Dephasing of strength ``gamma`` acts on every register qubit for the
     full duration of each XY pulse; single-qubit rotations are instantaneous
     and noise-free.  Each pulse applies its pair's propagator and its
     spectators' damping, the exact factors of its Liouvillian's exponential.
+    The pulses run once, on density matrices stacked over ``gammas``: one
+    stacked pair propagator per distinct duration, and each entry gets the
+    bits of its own one-entry call.
     """
-    _require("gamma", gamma)
+    gammas = np.array(gammas, dtype=float).reshape(-1)
+    for gamma in gammas.tolist():
+        _require("gamma", gamma)
     basis, pair, pair_z, pulses, closing, hamming = _compiled_circuit(n_clones)
     amplitudes = np.zeros(len(basis), dtype=np.complex128)
     # |0...0> and configuration |1> on qubit 0, the input's one excitation.
     amplitudes[:2] = _input_coefficients(np.array([float(theta)]), 0.0, 1)[0]
-    rho = np.outer(amplitudes, amplitudes.conj())
-    factors = {}   # one pair propagator per distinct duration
+    rho = np.repeat(np.outer(amplitudes, amplitudes.conj())[None],
+                    len(gammas), axis=0)
+    factors = {}   # one stack of pair propagators per distinct duration
     for u, duration, order in pulses:
         rho = u @ rho @ u.conj().T
         if duration not in factors:
-            factors[duration] = _propagator(pair, pair_z, gamma, duration)
-        view = rho.reshape((2,) * len(order)).transpose(order)
-        view[...] = (factors[duration] @ view.reshape(16, -1)
-                     * np.exp((-0.5 * gamma * duration) * hamming)
-                     ).reshape(view.shape)
+            factors[duration] = _propagator(pair, pair_z, gammas, duration)
+        view = rho.reshape((len(gammas),) + (2,) * len(order)).transpose(
+            (0,) + tuple(axis + 1 for axis in order))
+        damping = np.exp((-0.5 * gammas * duration)[:, None, None] * hamming)
+        view[...] = (factors[duration] @ view.reshape(len(gammas), 16, -1)
+                     * damping).reshape(view.shape)
     rho = closing @ rho @ closing.conj().T
-    return float(np.mean(density_fidelities(rho, basis,
-                                            range(len(basis.classes)),
-                                            theta, 0.0)))
+    return np.mean(density_fidelities(rho, basis, range(len(basis.classes)),
+                                      theta, 0.0), axis=-1)
+
+
+def circuit_baseline(n_clones: int, theta: float, gamma: float) -> float:
+    """Mean clone fidelity of the compiled cloning circuit under dephasing
+    of strength ``gamma``; the one-entry case of :func:`circuit_fidelities`.
+    """
+    return float(circuit_fidelities(n_clones, theta, [gamma])[0])

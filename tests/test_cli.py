@@ -167,21 +167,23 @@ def test_fig3_command(tmp_path, capsys):
     # Each check line quotes its measured value (3 significant digits) and
     # its bound; margin and rise are recomputed here from the CSV.
     lines = check_lines(capsys)
-    assert len(lines) == 4
+    assert len(lines) == 5
     patterns = [
         r"circuit gamma=0 at ideal value: max deviation (\S+), bound 1e-9",
         r"network above circuit at gamma=0\.001: min margin (\S+), bound 0",
         r"curves monotone nonincreasing: max rise (\S+), bound 1e-12",
         r"trajectory/master cross-check \(2000 trajectories\): "
-        r"trace distance (\S+), bound 0\.01"]
+        r"trace distance (\S+), bound 0\.01",
+        r"network row at gamma=0\.01 against the master equation: "
+        r"gap (\S+), bound 1e-12"]
     values = []
-    for line, pattern in zip(lines, patterns):
+    for line, pattern in zip(lines, patterns, strict=True):
         match = re.fullmatch(r"\[ok\] " + pattern, line)
         assert match, line
         values.append(float(match.group(1)))
-    deviation, margin, rise, distance = values
+    deviation, margin, rise, distance, gap = values
     assert 0.0 <= deviation < 1e-9 and margin > 0.0 and rise <= 1e-12
-    assert 0.0 <= distance <= 0.01
+    assert 0.0 <= distance <= 0.01 and 0.0 <= gap <= 1e-12
     assert margin == pytest.approx(
         min(by_key[("network", m, "0.001")] - by_key[("circuit", m, "0.001")]
             for m in ("2", "3")), rel=5e-3)
@@ -237,7 +239,7 @@ def test_fig3_cross_check_passes_at_large_gamma(tmp_path, capsys):
     # 0-99 on correct results; the derived count holds its sampling error.
     assert run(tmp_path, "--gamma-grid", "0.5,1,2,4", "fig3") == 0
     lines = check_lines(capsys)
-    assert len(lines) == 4 and all(ln.startswith("[ok]") for ln in lines)
+    assert len(lines) == 5 and all(ln.startswith("[ok]") for ln in lines)
     assert lines[3].startswith(
         "[ok] trajectory/master cross-check (50390 trajectories): ")
     manifest = (tmp_path / "fig3.manifest").read_text().splitlines()
@@ -251,8 +253,8 @@ def test_fig3_runs_to_its_checks_at_stiff_dephasing(tmp_path, capsys, gamma):
     # curves equal 1/2 within rounding, and the margin compares rounding.
     assert run(tmp_path, "--gamma-grid", gamma, "fig3") in (0, 1)
     lines = check_lines(capsys)
-    assert len(lines) == 4
-    assert all(ln.startswith("[ok]") for ln in lines[:3])
+    assert len(lines) == 5
+    assert all(ln.startswith("[ok]") for ln in lines[:3] + lines[4:])
     _, rows = read_rows(tmp_path / "fig3.csv")
     assert all(abs(float(r["F"]) - 0.5) < 1e-12 for r in rows
                if r["gamma_over_J"] != "0")
@@ -479,6 +481,50 @@ def test_commands_never_import_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert {path.parent.name for path in tmp_path.glob("*/*.manifest")} \
         == {"fig2", "table1", "fig3", "tree", "disorder"}
+
+
+def _without_duration(path):
+    return [ln for ln in path.read_text().splitlines()
+            if not ln.startswith("duration_s=")]
+
+
+def test_commands_run_in_one_invocation(tmp_path, capsys):
+    # One invocation runs its commands in order: every file and check line
+    # is that of the command's own run, manifests apart from duration_s.
+    grid = ("--gamma-grid", "1e-3,1e-2")
+    assert run(tmp_path / "all", *grid, *cli.COMMANDS) == 0
+    together = check_lines(capsys)
+    alone = []
+    for command in cli.COMMANDS:
+        assert run(tmp_path / command, *grid, command) == 0
+        alone += check_lines(capsys)
+        for path in (tmp_path / command).rglob("*"):
+            if path.is_file():
+                other = tmp_path / "all" / path.relative_to(tmp_path / command)
+                if path.suffix == ".manifest":
+                    assert _without_duration(other) == _without_duration(path)
+                else:
+                    assert other.read_bytes() == path.read_bytes(), path.name
+    assert together == alone
+    assert sorted(p.name for p in (tmp_path / "all").glob("*.manifest")) \
+        == sorted(f"{command}.manifest" for command in cli.COMMANDS)
+
+
+def test_one_failed_check_fails_the_invocation(tmp_path, capsys,
+                                               monkeypatch):
+    # table1's failed check sets the exit code, and the commands after it
+    # still run.
+    missed = tuple(
+        dataclasses.replace(ref, fidelity=ref.fidelity + 0.1)
+        if (ref.n_inputs, ref.n_outputs) == (2, 3) else ref
+        for ref in cli.NTOM_REFERENCE)
+    monkeypatch.setattr(cli, "NTOM_REFERENCE", missed)
+    assert run(tmp_path, "fig2", "table1", "disorder") == 1
+    lines = check_lines(capsys)
+    assert [ln.startswith("[ok]") for ln in lines] == [True] * 5 + [
+        False] + [True] * 3
+    assert (tmp_path / "disorder.manifest").exists()
+    assert run(tmp_path, "disorder", "fig2") == 0
 
 
 def test_unknown_command_rejected():

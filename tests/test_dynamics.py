@@ -222,6 +222,30 @@ def test_density_fidelities_match_full_space(net, anisotropy, field, theta,
         assert abs(value - (psi.conj() @ rho @ psi).real) <= 1e-12
 
 
+@pytest.mark.parametrize("net", [star(3), bipartite(2, 3), tree(2, 1)],
+                         ids=["star_3", "bipartite_2_3", "tree_2_1"])
+def test_stacked_density_fidelities_equal_one_call_per_matrix(net):
+    # Random mixtures of evolved states, stacked as (2, 3) matrices; each
+    # entry gets the bits of its own call.
+    rng = np.random.default_rng(len(net.output_sites))
+    configured = net.with_params(anisotropy=0.3, field=0.4)
+    basis, amplitudes = prepare_input(configured, 1.1, 0.2)
+    block = build_block(configured, basis.weights)
+    stack = []
+    for times, weights in zip(rng.uniform(0.0, 10.0, (6, 3)),
+                              rng.dirichlet(np.ones(3), 6)):
+        states = [_propagate(block, amplitudes, t) for t in times]
+        stack.append(sum(w * np.outer(s, s.conj())
+                         for w, s in zip(weights, states)))
+    stack = np.array(stack).reshape(2, 3, len(basis), len(basis))
+    sites = list(net.output_sites) + [net.input_sites[0]]
+    values = density_fidelities(stack, basis, sites, 1.1, 0.2)
+    assert values.shape == (2, 3, len(sites))
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(values[index], density_fidelities(
+            stack[index], basis, sites, 1.1, 0.2))
+
+
 def test_density_validation():
     good = np.stack([np.eye(2) / 2] * 5).astype(complex).reshape(5, 1, 2, 2)
     _check_densities(good)

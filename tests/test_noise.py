@@ -1,6 +1,8 @@
 import math
+import re
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 import spinclone.noise
 from spinclone import (b_opt_xy, bipartite, build_block, circuit_baseline,
-                       circuit_ideal_fidelity, from_edge_list, lindblad_evolve,
+                       circuit_fidelities, circuit_ideal_fidelity,
+                       from_edge_list, lindblad_evolve,
                        noisy_network_fidelity, pcc_circuit_schedule,
                        prepare_input, run_protocol, sector_basis, star,
                        stochastic_evolve, t_c_xy, tree)
@@ -91,19 +94,24 @@ def test_dephasing_propagators_keep_the_trace(gamma):
             <= 1e-14
 
 
-@pytest.mark.parametrize("grid", ["1e-4:1e-1:10", "0.5,1,2,4"])
-def test_expm_matches_scipy_on_fig3(tmp_path, monkeypatch, grid):
-    # Every Liouvillian that fig3 exponentiates; the second grid holds the
-    # pair Liouvillian's exceptional point Gamma = 2J.
+@pytest.mark.parametrize("grid,count", [("1e-4:1e-1:10", 56),
+                                        ("0.5,1,2,4", 26)],
+                         ids=["1e-4:1e-1:10", "0.5,1,2,4"])
+def test_expm_matches_scipy_on_fig3(tmp_path, monkeypatch, grid, count):
+    # Every Liouvillian that fig3 exponentiates, counted as matrices: the
+    # circuits stack theirs over the grid, one stack per distinct pulse
+    # duration (2 for M = 2, 3 for M = 3), and the cross-check adds one.
+    # The second grid holds the pair Liouvillian's exceptional point
+    # Gamma = 2J.
     arguments = []
 
     def recording(a):
-        arguments.append(a.copy())
+        arguments.extend(a.reshape((-1,) + a.shape[-2:]).copy())
         return _expm(a)
 
     monkeypatch.setattr(spinclone.noise, "_expm", recording)
     main(["--out-dir", str(tmp_path), "--gamma-grid", grid, "fig3"])
-    assert len(arguments) > 20
+    assert len(arguments) == count > 20
     for a in arguments:
         assert np.max(np.abs(_expm(a) - scipy.linalg.expm(a))) <= 1e-14
 
@@ -118,6 +126,22 @@ def test_expm_matches_scipy_on_random_matrices(dim):
         expected = scipy.linalg.expm(a)
         assert (np.linalg.norm(_expm(a) - expected, 1)
                 <= 1e-12 * np.linalg.norm(expected, 1))
+
+
+def test_stacked_expm_equals_each_slice():
+    # Norms from 1e-3 to 1e6 take 0 to 18 squarings within one stack; each
+    # slice keeps its own count, so it gets the bits of its own call.  The
+    # largest is anti-Hermitian, so that its exponential stays finite.
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((8, 16, 16)) + 1j * rng.standard_normal(
+        (8, 16, 16))
+    stack[6] -= stack[6].conj().T
+    for a, norm in zip(stack, (1e-3, 0.1, 1.0, 5.4, 20.0, 200.0, 1e6, 0.0)):
+        a *= norm / np.linalg.norm(a, 1)
+    result = _expm(stack)
+    assert all(np.array_equal(r, _expm(a)) for r, a in zip(result, stack))
+    assert np.array_equal(_expm(stack.reshape(2, 4, 16, 16)),
+                          result.reshape(2, 4, 16, 16))
 
 
 def test_expm_of_zero_is_identity():
@@ -321,6 +345,8 @@ def test_lindblad_rejects_malformed_inputs(name, kwargs):
 def test_circuit_rejects_malformed_gamma(name, kwargs):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         circuit_baseline(2, EQUATOR, **kwargs)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        circuit_fidelities(3, EQUATOR, [0.1, kwargs["gamma"]])
 
 
 @pytest.mark.parametrize("caller", ["lindblad_evolve",
@@ -362,6 +388,43 @@ def test_largest_computable_gamma_still_computes():
     stochastic_evolve(amplitudes, block, 1e306, t_c_xy(2), dt=0.1, n_traj=2)
     for m in (2, 3):
         assert abs(circuit_baseline(m, EQUATOR, 1e308) - 0.5) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [1e8, 1e12, 1e16, 1e20])
+def test_unresolvable_times_are_rejected_by_name(t):
+    # Scaling and squaring's rounding grows as eps t ||H||: at Gamma = 0 on
+    # star(2) the result failed its Hermiticity check from t = 1e8 on, and
+    # its products overflowed at 1e20.  The propagator now refuses first,
+    # without a RuntimeWarning (which the suite makes an error).
+    _, basis, amplitudes, block = _star_setup(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^t \* \|\|H\|\| is past the "
+                           r"propagator's resolution: .*, got gamma=0\.0, "
+                           f"t={re.escape(repr(t))}$"):
+            lindblad_evolve(_pure(basis, amplitudes), block, 0.0, t)
+
+
+@pytest.mark.parametrize("t", [1.0, 1e3, 1e6])
+def test_resolvable_times_keep_the_trace(t):
+    _, basis, amplitudes, block = _star_setup(2)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, 0.0, t)
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", ["1e-4:1e-1:10", "0.5,1,2,4", "1e6", "1e7",
+                                  "1e12", "1e306"])
+def test_fig3_grids_stay_within_the_resolution(grid):
+    # Every propagator fig3 builds: the circuits' pulses over the grid and
+    # the cross-check's master equation at its largest Gamma.
+    gammas = [0.0] + cli._parse_gamma_grid(grid)
+    _, basis, amplitudes, block = _star_setup(2)
+    out = lindblad_evolve(_pure(basis, amplitudes), block, max(gammas),
+                          t_c_xy(2))
+    assert abs(np.trace(out.matrix) - 1.0) <= 1e-14
+    for m in (2, 3):
+        assert np.all(np.abs(circuit_fidelities(m, EQUATOR, gammas) - 0.5)
+                      <= 0.5)
 
 
 def _mean_clone_fidelity(matrix, net, basis, theta, phi):
@@ -574,6 +637,31 @@ def test_circuit_matches_full_space_oracle(m, theta, gamma):
     # damping against the whole Liouvillian's exponential.
     assert abs(circuit_baseline(m, theta, gamma)
                - full_space_circuit(m, theta, gamma)) <= 1e-12
+
+
+# 0, the pair's exceptional point 2J, a stiff and a near-overflowing Gamma
+# take 0 to about 1020 squarings, so every stack mixes squaring counts.
+FIXED_GAMMAS = [0.0, 2.0, 1e6, 1e306]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=st.sampled_from([2, 3]), theta=st.floats(0.0, math.pi),
+       drawn=st.lists(st.floats(0.0, 10.0), max_size=4),
+       order=st.randoms(use_true_random=False))
+def test_stacked_circuit_equals_one_call_per_gamma(m, theta, drawn, order):
+    gammas = FIXED_GAMMAS + drawn
+    order.shuffle(gammas)
+    stacked = circuit_fidelities(m, theta, gammas)
+    assert stacked.tolist() == [circuit_baseline(m, theta, g) for g in gammas]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_stacked_circuit_matches_full_space_oracle(m):
+    # The oracle exponentiates each pulse's whole Liouvillian, one Gamma at
+    # a time (about 1.3 s at 1e306 for M = 3, so no property test runs it).
+    gammas = FIXED_GAMMAS + [0.1, 0.5]
+    for gamma, value in zip(gammas, circuit_fidelities(m, 1.0, gammas)):
+        assert abs(value - full_space_circuit(m, 1.0, gamma)) <= 1e-12
 
 
 def test_threads_compile_and_share_one_circuit():
