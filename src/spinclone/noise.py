@@ -35,9 +35,9 @@ qubit), and the spectators' factor is the damping
 is its pulses alone: the noise-free rotations between two pulses are
 multiplied into one unitary.  :func:`circuit_fidelities` runs the pulses
 once for a whole Gamma grid, on density matrices stacked along a leading
-axis: the pair exponentials of one duration form one stack, each with its
-own number of squarings, so every entry has the bits of its one-Gamma
-call, :func:`circuit_baseline`.
+axis: the pair exponentials of every Gamma and distinct duration form one
+stack, each with its own number of squarings, so every entry has the bits
+of its one-Gamma call, :func:`circuit_baseline`.
 """
 from __future__ import annotations
 
@@ -135,16 +135,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-def _require_finite_exponent(a: np.ndarray, gamma, t: float) -> None:
+def _require_finite_exponent(a: np.ndarray, gamma, t) -> None:
     """Reject a ``gamma * t`` or an exponent ``a`` that is not finite, naming
-    the first such ``gamma`` of a stack (leading axes of ``a``)."""
-    gamma = np.asarray(gamma, dtype=float)
+    the first such ``gamma`` and ``t`` of a stack (leading axes of ``a``)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(gamma * t) & np.isfinite(_norm1(a))
+        finite = np.isfinite(np.multiply(gamma, t)) & np.isfinite(_norm1(a))
     if not finite.all():
-        bad = np.broadcast_to(gamma, finite.shape)[~finite].flat[0]
+        k = np.argmin(finite)
+        gamma, t = (float(np.broadcast_to(x, finite.shape).flat[k])
+                    for x in (gamma, t))
         raise ValueError(f"gamma * t and the generator it scales must be "
-                         f"finite, got gamma={float(bad)!r}, t={t!r}")
+                         f"finite, got gamma={gamma!r}, t={t!r}")
 
 
 # The Pade approximant's rounding, a few eps, doubles with each squaring,
@@ -157,30 +158,31 @@ def _require_finite_exponent(a: np.ndarray, gamma, t: float) -> None:
 ROUNDING_LIMIT = 1e-9
 
 
-def _propagator(matrix: np.ndarray, z: np.ndarray, gamma,
-                t: float) -> np.ndarray:
+def _propagator(matrix: np.ndarray, z: np.ndarray, gamma, t) -> np.ndarray:
     """Exact dephasing propagator ``expm(L t)`` on row-major ``vec(rho)``,
-    from the Pade exponential :func:`_expm`; a stack of them, one per
-    entry, for an array ``gamma``.
+    from the Pade exponential :func:`_expm`; a stack of them, one per entry
+    of ``gamma`` and ``t`` broadcast together, for arrays.
 
     With row-major ``vec``, ``-i [H, rho]`` is ``-i (H x 1 - 1 x H^T)`` and
     the dissipator is diagonal: ``(Gamma/4) sum_i (z_ai z_bi - 1)`` on
     ``rho_ab``, which is ``-(Gamma/2) hamming(a, b)``.  Raises ValueError
     naming ``gamma`` and ``t`` where the rounding of the Hamiltonian part,
-    ``2 eps t ||H||_1``, exceeds ``ROUNDING_LIMIT``.
+    ``2 eps t ||H||_1``, exceeds ``ROUNDING_LIMIT`` at the largest ``t``.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma, t = np.broadcast_arrays(np.asarray(gamma, dtype=float),
+                                   np.asarray(t, dtype=float))
     dim = len(matrix)
     if dim * dim > MAX_DIM:
         raise DimensionLimitError(
             f"Liouvillian dimension {dim * dim} exceeds maximum {MAX_DIM}")
     with np.errstate(over="ignore", invalid="ignore"):
-        rounding = 2.0 * np.finfo(float).eps * t * float(_norm1(matrix))
+        rounding = 2.0 * np.finfo(float).eps * np.max(t) * float(
+            _norm1(matrix))
     if not rounding <= ROUNDING_LIMIT:
         raise ValueError(
             f"t * ||H|| is past the propagator's resolution: its rounding "
             f"{rounding:.3g} exceeds {ROUNDING_LIMIT:g}, got "
-            f"gamma={gamma.tolist()!r}, t={t!r}")
+            f"gamma={gamma.tolist()!r}, t={t.tolist()!r}")
     # Entry ((a, b), (c, d)) of the generator, built by index.
     k = np.arange(dim)
     generator = np.zeros(gamma.shape + (dim,) * 4, dtype=complex)
@@ -193,7 +195,8 @@ def _propagator(matrix: np.ndarray, z: np.ndarray, gamma,
     with np.errstate(over="ignore", invalid="ignore"):
         generator[..., k[:, None], k, k[:, None], k] += (
             gamma[..., None, None] / 4.0) * (z @ z.T - z.shape[1])
-        generator = generator.reshape(gamma.shape + (dim * dim,) * 2) * t
+        generator = generator.reshape(gamma.shape + (dim * dim,) * 2) * t[
+            ..., None, None]
         generator[..., 0, :] = generator[..., diagonal, :].sum(axis=-2)
         generator[..., diagonal[1:]] -= generator[..., :1]
     _require_finite_exponent(generator, gamma, t)
@@ -439,9 +442,9 @@ def circuit_fidelities(n_clones: int, theta: float, gammas) -> np.ndarray:
     full duration of each XY pulse; single-qubit rotations are instantaneous
     and noise-free.  Each pulse applies its pair's propagator and its
     spectators' damping, the exact factors of its Liouvillian's exponential.
-    The pulses run once, on density matrices stacked over ``gammas``: one
-    stacked pair propagator per distinct duration, and each entry gets the
-    bits of its own one-entry call.
+    The pulses run once, on density matrices stacked over ``gammas``, with
+    the pair propagators of every Gamma and distinct duration in one stack;
+    each entry gets the bits of its own one-entry call.
     """
     gammas = np.array(gammas, dtype=float).reshape(-1)
     for gamma in gammas.tolist():
@@ -452,11 +455,12 @@ def circuit_fidelities(n_clones: int, theta: float, gammas) -> np.ndarray:
     amplitudes[:2] = _input_coefficients(np.array([float(theta)]), 0.0, 1)[0]
     rho = np.repeat(np.outer(amplitudes, amplitudes.conj())[None],
                     len(gammas), axis=0)
-    factors = {}   # one stack of pair propagators per distinct duration
+    durations = list(dict.fromkeys(duration for _, duration, _ in pulses))
+    # Pair propagators of every (Gamma, distinct duration), in one stack.
+    stack = _propagator(pair, pair_z, gammas[:, None], np.array(durations))
+    factors = {d: stack[:, k] for k, d in enumerate(durations)}
     for u, duration, order in pulses:
         rho = u @ rho @ u.conj().T
-        if duration not in factors:
-            factors[duration] = _propagator(pair, pair_z, gammas, duration)
         view = rho.reshape((len(gammas),) + (2,) * len(order)).transpose(
             (0,) + tuple(axis + 1 for axis in order))
         damping = np.exp((-0.5 * gammas * duration)[:, None, None] * hamming)

@@ -94,13 +94,28 @@ def test_dephasing_propagators_keep_the_trace(gamma):
             <= 1e-14
 
 
+def test_stacked_propagators_equal_one_call_each():
+    # gamma and t broadcast into one stack; each entry has the bits of its
+    # own scalar call, squaring counts from 0 to about 1020 mixed.
+    _, pair, pair_z, pulses, _, _ = spinclone.noise._compiled_circuit(3)
+    durations = sorted({pulse[1] for pulse in pulses})
+    gammas = [0.0, 1e-3, 2.0, 1e6, 1e306]
+    stack = spinclone.noise._propagator(
+        pair, pair_z, np.array(gammas)[:, None], np.array(durations))
+    assert stack.shape == (5, 3, 16, 16)
+    for i, gamma in enumerate(gammas):
+        for j, duration in enumerate(durations):
+            assert np.array_equal(stack[i, j], spinclone.noise._propagator(
+                pair, pair_z, gamma, duration))
+
+
 @pytest.mark.parametrize("grid,count", [("1e-4:1e-1:10", 56),
                                         ("0.5,1,2,4", 26)],
                          ids=["1e-4:1e-1:10", "0.5,1,2,4"])
 def test_expm_matches_scipy_on_fig3(tmp_path, monkeypatch, grid, count):
-    # Every Liouvillian that fig3 exponentiates, counted as matrices: the
-    # circuits stack theirs over the grid, one stack per distinct pulse
-    # duration (2 for M = 2, 3 for M = 3), and the cross-check adds one.
+    # Every Liouvillian that fig3 exponentiates, counted as matrices: each
+    # circuit stacks its own over the grid and its distinct pulse durations
+    # (2 for M = 2, 3 for M = 3), and the cross-check adds one.
     # The second grid holds the pair Liouvillian's exceptional point
     # Gamma = 2J.
     arguments = []
